@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp.coeffexpr import evaluate
-from wg_hp.polybasis import gauss_rule, legendre_eval
+from wg_hp.polybasis import basis_tables, gauss_rule, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh
 from wg_hp.weakspace import (
@@ -86,15 +86,12 @@ def assemble(
     if sigmas is None:
         sigmas = default_penalties(mesh, p, problem.eps1)
     sigmas = np.asarray(sigmas, dtype=float)
-    nq = nquad if nquad is not None else p + 6
-    rule = gauss_rule(nq)
+    rule, vander, dvander = basis_tables(p, quad_order(p, nquad))
     dof = DofMap(mesh.n_elements, p)
     n = dof.total
     A = np.zeros((n, n))
     rhs = np.zeros(n)
 
-    vander = npleg.legvander(rule.nodes, p)
-    dvander = np.column_stack([legendre_eval(k, rule.nodes)[1] for k in range(p + 1)])
     alt = _alt_signs(p + 1)
     alt_lo = _alt_signs(p)
     B_lo = deriv_pairing_matrix(p, p + 1)  # tests of degree p-1
@@ -150,17 +147,13 @@ def assemble(
         floc = np.zeros(nloc)
         floc[: p + 1] = (vander.T * w) @ fv
 
+        # boundary node values are eliminated: drop their local rows/columns
         gidx = [dof.coeff_index(j, k) for k in range(p + 1)]
-        gidx.append(dof.node_index(j))
-        gidx.append(dof.node_index(j + 1))
-        for il, ig in enumerate(gidx):
-            if ig is None:
-                continue
-            rhs[ig] += floc[il]
-            for jl, jg in enumerate(gidx):
-                if jg is None:
-                    continue
-                A[ig, jg] += Aloc[il, jl]
+        gidx += [dof.node_index(j), dof.node_index(j + 1)]
+        keep = [il for il, ig in enumerate(gidx) if ig is not None]
+        g = [gidx[il] for il in keep]
+        A[np.ix_(g, g)] += Aloc[np.ix_(keep, keep)]
+        rhs[g] += floc[keep]
 
     return AssembledSystem(A, rhs, mesh, p, sigmas, problem)
 
@@ -226,8 +219,7 @@ def bilinear_apply(
         np.sum(dcu.coeffs * v.coeffs * (widths[:, None] / (2 * k_hi + 1)))
     )
 
-    nq = nquad if nquad is not None else p + 6
-    rule = gauss_rule(nq)
+    rule = gauss_rule(quad_order(p, nquad))
     term3 = 0.0
     for j in range(u.mesh.n_elements):
         a, bnd = u.mesh.element(j)
@@ -248,9 +240,7 @@ def bilinear_apply(
 
 def load_apply(v: WeakFunction, problem: ProblemSpec, nquad: int | None = None) -> float:
     """(f, v0) by quadrature; companion to bilinear_apply."""
-    p = v.degree
-    nq = nquad if nquad is not None else p + 6
-    rule = gauss_rule(nq)
+    rule = gauss_rule(quad_order(v.degree, nquad))
     total = 0.0
     for j in range(v.mesh.n_elements):
         a, bnd = v.mesh.element(j)

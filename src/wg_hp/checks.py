@@ -17,7 +17,7 @@ from numpy.polynomial import legendre as npleg
 
 from wg_hp.assembly import assemble, bilinear_apply, load_apply, solve
 from wg_hp.coeffexpr import evaluate
-from wg_hp.polybasis import gauss_rule, legendre_eval
+from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
 from wg_hp.problem import classify_regime, compute_mu, model_problem, validate
 from wg_hp.slmesh import build_sbl_mesh
 from wg_hp.verify import (
@@ -113,7 +113,7 @@ def suite_definition_residuals(rng, nquad=None, **_) -> SuiteResult:
         v = _random_weakfunction(rng, mesh, p)
         d = weak_derivative(v)
         dc = weak_convection_derivative(v, prob.b, prob.b_prime, nquad)
-        rule = gauss_rule((nquad or p + 6) + p)
+        rule = gauss_rule(quad_order(p, nquad) + p)
         for j in range(mesh.n_elements):
             a, b = mesh.element(j)
             h = b - a
@@ -215,7 +215,7 @@ def suite_error_equation(rng, nquad=None, **_) -> SuiteResult:
         mu = compute_mu(prob)
         for p in DEGREES:
             mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1, eps2=eps2)
-            nq = nquad or p + 6
+            nq = quad_order(p, nquad)
             u_p = solve(assemble(prob, mesh, p, nquad=nq))
             iu = interpolant_weakfunction(case, mesh, p, nquad=nq)
             v = _random_weakfunction(rng, mesh, p)
@@ -252,7 +252,7 @@ def suite_quadrature_stability(rng, nquad=None, sigma_override=None, **_) -> Sui
     worst = 0.0
     for prob, mesh, p in _cases():
         sigmas = _sigmas(prob, mesh, p, sigma_override)
-        nq = nquad or p + 6
+        nq = quad_order(p, nquad)
         sys1 = assemble(prob, mesh, p, sigmas=sigmas, nquad=nq)
         sys2 = assemble(prob, mesh, p, sigmas=sigmas, nquad=2 * nq)
         scale = max(float(np.max(np.abs(sys1.matrix))), 1e-30)

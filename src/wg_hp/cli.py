@@ -20,6 +20,7 @@ from wg_hp import svgplot
 from wg_hp.assembly import SingularSystemError
 from wg_hp.checks import run_check
 from wg_hp.coeffexpr import ExprSyntaxError, parse
+from wg_hp.polybasis import quad_order
 from wg_hp.problem import AssumptionError, ProblemSpec
 from wg_hp.verify import BoundaryValueError, convergence_study, manufacture, solve_on_sbl_mesh
 
@@ -90,6 +91,20 @@ def parse_eps_grid(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _parse_bool(text: str) -> bool:
+    """Config-file boolean: true/yes/on/1 or false/no/off/0, any case."""
+    word = text.strip().lower()
+    if word in _TRUE:
+        return True
+    if word in _FALSE:
+        return False
+    raise ConfigError(f"expected one of {', '.join(_TRUE + _FALSE)}, got {text!r}")
+
+
 def _resolve(args, config: dict, name: str, cast, default):
     """Flag value if given, else config-file value, else the default."""
     cli_val = getattr(args, name.replace("-", "_"), None)
@@ -115,7 +130,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = dict(type=str)
     for name in ("solve", "convergence", "check"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="key=value config file; flags override it")
+        # SUPPRESS: without the flag here, keep a top-level --config value
+        sp.add_argument(
+            "--config", default=argparse.SUPPRESS,
+            help="key=value config file; flags override it",
+        )
         sp.add_argument("--seed", type=int)
         sp.add_argument("--quad-double", action="store_true", default=None)
         if name in ("solve", "convergence"):
@@ -163,7 +182,8 @@ def run_solve(args, config) -> int:
     eps2 = _resolve(args, config, "eps2", float, 1e-2)
     p = _resolve(args, config, "p", int, 4)
     kappa = _resolve(args, config, "kappa", float, 1.0)
-    nquad = 2 * (p + 6) if _resolve(args, config, "quad-double", bool, False) else None
+    quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
+    nquad = 2 * quad_order(p) if quad_double else None
     case, prob = _problem_or_case(args, config, eps1, eps2)
     regime, mesh, u_p = solve_on_sbl_mesh(prob, p, kappa, nquad=nquad)
 
@@ -214,12 +234,12 @@ def run_convergence(args, config) -> int:
         p_range = [_resolve(args, config, "p", int, 4)]
     kappa = _resolve(args, config, "kappa", float, 1.0)
     ref_mesh = _resolve(args, config, "ref-mesh", str, "same")
-    quad_double = _resolve(args, config, "quad-double", bool, False)
+    quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
     _, prob = _problem_or_case(args, config, eps_grid[0][0], eps_grid[0][1])
 
     records, failures = [], []
     for p in p_range:
-        nquad = 2 * (p + 6) if quad_double else None
+        nquad = 2 * quad_order(p) if quad_double else None
         recs, fails = convergence_study(
             prob, [p], eps_grid, kappa=kappa, ref_mesh=ref_mesh, nquad=nquad
         )
@@ -266,7 +286,7 @@ def run_convergence(args, config) -> int:
 
 def run_checks(args, config) -> int:
     seed = _resolve(args, config, "seed", int, 0)
-    quad_double = _resolve(args, config, "quad-double", bool, False)
+    quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
     sigma = _resolve(args, config, "sigma", float, None)
     results = run_check(seed=seed, quad_double=quad_double, sigma_override=sigma)
     for res in results:

@@ -54,36 +54,43 @@ def gauss_rule(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule; nodes are roots of P_n."""
     if n < 1:
         raise ValueError("need at least one quadrature point")
-    i = np.arange(1, n + 1)
-    t = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))  # Chebyshev initial guesses
-    for _ in range(100):
-        p, dp = legendre_eval(n, t)
-        dt = p / dp
-        t = t - dt
-        if np.max(np.abs(dt)) < 1e-15:
-            break
-    p, dp = legendre_eval(n, t)
-    # bisection fallback for any node Newton failed to pin down
-    for j in np.nonzero(np.abs(p) > 1e-14)[0]:
-        lo, hi = t[j] - 1e-3, t[j] + 1e-3
-        flo = legendre_eval(n, lo)[0]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = legendre_eval(n, mid)[0]
-            if abs(fmid) <= 1e-15:
-                break
-            if flo * fmid < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        t[j] = 0.5 * (lo + hi)
-        p[j], dp[j] = legendre_eval(n, t[j])
+    t, _ = npleg.leggauss(n)
+    # numpy's nodes are accurate to an ulp, but its weights are not: they
+    # leave weak-derivative residuals near 1e-10, so recompute them
+    _, dp = legendre_eval(n, t)
     w = 2.0 / ((1.0 - t**2) * dp**2)
-    order = np.argsort(t)
-    nodes, weights = t[order], w[order]
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadRule(nodes, weights)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return QuadRule(t, w)
+
+
+def quad_order(p: int, nquad: int | None = None) -> int:
+    """Gauss points used at degree p: nquad if given, else the default."""
+    return nquad if nquad is not None else p + DEFAULT_EXTRA_QUAD
+
+
+@lru_cache(maxsize=None)
+def basis_tables(p: int, nq: int):
+    """(rule, V, dV) for the nq-point Gauss rule: V[:, k] = P_k(nodes) and
+    dV[:, k] = P_k'(nodes) for k = 0..p.  The arrays are shared and read-only.
+
+    dV runs legendre_eval's recurrence once over all columns, with the same
+    floating-point operations, so each column equals legendre_eval(k, nodes)[1]
+    bit for bit.
+    """
+    rule = gauss_rule(nq)
+    t = rule.nodes
+    vander = npleg.legvander(t, p)
+    dvander = np.zeros((nq, p + 1))
+    if p >= 1:
+        dvander[:, 1] = 1.0
+    p_prev, p_cur = np.ones_like(t), t.copy()
+    for n in range(2, p + 1):
+        dvander[:, n] = dvander[:, n - 2] + (2 * n - 1) * p_cur
+        p_prev, p_cur = p_cur, ((2 * n - 1) * t * p_cur - (n - 1) * p_prev) / n
+    vander.setflags(write=False)
+    dvander.setflags(write=False)
+    return rule, vander, dvander
 
 
 @dataclass(frozen=True)
@@ -126,19 +133,14 @@ class ElementPoly:
         return float(np.sqrt(np.sum(self.coeffs**2 * self.width / (2 * k + 1))))
 
 
-def _nquad(p: int, nquad: int | None) -> int:
-    return nquad if nquad is not None else p + DEFAULT_EXTRA_QUAD
-
-
 def l2_project(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
     """L2-orthogonal projection of the callable y onto P_p on the interval."""
     if p < 0:
         raise ValueError("degree must be >= 0")
     a, b = interval
-    rule = gauss_rule(_nquad(p, nquad))
+    rule, vander, _ = basis_tables(p, quad_order(p, nquad))
     x, _ = rule.mapped(a, b)
     fx = np.asarray(y(x), dtype=float)
-    vander = npleg.legvander(rule.nodes, p)
     k = np.arange(p + 1)
     c = (2 * k + 1) / 2.0 * ((vander.T * rule.weights) @ np.broadcast_to(fx, x.shape))
     return ElementPoly(a, b, c)
@@ -155,18 +157,19 @@ def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
     if p < 1:
         raise ValueError("interpolation needs degree p >= 1")
     a, b = interval
-    rule = gauss_rule(_nquad(p, nquad))
+    rule, _, dvander = basis_tables(p, quad_order(p, nquad))
     x, _ = rule.mapped(a, b)
     g = np.broadcast_to(np.asarray(y(x), dtype=float), x.shape)
     ya = float(y(a))
     yb = float(y(b))
     # e_k = (2k+1)/2 * int_{-1}^{1} g'(t) P_k(t) dt, by parts in t
-    e = np.empty(p)
-    for k in range(p):
-        _, dP = legendre_eval(k, rule.nodes)
-        moment = float(np.sum(rule.weights * g * dP))
-        sign = -1.0 if k % 2 else 1.0
-        e[k] = (2 * k + 1) / 2.0 * (yb - ya * sign - moment)
+    # a per-column np.sum, not a matrix product: the error-equation check's
+    # residual is sensitive to the rounding of these moments
+    wg = rule.weights * g
+    moments = np.array([np.sum(wg * dvander[:, k]) for k in range(p)])
+    k = np.arange(p)
+    sign = np.where(k % 2, -1.0, 1.0)
+    e = (2 * k + 1) / 2.0 * (yb - ya * sign - moments)
     # e holds the Legendre coefficients of d/dt of y(x(t)), so the plain
     # antiderivative in t recovers the interpolant
     c = npleg.legint(e, lbnd=-1.0)

@@ -18,7 +18,7 @@ from numpy.polynomial import legendre as npleg
 from wg_hp import coeffexpr as ce
 from wg_hp.assembly import assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.polybasis import gauss_rule, interpolate, l2_project
+from wg_hp.polybasis import gauss_rule, interpolate, l2_project, quad_order
 from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, validate
 from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.weakspace import WeakFunction, norm_broken, norm_p
@@ -85,7 +85,7 @@ def error_equation_terms(
     mesh = v.mesh
     p = v.degree
     prob = case.problem
-    nq = nquad if nquad is not None else p + 6
+    nq = quad_order(p, nquad)
     rule = gauss_rule(nq)
     u = ce.as_callable(case.u_exact)
     up = ce.as_callable(case.u_prime)
@@ -147,7 +147,7 @@ def reference_solution(
 def _transfer(src: WeakFunction, mesh: Mesh, p: int) -> WeakFunction:
     """Elementwise L2 projection of src.v0 onto the broken degree-p space
     on the target mesh, splitting quadrature at source nodes."""
-    rule = gauss_rule(p + 6)
+    rule = gauss_rule(quad_order(p))
     src_nodes = src.mesh.nodes
 
     def src_eval(x):

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp.coeffexpr import Expr, evaluate
-from wg_hp.polybasis import ElementPoly, gauss_rule, l2_project, legendre_eval
+from wg_hp.polybasis import ElementPoly, basis_tables, l2_project, quad_order
 from wg_hp.slmesh import Mesh
 
 
@@ -184,9 +184,7 @@ def weak_convection_derivative(
     p = v.degree
     if p < 1:
         raise ValueError("weak convection derivative needs degree p >= 1")
-    rule = gauss_rule(nquad if nquad is not None else p + 6)
-    vander = npleg.legvander(rule.nodes, p)
-    dvander = np.column_stack([legendre_eval(k, rule.nodes)[1] for k in range(p + 1)])
+    rule, vander, dvander = basis_tables(p, quad_order(p, nquad))
     alt = _alt_signs(p + 1)
     k = np.arange(p + 1)
     out = np.empty((v.mesh.n_elements, p + 1))

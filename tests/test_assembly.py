@@ -1,5 +1,7 @@
 """Assembly of the bilinear form, DOF numbering and the direct solve."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -15,7 +17,7 @@ from wg_hp.assembly import (
 )
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule
-from wg_hp.problem import ProblemSpec, model_problem
+from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, model_problem
 from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.problem import Regime
 from wg_hp.weakspace import WeakFunction, default_penalties, weak_derivative
@@ -55,11 +57,26 @@ def test_single_element_p1_galerkin_residual():
         assert abs(resid) <= 1e-12
 
 
+def _rel_gap(x, y):
+    return abs(x - y) / max(abs(x), abs(y), 1e-30)
+
+
 def test_matrix_path_matches_direct_path():
-    mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
-    prob = model_problem(1e-4, 1e-2)
     rng = np.random.default_rng(13)
-    for p in (1, 3, 5):
+    cases = [
+        (1e-4, 1e-2, [0.0, 0.2, 0.75, 1.0]),
+        # None: the layer-adapted mesh of the pair's regime
+        (1e-6, 1.0, None),  # convection-diffusion
+        (1e-5, 1e-2, None),  # reaction-convection-diffusion
+        (1e-4, 1e-5, None),  # reaction-diffusion
+    ]
+    for (eps1, eps2, nodes), p in itertools.product(cases, (1, 3, 5, 16, 40, 64)):
+        prob = model_problem(eps1, eps2)
+        if nodes is not None:
+            mesh = user_mesh(nodes)
+        else:
+            regime = classify_regime(eps1, eps2)
+            mesh = build_sbl_mesh(regime, 1.0, p, mu=compute_mu(prob), eps1=eps1, eps2=eps2)
         system = assemble(prob, mesh, p)
         n = system.dof_map.total
         for _ in range(5):
@@ -67,10 +84,8 @@ def test_matrix_path_matches_direct_path():
             xv = rng.standard_normal(n)
             u = vector_to_weakfunction(system, xu)
             v = vector_to_weakfunction(system, xv)
-            mat_val = float(xv @ system.matrix @ xu)
-            direct = bilinear_apply(u, v, prob)
-            scale = max(abs(mat_val), abs(direct), 1e-30)
-            assert abs(mat_val - direct) / scale <= 1e-10
+            assert _rel_gap(float(xv @ system.matrix @ xu), bilinear_apply(u, v, prob)) <= 1e-10
+            assert _rel_gap(float(xv @ system.rhs), load_apply(v, prob)) <= 1e-10
 
 
 def test_bilinear_form_linear_in_first_argument():

@@ -134,6 +134,29 @@ def test_config_file_with_flag_override(tmp_path):
     assert all(float(r[2]) == 1e-3 for r in rows)
 
 
+def test_top_level_config_reaches_subcommand(tmp_path):
+    out = tmp_path / "sol.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p=2\nout={out}\n")
+    assert main(["--config", str(cfg), "solve"]) == EXIT_OK
+    assert out.read_text().startswith("kind,x,value\n")
+
+
+@pytest.mark.parametrize("value, suites", [("false", 5), ("YES", 6)])
+def test_config_quad_double_is_parsed_as_boolean(tmp_path, capsys, value, suites):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"quad-double={value}\n")
+    assert main(["check", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.count("[pass]") == suites
+
+
+def test_config_bad_boolean_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quad-double=maybe\n")
+    assert main(["check", "--config", str(cfg)]) == EXIT_USAGE
+    assert "quad-double" in capsys.readouterr().err
+
+
 def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value line\n")

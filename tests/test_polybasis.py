@@ -5,8 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
-from wg_hp.polybasis import ElementPoly, gauss_rule, interpolate, l2_project, legendre_eval
+from wg_hp.polybasis import (
+    ElementPoly,
+    basis_tables,
+    gauss_rule,
+    interpolate,
+    l2_project,
+    legendre_eval,
+    quad_order,
+)
 
 
 def test_legendre_at_one():
@@ -62,6 +71,36 @@ def test_gauss_exactness_degree_2n_minus_1(n):
         exact = 0.0 if m % 2 else 2.0 / (m + 1)
         got = float(np.sum(rule.weights * rule.nodes**m))
         assert got == pytest.approx(exact, abs=1e-13)
+
+
+def test_gauss_integrates_legendre_products_up_to_200_points():
+    # int P_k P_m = 2/(2k+1) delta_km for k < n, m <= n: degree <= 2n-1
+    worst = 0.0
+    for n in range(1, 201):
+        rule = gauss_rule(n)
+        vander = npleg.legvander(rule.nodes, n)
+        gram = vander[:, :n].T @ (rule.weights[:, None] * vander)
+        exact = np.zeros((n, n + 1))
+        exact[np.arange(n), np.arange(n)] = 2.0 / (2 * np.arange(n) + 1)
+        worst = max(worst, float(np.max(np.abs(gram - exact))))
+    assert worst <= 1e-14
+
+
+def test_basis_tables_match_legvander_and_legendre_eval():
+    for p in range(65):
+        nq = quad_order(p)
+        rule, vander, dvander = basis_tables(p, nq)
+        assert rule is gauss_rule(nq)
+        np.testing.assert_array_equal(vander, npleg.legvander(rule.nodes, p))
+        for k in range(p + 1):
+            np.testing.assert_array_equal(dvander[:, k], legendre_eval(k, rule.nodes)[1])
+
+
+def test_basis_tables_are_read_only():
+    rule, vander, dvander = basis_tables(4, 10)
+    for arr in (rule.nodes, rule.weights, vander, dvander):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 def test_mapped_rule_integrates_constant():

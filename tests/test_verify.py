@@ -155,6 +155,14 @@ def test_study_collects_failures_instead_of_raising():
     assert "b" in failures[0].message
 
 
+def test_study_accurate_beyond_110_quadrature_points():
+    # the degree-2p reference solve uses 2p+6 >= 116 Gauss points here
+    records, failures = convergence_study(model_problem(1e-8, 1.0), [55, 60], [(1e-8, 1.0)])
+    assert failures == []
+    assert [r.p for r in records] == [55, 60]
+    assert all(r.err_rel < 1e-10 for r in records)
+
+
 def test_solve_on_sbl_mesh_regimes():
     regime, mesh, _ = solve_on_sbl_mesh(model_problem(1e-5, 1e-2), 2)
     assert regime is Regime.REACTION_CONVECTION_DIFFUSION
