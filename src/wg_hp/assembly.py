@@ -22,7 +22,6 @@ from wg_hp.weakspace import (
     WeakFunction,
     _alt_signs,
     _check_compatible,
-    _l2_norm_sq_v0,
     default_penalties,
     deriv_pairing_matrix,
     stabilizer_S,
@@ -159,7 +158,6 @@ def assemble(
 
 
 def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:
-    dof = system.dof_map
     p = system.degree
     N = system.mesh.n_elements
     coeffs = vec[: N * (p + 1)].reshape(N, p + 1)
@@ -169,7 +167,6 @@ def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunc
 
 
 def weakfunction_to_vector(system: AssembledSystem, v: WeakFunction) -> np.ndarray:
-    dof = system.dof_map
     if abs(v.vb[0]) > 0 or abs(v.vb[-1]) > 0:
         raise ValueError("free vector requires vanishing boundary node values")
     return np.concatenate([v.coeffs.ravel(), v.vb[1:-1]])

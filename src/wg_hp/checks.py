@@ -18,14 +18,14 @@ from numpy.polynomial import legendre as npleg
 from wg_hp.assembly import assemble, bilinear_apply, load_apply, solve
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
-from wg_hp.problem import classify_regime, compute_mu, model_problem, validate
-from wg_hp.slmesh import build_sbl_mesh
+from wg_hp.problem import model_problem, validate
 from wg_hp.verify import (
     energy_error,
     error_equation_terms,
     exact_weakfunction,
     interpolant_weakfunction,
     manufacture,
+    sbl_setup,
 )
 from wg_hp.weakspace import (
     WeakFunction,
@@ -80,15 +80,16 @@ class _Tally:
         return SuiteResult(name, self.failed == 0, self.n, self.failed, detail)
 
 
-def _cases(kappa: float = 1.0):
-    """Yield (problem, mesh, p) over the regime grid and degree sweep."""
+def _cases(u_text: str | None = None):
+    """Yield (problem, mesh, p) over the regime grid and degree sweep; with
+    u_text, yield the manufactured case for that exact solution in place of
+    the problem."""
     for eps1, eps2 in EPS_PAIRS:
         prob = model_problem(eps1, eps2)
-        regime = classify_regime(eps1, eps2)
-        mu = compute_mu(prob)
+        _, mesh_for = sbl_setup(prob)
+        item = prob if u_text is None else manufacture(u_text, prob)
         for p in DEGREES:
-            mesh = build_sbl_mesh(regime, kappa, p, mu=mu, eps1=eps1, eps2=eps2)
-            yield prob, mesh, p
+            yield item, mesh_for(p), p
 
 
 def _random_weakfunction(rng, mesh, p) -> WeakFunction:
@@ -208,40 +209,29 @@ def suite_error_equation(rng, nquad=None, **_) -> SuiteResult:
     """A(Iu - u_p, v) equals the three consistency-error terms."""
     tally = _Tally()
     worst = 0.0
-    for eps1, eps2 in EPS_PAIRS:
-        case = manufacture("sin(3.141592653589793*x)", model_problem(eps1, eps2))
+    for case, mesh, p in _cases("sin(3.141592653589793*x)"):
         prob = case.problem
-        regime = classify_regime(eps1, eps2)
-        mu = compute_mu(prob)
-        for p in DEGREES:
-            mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1, eps2=eps2)
-            nq = quad_order(p, nquad)
-            u_p = solve(assemble(prob, mesh, p, nquad=nq))
-            iu = interpolant_weakfunction(case, mesh, p, nquad=nq)
-            v = _random_weakfunction(rng, mesh, p)
-            lhs = bilinear_apply(iu - u_p, v, prob, nquad=nq)
-            e1, e2, e3 = error_equation_terms(case, v, nquad=nq)
-            scale = max(abs(lhs), abs(e1) + abs(e2) + abs(e3), 1e-30)
-            resid = abs(lhs - (e1 + e2 + e3)) / scale
-            worst = max(worst, resid)
-            tally.check(resid <= 1e-7, f"identity residual {resid:.2e} (p={p})")
+        nq = quad_order(p, nquad)
+        u_p = solve(assemble(prob, mesh, p, nquad=nq))
+        iu = interpolant_weakfunction(case, mesh, p, nquad=nq)
+        v = _random_weakfunction(rng, mesh, p)
+        lhs = bilinear_apply(iu - u_p, v, prob, nquad=nq)
+        e1, e2, e3 = error_equation_terms(case, v, nquad=nq)
+        scale = max(abs(lhs), abs(e1) + abs(e2) + abs(e3), 1e-30)
+        resid = abs(lhs - (e1 + e2 + e3)) / scale
+        worst = max(worst, resid)
+        tally.check(resid <= 1e-7, f"identity residual {resid:.2e} (p={p})")
     return tally.result("error-equation", f"worst residual {worst:.2e}")
 
 
 def suite_polynomial_reproduction(rng, nquad=None, **_) -> SuiteResult:
     """The method reproduces a polynomial exact solution to roundoff."""
     tally = _Tally()
-    for eps1, eps2 in EPS_PAIRS:
-        case = manufacture("x*(1-x)", model_problem(eps1, eps2))
-        prob = case.problem
-        regime = classify_regime(eps1, eps2)
-        mu = compute_mu(prob)
-        for p in DEGREES:
-            mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1, eps2=eps2)
-            u_p = solve(assemble(prob, mesh, p, nquad=nquad))
-            u_star = exact_weakfunction(case, mesh, p, nquad=nquad)
-            _, rel = energy_error(u_star, u_p, prob)
-            tally.check(rel <= 1e-9, f"reproduction error {rel:.2e} (p={p})")
+    for case, mesh, p in _cases("x*(1-x)"):
+        u_p = solve(assemble(case.problem, mesh, p, nquad=nquad))
+        u_star = exact_weakfunction(case, mesh, p, nquad=nquad)
+        _, rel = energy_error(u_star, u_p, case.problem)
+        tally.check(rel <= 1e-9, f"reproduction error {rel:.2e} (p={p})")
     return tally.result("polynomial-reproduction")
 
 

@@ -160,21 +160,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _problem(args, config, eps1, eps2):
+    """(case, spec) for one eps pair; case is the manufactured case, or None
+    without --manufactured-u."""
     b = _resolve(args, config, "b", str, DEFAULT_B)
     r = _resolve(args, config, "r", str, DEFAULT_R)
     f = _resolve(args, config, "f", str, DEFAULT_F)
     spec = ProblemSpec(eps1, eps2, parse(b), parse(r), parse(f))
     u_text = _resolve(args, config, "manufactured-u", str, None)
-    if u_text is not None:
-        return manufacture(u_text, spec)
-    return None, spec
+    if u_text is None:
+        return None, spec
+    case = manufacture(u_text, spec)
+    return case, case.problem
 
 
-def _problem_or_case(args, config, eps1, eps2):
-    result = _problem(args, config, eps1, eps2)
-    if isinstance(result, tuple):
-        return result  # (None, spec)
-    return result, result.problem  # manufactured case
+def _write_out(args, config, text: str):
+    """Write text to --out if given, else to stdout."""
+    out = _resolve(args, config, "out", str, None)
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def run_solve(args, config) -> int:
@@ -184,7 +190,7 @@ def run_solve(args, config) -> int:
     kappa = _resolve(args, config, "kappa", float, 1.0)
     quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
     nquad = 2 * quad_order(p) if quad_double else None
-    case, prob = _problem_or_case(args, config, eps1, eps2)
+    case, prob = _problem(args, config, eps1, eps2)
     regime, mesh, u_p = solve_on_sbl_mesh(prob, p, kappa, nquad=nquad)
 
     lines = ["kind,x,value"]
@@ -197,14 +203,7 @@ def run_solve(args, config) -> int:
         lines.extend(f"interior,{_g(x)},{_g(y)}" for x, y in zip(xs, ys))
     nodes = list(zip(mesh.nodes, u_p.vb))
     lines.extend(f"node,{_g(x)},{_g(v)}" for x, v in nodes)
-    text = "\n".join(lines) + "\n"
-
-    out = _resolve(args, config, "out", str, None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, config, "\n".join(lines) + "\n")
     svg_path = _resolve(args, config, "svg", str, None)
     if svg_path:
         title = f"regime {regime.value}, eps1={eps1:g}, eps2={eps2:g}, p={p}"
@@ -235,13 +234,13 @@ def run_convergence(args, config) -> int:
     kappa = _resolve(args, config, "kappa", float, 1.0)
     ref_mesh = _resolve(args, config, "ref-mesh", str, "same")
     quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
-    _, prob = _problem_or_case(args, config, eps_grid[0][0], eps_grid[0][1])
 
     records, failures = [], []
-    for p in p_range:
-        nquad = 2 * quad_order(p) if quad_double else None
+    for eps1, eps2 in eps_grid:
+        # the problem is rebuilt per pair: a manufactured f depends on eps
+        _, prob = _problem(args, config, eps1, eps2)
         recs, fails = convergence_study(
-            prob, [p], eps_grid, kappa=kappa, ref_mesh=ref_mesh, nquad=nquad
+            prob, p_range, [(eps1, eps2)], kappa=kappa, ref_mesh=ref_mesh, quad_double=quad_double
         )
         records.extend(recs)
         failures.extend(fails)
@@ -259,13 +258,7 @@ def run_convergence(args, config) -> int:
         lines.append(
             f"# failed eps1={_g(fail.eps1)} eps2={_g(fail.eps2)} p={fail.p}: {fail.message}"
         )
-    text = "\n".join(lines) + "\n"
-    out = _resolve(args, config, "out", str, None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, config, "\n".join(lines) + "\n")
 
     svg_path = _resolve(args, config, "svg", str, None)
     if svg_path:

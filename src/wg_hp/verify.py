@@ -10,7 +10,7 @@ exists for sensitivity studies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -18,10 +18,10 @@ from numpy.polynomial import legendre as npleg
 from wg_hp import coeffexpr as ce
 from wg_hp.assembly import assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.polybasis import gauss_rule, interpolate, l2_project, quad_order
+from wg_hp.polybasis import gauss_rule, interpolate, quad_order
 from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, validate
 from wg_hp.slmesh import Mesh, build_sbl_mesh
-from wg_hp.weakspace import WeakFunction, norm_broken, norm_p
+from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken, norm_p
 
 
 class BoundaryValueError(Exception):
@@ -192,7 +192,7 @@ def energy_error(
     """
     diff = u_hi - u_lo.pad_to_degree(u_hi.degree)
     if sigmas is None:
-        sigmas = problem.eps1 * u_hi.degree**2 / u_hi.mesh.widths
+        sigmas = default_penalties(u_hi.mesh, u_hi.degree, problem.eps1)
     norm_fn = {"broken": norm_broken, "p": norm_p}[norm]
     absolute = norm_fn(diff, problem, sigmas)
     scale = norm_fn(u_hi, problem, sigmas)
@@ -222,13 +222,24 @@ class CaseFailure:
     message: str
 
 
+def sbl_setup(problem: ProblemSpec, kappa: float = 1.0):
+    """Classify the regime and compute mu once; returns (regime, mesh_for),
+    where mesh_for(degree) builds the layer-adapted mesh at that degree."""
+    regime = classify_regime(problem.eps1, problem.eps2)
+    mu = compute_mu(problem)
+
+    def mesh_for(degree: int) -> Mesh:
+        return build_sbl_mesh(regime, kappa, degree, mu=mu, eps1=problem.eps1, eps2=problem.eps2)
+
+    return regime, mesh_for
+
+
 def solve_on_sbl_mesh(problem: ProblemSpec, p: int, kappa: float = 1.0, nquad=None):
     """Classify, build the layer-adapted mesh, and solve; returns
     (regime, mesh, solution)."""
     validate(problem)
-    regime = classify_regime(problem.eps1, problem.eps2)
-    mu = compute_mu(problem)
-    mesh = build_sbl_mesh(regime, kappa, p, mu=mu, eps1=problem.eps1, eps2=problem.eps2)
+    regime, mesh_for = sbl_setup(problem, kappa)
+    mesh = mesh_for(p)
     u_p = solve(assemble(problem, mesh, p, nquad=nquad))
     return regime, mesh, u_p
 
@@ -239,28 +250,31 @@ def convergence_study(
     eps_grid,
     kappa: float = 1.0,
     ref_mesh: str = "same",
-    nquad: int | None = None,
+    quad_double: bool = False,
 ) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
     """Sweep (eps1, eps2, p): solve, compute the degree-2p reference, and
     record relative energy errors; per-case failures are collected, not
-    raised."""
+    raised.  Each eps pair is validated and set up once; quad_double uses
+    2*quad_order(p) Gauss points in both solves at degree p.
+    """
     records: list[ConvergenceRecord] = []
     failures: list[CaseFailure] = []
     for eps1, eps2 in eps_grid:
+        try:
+            prob = replace(base, eps1=eps1, eps2=eps2)
+            validate(prob)
+            regime, mesh_for = sbl_setup(prob, kappa)
+        except Exception as exc:  # noqa: BLE001 - sweep must not abort
+            failures.extend(CaseFailure(eps1, eps2, p, str(exc)) for p in p_range)
+            continue
         for p in p_range:
             start = time.perf_counter()
             try:
-                prob = ProblemSpec(eps1, eps2, base.b, base.r, base.f, base.b_prime)
-                regime, mesh, u_p = solve_on_sbl_mesh(prob, p, kappa, nquad=nquad)
-
-                def builder(degree, _prob=prob, _regime=regime, _kappa=kappa):
-                    mu = compute_mu(_prob)
-                    return build_sbl_mesh(
-                        _regime, _kappa, degree, mu=mu, eps1=_prob.eps1, eps2=_prob.eps2
-                    )
-
+                nquad = 2 * quad_order(p) if quad_double else None
+                mesh = mesh_for(p)
+                u_p = solve(assemble(prob, mesh, p, nquad=nquad))
                 u_ref = reference_solution(
-                    prob, mesh, p, ref_mesh=ref_mesh, mesh_builder=builder, nquad=nquad
+                    prob, mesh, p, ref_mesh=ref_mesh, mesh_builder=mesh_for, nquad=nquad
                 )
                 err_abs, err_rel = energy_error(u_ref, u_p, prob)
                 wall_ms = (time.perf_counter() - start) * 1e3

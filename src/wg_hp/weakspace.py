@@ -153,12 +153,9 @@ def default_penalties(mesh: Mesh, p: int, eps1: float) -> np.ndarray:
 
 def deriv_pairing_matrix(n_test: int, n_trial: int) -> np.ndarray:
     """B[k,m] = int_{-1}^{1} P_m(t) P_k'(t) dt = 2 for m < k with k-m odd."""
-    B = np.zeros((n_test, n_trial))
-    for k in range(n_test):
-        for m in range(min(k, n_trial)):
-            if (k - m) % 2 == 1:
-                B[k, m] = 2.0
-    return B
+    k = np.arange(n_test)[:, None]
+    m = np.arange(n_trial)[None, :]
+    return np.where((m < k) & ((k - m) % 2 == 1), 2.0, 0.0)
 
 
 def weak_derivative(v: WeakFunction) -> BrokenPoly:
@@ -232,11 +229,6 @@ def jump_seminorm(v: WeakFunction, b: Expr, eps2: float) -> float:
     return float(np.sqrt(np.sum(weights * eps2 * bvals * vr**2)))
 
 
-def _l2_norm_sq_v0(v: WeakFunction) -> float:
-    k = np.arange(v.degree + 1)
-    return float(np.sum(v.coeffs**2 * (v.mesh.widths[:, None] / (2 * k + 1))))
-
-
 def _broken_deriv_norm_sq(v: WeakFunction) -> float:
     total = 0.0
     for j in range(v.mesh.n_elements):
@@ -244,28 +236,26 @@ def _broken_deriv_norm_sq(v: WeakFunction) -> float:
     return total
 
 
+def _energy_norm(v: WeakFunction, problem, sigmas, deriv_sq: float) -> float:
+    """The energy norm given the squared L2 norm of v's derivative; the
+    other four terms are common to norm_p and norm_broken."""
+    sq = (
+        problem.eps1 * deriv_sq
+        + BrokenPoly(v.mesh, v.coeffs).l2_norm_sq()
+        + stabilizer_S(v, v, sigmas)
+        + stabilizer_Sc(v, v, problem.b, problem.eps2)
+        + jump_seminorm(v, problem.b, problem.eps2) ** 2
+    )
+    return float(np.sqrt(max(sq, 0.0)))
+
+
 def norm_p(v: WeakFunction, problem, sigmas) -> float:
     """Energy norm using the weak derivative D_{p-1}."""
     if v.degree < 1:
         raise ValueError("norm_p needs degree p >= 1")
-    d = weak_derivative(v)
-    sq = (
-        problem.eps1 * d.l2_norm_sq()
-        + _l2_norm_sq_v0(v)
-        + stabilizer_S(v, v, sigmas)
-        + stabilizer_Sc(v, v, problem.b, problem.eps2)
-        + jump_seminorm(v, problem.b, problem.eps2) ** 2
-    )
-    return float(np.sqrt(max(sq, 0.0)))
+    return _energy_norm(v, problem, sigmas, weak_derivative(v).l2_norm_sq())
 
 
 def norm_broken(v: WeakFunction, problem, sigmas) -> float:
     """Energy norm using the broken classical derivative of v0."""
-    sq = (
-        problem.eps1 * _broken_deriv_norm_sq(v)
-        + _l2_norm_sq_v0(v)
-        + stabilizer_S(v, v, sigmas)
-        + stabilizer_Sc(v, v, problem.b, problem.eps2)
-        + jump_seminorm(v, problem.b, problem.eps2) ** 2
-    )
-    return float(np.sqrt(max(sq, 0.0)))
+    return _energy_norm(v, problem, sigmas, _broken_deriv_norm_sq(v))

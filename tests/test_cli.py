@@ -79,6 +79,10 @@ def test_validation_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["convergence", "--eps-grid", "1e-5", "--out", "/dev/null"]) == EXIT_USAGE
+    # an eps pair out of range is a usage error wherever it sits in the grid
+    for grid in ("2:1e-2,1e-5:1e-2", "1e-5:1e-2,2:1e-2"):
+        assert main(["convergence", "--eps-grid", grid, "--out", "/dev/null"]) == EXIT_USAGE
+        assert "eps1 must lie in (0,1]" in capsys.readouterr().err
 
 
 def test_convergence_csv_schema_and_determinism(tmp_path):
@@ -97,6 +101,35 @@ def test_convergence_csv_schema_and_determinism(tmp_path):
         assert len(row) == 10
         assert row[9] == "0"  # wall_ms pinned for determinism
         assert int(row[8]) == 2 * int(row[3])
+
+
+OUTFLOW_LAYER = "x - (exp(-(1-x)/0.001) - exp(-1/0.001))/(1 - exp(-1/0.001))"
+
+
+def test_convergence_manufactured_f_follows_each_eps_pair(tmp_path):
+    # f = -eps1*u'' + eps2*b*u' + r*u depends on the pair, so the (1e-4, 1e-4)
+    # rows of a two-pair grid must equal those of that pair run alone
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    argv = ["convergence", "--manufactured-u", OUTFLOW_LAYER, "--p-range", "4..5"]
+    assert main(argv + ["--eps-grid", "1e-5:1e-2,1e-4:1e-4", "--out", str(both)]) == EXIT_OK
+    assert main(argv + ["--eps-grid", "1e-4:1e-4", "--out", str(alone)]) == EXIT_OK
+    rows_alone = alone.read_text().splitlines()[1:]
+    rows_both = [l for l in both.read_text().splitlines()[1:] if ",0.0001,0.0001," in l]
+    assert len(rows_alone) == 2
+    assert rows_both == rows_alone
+
+
+def test_convergence_quad_double_matches_default(tmp_path):
+    plain, doubled = tmp_path / "plain.csv", tmp_path / "doubled.csv"
+    argv = ["convergence", "--eps-grid", "1e-5:1e-2,1e-6:1.0", "--p-range", "1..4"]
+    assert main(argv + ["--out", str(plain)]) == EXIT_OK
+    assert main(argv + ["--quad-double", "--out", str(doubled)]) == EXIT_OK
+    rows_p = [l.split(",") for l in plain.read_text().splitlines()[1:]]
+    rows_d = [l.split(",") for l in doubled.read_text().splitlines()[1:]]
+    assert len(rows_p) == len(rows_d) == 8
+    for rp, rd in zip(rows_p, rows_d):
+        assert rp[:6] == rd[:6] and rp[8:] == rd[8:]
+        assert float(rd[6]) == pytest.approx(float(rp[6]), rel=1e-8)
 
 
 def test_convergence_slope_negative(tmp_path):

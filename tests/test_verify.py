@@ -149,10 +149,28 @@ def test_study_cardinality_sorting_and_determinism():
 
 def test_study_collects_failures_instead_of_raising():
     bad = ProblemSpec.from_strings(1e-4, 1e-3, "-1", "1", "1")  # violates b > 0
-    records, failures = convergence_study(bad, [2], [(1e-4, 1e-3)])
+    records, failures = convergence_study(bad, [2, 3], [(1e-4, 1e-3)])
     assert records == []
-    assert len(failures) == 1
-    assert "b" in failures[0].message
+    assert [f.p for f in failures] == [2, 3]
+    assert all("b" in f.message for f in failures)
+
+
+def test_study_sets_up_each_eps_pair_once(monkeypatch):
+    import wg_hp.verify as verify
+
+    calls = []
+    real = verify.compute_mu
+
+    def counting_compute_mu(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(verify, "compute_mu", counting_compute_mu)
+    grid = [(1e-5, 1e-2), (1e-4, 1e-4)]
+    prob = model_problem(1e-5, 1e-2)
+    records, failures = convergence_study(prob, [1, 2, 3], grid, ref_mesh="rebuilt")
+    assert failures == [] and len(records) == 6
+    assert [(spec.eps1, spec.eps2) for spec in calls] == grid
 
 
 def test_study_accurate_beyond_110_quadrature_points():
