@@ -86,75 +86,73 @@ def assemble(
         sigmas = default_penalties(mesh, p, problem.eps1)
     sigmas = np.asarray(sigmas, dtype=float)
     rule, vander, dvander = basis_tables(p, quad_order(p, nquad))
-    dof = DofMap(mesh.n_elements, p)
-    n = dof.total
-    A = np.zeros((n, n))
+    N = mesh.n_elements
+    n = DofMap(N, p).total
+    # global index of each element's local dofs (coeffs 0..p, vb_left,
+    # vb_right); the eliminated boundary node values get the last two
+    # rows/columns, which are dropped at the end
+    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
+    dof_index = np.column_stack(
+        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
+    )
+    A = np.zeros((n + 2, n + 2))
     rhs = np.zeros(n)
 
-    alt = _alt_signs(p + 1)
-    alt_lo = _alt_signs(p)
-    B_lo = deriv_pairing_matrix(p, p + 1)  # tests of degree p-1
-    ones_lo = np.ones(p)
-    k_lo = np.arange(p)
-    k_hi = np.arange(p + 1)
+    # quadrature points of every element, one row each, and the
+    # coefficients evaluated once per call
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    bv = evaluate(problem.b, x)
+    bpv = evaluate(problem.b_prime, x)
+    rv = evaluate(problem.r, x)
+    fv = evaluate(problem.f, x)
+    b_nodes = evaluate(problem.b, mesh.nodes)
 
-    # local dof order: coeffs 0..p, vb_left, vb_right
+    # per element: (2k+1)/h and the diagonal mass matrix h/(2k+1)
+    widths = mesh.widths[:, None]
+    odd_lo = 2 * np.arange(p) + 1
+    odd_hi = 2 * np.arange(p + 1) + 1
+    scale_lo, scale_hi = odd_lo / widths, odd_hi / widths
+    mass_lo, mass_hi = widths / odd_lo, widths / odd_hi
+
     nloc = p + 3
-    C = np.zeros((p + 1, nloc))
-    C[:, : p + 1] = np.eye(p + 1)
+    alt = _alt_signs(p + 1)
+    # weak derivative before the (2k+1)/h scaling: p x nloc map to D_{p-1}
+    D_unscaled = np.zeros((p, nloc))
+    D_unscaled[:, : p + 1] = -deriv_pairing_matrix(p, p + 1)  # tests of degree p-1
+    D_unscaled[:, p + 1] = -_alt_signs(p)  # vb_left
+    D_unscaled[:, p + 2] = 1.0  # vb_right
+    # stabilizers: jump row vectors (v0 - vb) at each end
+    t_left = np.concatenate([alt, [-1.0, 0.0]])
+    t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
+    jump_right = np.outer(t_right, t_right)
+    jump_both = jump_right + np.outer(t_left, t_left)
 
-    for j in range(mesh.n_elements):
-        a, bnd = mesh.element(j)
-        h = bnd - a
-        x, w = rule.mapped(a, bnd)
-        bv = evaluate(problem.b, x)
-        bpv = evaluate(problem.b_prime, x)
-        rv = evaluate(problem.r, x)
-        fv = evaluate(problem.f, x)
-        b_left = evaluate(problem.b, a)
-        b_right = evaluate(problem.b, bnd)
-
-        # weak derivative: (p) x nloc map to D_{p-1} coefficients
-        Dloc = np.zeros((p, nloc))
-        Dloc[:, : p + 1] = -B_lo
-        Dloc[:, p + 1] = -alt_lo  # vb_left
-        Dloc[:, p + 2] = ones_lo  # vb_right
-        Dloc *= ((2 * k_lo + 1) / h)[:, None]
+    for j in range(N):
+        h = widths[j, 0]
+        Dloc = D_unscaled * scale_lo[j][:, None]
 
         # weak convection derivative: (p+1) x nloc
-        Dcloc = np.zeros((p + 1, nloc))
-        Dcloc[:, : p + 1] = -((w * bpv)[None, :] * vander.T) @ vander - (
-            (w * bv)[None, :] * dvander.T * (2.0 / h)
+        Dcloc = np.empty((p + 1, nloc))
+        Dcloc[:, : p + 1] = -((w[j] * bpv[j])[None, :] * vander.T) @ vander - (
+            (w[j] * bv[j])[None, :] * dvander.T * (2.0 / h)
         ) @ vander
-        Dcloc[:, p + 1] = -b_left * alt
-        Dcloc[:, p + 2] = b_right * np.ones(p + 1)
-        Dcloc *= ((2 * k_hi + 1) / h)[:, None]
+        Dcloc[:, p + 1] = -b_nodes[j] * alt
+        Dcloc[:, p + 2] = b_nodes[j + 1]
+        Dcloc *= scale_hi[j][:, None]
 
-        M_lo = np.diag(h / (2 * k_lo + 1))
-        M_hi = np.diag(h / (2 * k_hi + 1))
+        # the mass matrices are diagonal, so their products are row scalings;
+        # a C-ordered left factor keeps the BLAS rounding of the dense form
+        Aloc = np.ascontiguousarray(problem.eps1 * Dloc.T * mass_lo[j]) @ Dloc
+        Aloc[: p + 1] += (problem.eps2 * mass_hi[j])[:, None] * Dcloc
+        Aloc[: p + 1, : p + 1] += (vander.T * (w[j] * rv[j])) @ vander
+        Aloc += sigmas[j] * jump_both
+        Aloc += problem.eps2 * b_nodes[j + 1] * jump_right
 
-        Aloc = problem.eps1 * Dloc.T @ M_lo @ Dloc
-        Aloc += problem.eps2 * C.T @ M_hi @ Dcloc
-        Aloc += C.T @ ((vander.T * (w * rv)) @ vander) @ C
+        g = dof_index[j]
+        A[np.ix_(g, g)] += Aloc
+        rhs[g[: p + 1]] += (vander.T * w[j]) @ fv[j]
 
-        # stabilizers: jump row vectors (v0 - vb) at each end
-        t_left = np.concatenate([alt, [-1.0, 0.0]])
-        t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
-        Aloc += sigmas[j] * (np.outer(t_right, t_right) + np.outer(t_left, t_left))
-        Aloc += problem.eps2 * b_right * np.outer(t_right, t_right)
-
-        floc = np.zeros(nloc)
-        floc[: p + 1] = (vander.T * w) @ fv
-
-        # boundary node values are eliminated: drop their local rows/columns
-        gidx = [dof.coeff_index(j, k) for k in range(p + 1)]
-        gidx += [dof.node_index(j), dof.node_index(j + 1)]
-        keep = [il for il, ig in enumerate(gidx) if ig is not None]
-        g = [gidx[il] for il in keep]
-        A[np.ix_(g, g)] += Aloc[np.ix_(keep, keep)]
-        rhs[g] += floc[keep]
-
-    return AssembledSystem(A, rhs, mesh, p, sigmas, problem)
+    return AssembledSystem(A[:n, :n].copy(), rhs, mesh, p, sigmas, problem)
 
 
 def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:

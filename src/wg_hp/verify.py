@@ -19,7 +19,7 @@ from wg_hp import coeffexpr as ce
 from wg_hp.assembly import assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolate, quad_order
-from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, validate
+from wg_hp.problem import ProblemSpec, Regime, classify_regime, compute_mu, validate
 from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken, norm_p
 
@@ -223,10 +223,11 @@ class CaseFailure:
 
 
 def sbl_setup(problem: ProblemSpec, kappa: float = 1.0):
-    """Classify the regime and compute mu once; returns (regime, mesh_for),
+    """Classify the regime, and compute mu once if the regime's mesh reads
+    it (reaction-convection-diffusion only); returns (regime, mesh_for),
     where mesh_for(degree) builds the layer-adapted mesh at that degree."""
     regime = classify_regime(problem.eps1, problem.eps2)
-    mu = compute_mu(problem)
+    mu = compute_mu(problem) if regime is Regime.REACTION_CONVECTION_DIFFUSION else None
 
     def mesh_for(degree: int) -> Mesh:
         return build_sbl_mesh(regime, kappa, degree, mu=mu, eps1=problem.eps1, eps2=problem.eps2)

@@ -11,6 +11,7 @@ mass matrix is diag(h/(2k+1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -151,11 +152,15 @@ def default_penalties(mesh: Mesh, p: int, eps1: float) -> np.ndarray:
     return eps1 * p**2 / mesh.widths
 
 
+@lru_cache(maxsize=None)
 def deriv_pairing_matrix(n_test: int, n_trial: int) -> np.ndarray:
-    """B[k,m] = int_{-1}^{1} P_m(t) P_k'(t) dt = 2 for m < k with k-m odd."""
+    """B[k,m] = int_{-1}^{1} P_m(t) P_k'(t) dt = 2 for m < k with k-m odd.
+    The array is shared and read-only."""
     k = np.arange(n_test)[:, None]
     m = np.arange(n_trial)[None, :]
-    return np.where((m < k) & ((k - m) % 2 == 1), 2.0, 0.0)
+    B = np.where((m < k) & ((k - m) % 2 == 1), 2.0, 0.0)
+    B.setflags(write=False)
+    return B
 
 
 def weak_derivative(v: WeakFunction) -> BrokenPoly:
@@ -229,22 +234,48 @@ def jump_seminorm(v: WeakFunction, b: Expr, eps2: float) -> float:
     return float(np.sqrt(np.sum(weights * eps2 * bvals * vr**2)))
 
 
+def _legder_rows(c: np.ndarray) -> np.ndarray:
+    """npleg.legder(c, axis=1), bit for bit, for rows of degree >= 1,
+    without legder's Python loop over the degree, which dominates its cost
+    at large p.  legder forms s_k = c_k + s_{k+2} from the top coefficient
+    down and returns (2m+1) * s_{m+1}; a cumulative sum over each parity
+    class, taken from the top, adds in the same order."""
+    s = np.empty_like(c)
+    s_top_down, c_top_down = s[:, ::-1], c[:, ::-1]
+    s_top_down[:, 0::2] = np.cumsum(c_top_down[:, 0::2], axis=1)
+    s_top_down[:, 1::2] = np.cumsum(c_top_down[:, 1::2], axis=1)
+    return s[:, 1:] * (2 * np.arange(c.shape[1] - 1) + 1)
+
+
 def _broken_deriv_norm_sq(v: WeakFunction) -> float:
+    """sum_j ElementPoly.derivative().l2_norm()**2 over the elements, with
+    one differentiation for all of them."""
+    widths = v.mesh.widths
+    dc = _legder_rows(v.coeffs) * (2.0 / widths)[:, None]
+    k = np.arange(dc.shape[1])
+    terms = dc**2 * widths[:, None] / (2 * k + 1)
     total = 0.0
-    for j in range(v.mesh.n_elements):
-        total += v.element_poly(j).derivative().l2_norm() ** 2
+    for row in terms:  # a 1-D sum per element: a 2-D row sum rounds differently
+        total += float(np.sqrt(np.sum(row))) ** 2
     return total
 
 
 def _energy_norm(v: WeakFunction, problem, sigmas, deriv_sq: float) -> float:
     """The energy norm given the squared L2 norm of v's derivative; the
-    other four terms are common to norm_p and norm_broken."""
+    other four terms are common to norm_p and norm_broken.  They repeat the
+    arithmetic of stabilizer_S(v, v), stabilizer_Sc(v, v) and
+    jump_seminorm(v)**2 with the jumps and b at the nodes computed once."""
+    left, right = v.jumps()
+    b_out = evaluate(problem.b, v.mesh.nodes[1:])
+    weights = np.ones(v.mesh.n_elements)
+    weights[-1] = 0.5
+    sig = np.asarray(sigmas, dtype=float)
     sq = (
         problem.eps1 * deriv_sq
         + BrokenPoly(v.mesh, v.coeffs).l2_norm_sq()
-        + stabilizer_S(v, v, sigmas)
-        + stabilizer_Sc(v, v, problem.b, problem.eps2)
-        + jump_seminorm(v, problem.b, problem.eps2) ** 2
+        + float(np.sum(sig * (right * right + left * left)))
+        + float(np.sum(problem.eps2 * b_out * right * right))
+        + float(np.sqrt(np.sum(weights * problem.eps2 * b_out * right**2))) ** 2
     )
     return float(np.sqrt(max(sq, 0.0)))
 

@@ -20,6 +20,7 @@ from wg_hp.polybasis import gauss_rule
 from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, model_problem
 from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.problem import Regime
+from wg_hp.verify import manufacture, sbl_setup
 from wg_hp.weakspace import WeakFunction, default_penalties, weak_derivative
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
@@ -189,3 +190,60 @@ def test_vector_round_trip():
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
         assemble(UNIT, user_mesh([0.0, 1.0]), 0)
+
+
+# the two-sided reaction-diffusion layer of width 1e-4 as a manufactured f
+LAYER_U = "1 - (exp(-x/1e-4) + exp(-(1-x)/1e-4))/(1 + exp(-1/1e-4))"
+
+# (trace(A), |A @ 1|, |A.T @ 1|, |rhs|) on the layer-adapted mesh, pinned
+# from the dense-product form of the element matrices (C.T @ X @ C, with
+# the diagonal mass matrices as dense factors); the row-scaled form must
+# reproduce it
+ASSEMBLED_BASELINE = {
+    ((1e-08, 1.0, None), 1): (11.46505816588984, 5.340206156804353, 5.301611850121533, 1.741222981908518),
+    ((1e-08, 1.0, None), 4): (80.1792972016238, 62.78918361227473, 62.29429238312405, 1.741448716037673),
+    ((1e-08, 1.0, None), 16): (944.9590317826669, 1653.9802397974602, 1651.1951953148807, 1.741448380054946),
+    ((1e-08, 1.0, None), 40): (5553.171164932848, 15710.452211006219, 15700.565702614465, 1.7414477080753978),
+    ((1e-08, 0.001, None), 1): (2.009975078286862, 1.7944623713031713, 1.7933791010021083, 1.7401062403626757),
+    ((1e-08, 0.001, None), 4): (2.7354029423445723, 1.8959769086918803, 1.8936533704839726, 1.7369755267835367),
+    ((1e-08, 0.001, None), 16): (4.176182001011432, 2.1545042149519458, 2.1414223060818145, 1.7235235442810453),
+    ((1e-08, 0.001, None), 40): (7.570948837690632, 9.276599540203936, 9.257801597964242, 1.6964871446400167),
+    ((1e-06, 0.01, None), 1): (2.0997610036693644, 1.7895128340118742, 1.778636958433383, 1.7300398556487064),
+    ((1e-06, 0.01, None), 4): (3.2257390214027675, 1.905869162422842, 1.8805612677156407, 1.6964871446353746),
+    ((1e-06, 0.01, None), 16): (9.397690436515438, 9.803365497427533, 9.744693149487311, 1.5598564178504688),
+    ((1e-06, 0.01, None), 40): (4.796574421066833, 2.992059056046897, 2.7019358769906896, 1.7414488280415414),
+    ((1e-06, 1e-06, None), 1): (2.0120144836277554, 1.7910431032492937, 1.7910420179670639, 1.7373704191231385),
+    ((1e-06, 1e-06, None), 4): (2.8212804156628035, 1.883894504299927, 1.8838920306862115, 1.7260723195403462),
+    ((1e-06, 1e-06, None), 16): (5.449394673782046, 2.9757222922843756, 2.9757051846789366, 1.6806357632077826),
+    ((1e-06, 1e-06, None), 40): (15.488276258723715, 22.132492896669632, 22.13246004844352, 1.5929867481225273),
+    ((0.0001, 1e-05, None), 1): (2.1208812287593974, 1.7559110995801428, 1.7559000264467606, 1.7030188797568973),
+    ((0.0001, 1e-05, None), 4): (4.115002363932082, 1.9611725014429582, 1.961134914426293, 1.5929867481196405),
+    ((0.0001, 1e-05, None), 16): (24.193378967784817, 23.50274975860773, 23.502617799696853, 1.2306484124804271),
+    ((0.0001, 1e-05, None), 40): (25.91415234199785, 63.5866560248814, 63.58654552794687, 1.7414488280415414),
+    ((1e-08, 0.0001, LAYER_U), 1): (2.0018466112239586, 1.7947475190184763, 1.794639214813012, 1.50892534267117),
+    ((1e-08, 0.0001, LAYER_U), 4): (2.69630554069881, 1.8975968043136242, 1.8973653123673286, 1.508008990444441),
+    ((1e-08, 0.0001, LAYER_U), 16): (3.7855416323398723, 1.9472352949861789, 1.9458211673149604, 1.5043467622264932),
+    ((1e-08, 0.0001, LAYER_U), 40): (5.368582959584389, 2.9451039512735613, 2.940277148716515, 1.4970377106948105),
+}
+
+
+@pytest.mark.parametrize(
+    "key, p",
+    list(ASSEMBLED_BASELINE),
+    ids=[f"{e1:g}:{e2:g}{':layer' if u else ''}-p{p}" for (e1, e2, u), p in ASSEMBLED_BASELINE],
+)
+def test_assemble_matches_pinned_baseline(key, p):
+    eps1, eps2, u_text = key
+    prob = model_problem(eps1, eps2)
+    if u_text is not None:
+        prob = manufacture(u_text, prob).problem
+    _, mesh_for = sbl_setup(prob)
+    system = assemble(prob, mesh_for(p), p)
+    ones = np.ones(system.dof_map.total)
+    got = (
+        np.trace(system.matrix),
+        np.linalg.norm(system.matrix @ ones),
+        np.linalg.norm(system.matrix.T @ ones),
+        np.linalg.norm(system.rhs),
+    )
+    np.testing.assert_allclose(got, ASSEMBLED_BASELINE[key, p], rtol=1e-13, atol=0)

@@ -5,7 +5,7 @@ import pytest
 
 from wg_hp.coeffexpr import evaluate, parse
 from wg_hp.problem import ProblemSpec, Regime, model_problem
-from wg_hp.slmesh import user_mesh
+from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.verify import (
     BoundaryValueError,
     convergence_study,
@@ -15,6 +15,7 @@ from wg_hp.verify import (
     interpolant_weakfunction,
     manufacture,
     reference_solution,
+    sbl_setup,
     solve_on_sbl_mesh,
 )
 from wg_hp.assembly import assemble, bilinear_apply, solve
@@ -158,6 +159,41 @@ def test_study_collects_failures_instead_of_raising():
 def test_study_sets_up_each_eps_pair_once(monkeypatch):
     import wg_hp.verify as verify
 
+    setups = []
+    mu_calls = []
+    real_classify = verify.classify_regime
+    real_mu = verify.compute_mu
+
+    def counting_classify_regime(eps1, eps2):
+        setups.append((eps1, eps2))
+        return real_classify(eps1, eps2)
+
+    def counting_compute_mu(spec):
+        mu_calls.append((spec.eps1, spec.eps2))
+        return real_mu(spec)
+
+    monkeypatch.setattr(verify, "classify_regime", counting_classify_regime)
+    monkeypatch.setattr(verify, "compute_mu", counting_compute_mu)
+    grid = [(1e-5, 1e-2), (1e-4, 1e-4)]
+    prob = model_problem(1e-5, 1e-2)
+    records, failures = convergence_study(prob, [1, 2, 3], grid, ref_mesh="rebuilt")
+    assert failures == [] and len(records) == 6
+    assert setups == grid
+    # only the reaction-convection-diffusion pair's mesh reads mu
+    assert mu_calls == [(1e-5, 1e-2)]
+
+
+@pytest.mark.parametrize(
+    "eps1, eps2, mu_calls",
+    [
+        (1e-6, 1.0, 0),  # convection-diffusion
+        (1e-5, 1e-2, 1),  # reaction-convection-diffusion
+        (1e-4, 1e-4, 0),  # reaction-diffusion
+    ],
+)
+def test_sbl_setup_computes_mu_only_where_the_mesh_reads_it(monkeypatch, eps1, eps2, mu_calls):
+    import wg_hp.verify as verify
+
     calls = []
     real = verify.compute_mu
 
@@ -166,11 +202,14 @@ def test_study_sets_up_each_eps_pair_once(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(verify, "compute_mu", counting_compute_mu)
-    grid = [(1e-5, 1e-2), (1e-4, 1e-4)]
-    prob = model_problem(1e-5, 1e-2)
-    records, failures = convergence_study(prob, [1, 2, 3], grid, ref_mesh="rebuilt")
-    assert failures == [] and len(records) == 6
-    assert [(spec.eps1, spec.eps2) for spec in calls] == grid
+    prob = model_problem(eps1, eps2)
+    regime, mesh_for = sbl_setup(prob)
+    assert len(calls) == mu_calls
+    mu = real(prob)
+    for p in (1, 4, 16, 40):
+        expect = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1, eps2=eps2)
+        assert np.array_equal(mesh_for(p).nodes, expect.nodes)
+    assert len(calls) == mu_calls
 
 
 def test_study_accurate_beyond_110_quadrature_points():

@@ -8,8 +8,10 @@ from wg_hp.polybasis import gauss_rule, l2_project
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import user_mesh
 from wg_hp.weakspace import (
+    BrokenPoly,
     MeshMismatchError,
     WeakFunction,
+    _legder_rows,
     default_penalties,
     deriv_pairing_matrix,
     jump_seminorm,
@@ -42,6 +44,9 @@ def test_pairing_matrix_values():
             if (k - m) % 2 == 1:
                 expect[k, m] = 2.0
     np.testing.assert_array_equal(B, expect)
+    # cached per shape and shared, so callers cannot write to it
+    assert deriv_pairing_matrix(4, 5) is B
+    assert not B.flags.writeable
 
 
 def test_weak_derivative_of_linear():
@@ -199,6 +204,40 @@ def test_norm_zero_and_lower_bound():
         v = WeakFunction(mesh, rng.standard_normal((2, 4)), rng.standard_normal(3))
         l2 = np.sqrt(sum(v.element_poly(j).l2_norm() ** 2 for j in range(2)))
         assert norm_p(v, UNIT, sig) >= l2 * (1 - 1e-12)
+
+
+def test_legder_rows_matches_numpy_legder_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for p in range(1, 131):
+        for n in (1, 2, 3):
+            c = rng.standard_normal((n, p + 1)) * 10.0 ** rng.uniform(-12, 12, (n, p + 1))
+            expect = npleg.legder(c, axis=1)
+            got = _legder_rows(c)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def test_norms_equal_the_five_public_terms():
+    # the batched energy norm must reproduce, bit for bit, the sum of the
+    # public oracle terms: derivative, L2, S, S_c and |.|_J^2
+    rng = np.random.default_rng(59)
+    meshes = [user_mesh([0.0, 1.0]), user_mesh([0.0, 0.35, 1.0]), user_mesh([0.0, 1e-3, 0.9, 1.0])]
+    for p in range(1, 65):
+        for mesh in meshes:
+            n = mesh.n_elements
+            v = WeakFunction(mesh, rng.standard_normal((n, p + 1)), rng.standard_normal(n + 1))
+            sig = rng.uniform(0.1, 10.0, n)
+            broken_sq = 0.0
+            for j in range(n):
+                broken_sq += v.element_poly(j).derivative().l2_norm() ** 2
+            for norm, deriv_sq in ((norm_broken, broken_sq), (norm_p, weak_derivative(v).l2_norm_sq())):
+                sq = (
+                    MODEL.eps1 * deriv_sq
+                    + BrokenPoly(mesh, v.coeffs).l2_norm_sq()
+                    + stabilizer_S(v, v, sig)
+                    + stabilizer_Sc(v, v, MODEL.b, MODEL.eps2)
+                    + jump_seminorm(v, MODEL.b, MODEL.eps2) ** 2
+                )
+                assert norm(v, MODEL, sig) == float(np.sqrt(sq))
 
 
 def test_norm_ratio_finite_positive_for_random_v():
