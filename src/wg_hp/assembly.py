@@ -5,6 +5,8 @@ Unknowns are the N*(p+1) interior Legendre coefficients plus the N-1
 interior node values; the boundary node values are eliminated exactly
 (v_b at 0 and 1 is constrained to zero, not penalized).  Meshes have at
 most three elements, so a dense factorization is all that is warranted.
+The element matrices of the two weak derivatives come from weakspace;
+assemble adds the mass products, the reaction mass and the stabilizers.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh
 from wg_hp.weakspace import (
     WeakFunction,
-    _alt_signs,
     _check_compatible,
+    _convection_operator,
+    _derivative_operator,
     default_penalties,
-    deriv_pairing_matrix,
     stabilizer_S,
     stabilizer_Sc,
     weak_convection_derivative,
@@ -85,7 +87,7 @@ def assemble(
     if sigmas is None:
         sigmas = default_penalties(mesh, p, problem.eps1)
     sigmas = np.asarray(sigmas, dtype=float)
-    rule, vander, dvander = basis_tables(p, quad_order(p, nquad))
+    rule, vander, _ = basis_tables(p, quad_order(p, nquad))
     N = mesh.n_elements
     n = DofMap(N, p).total
     # global index of each element's local dofs (coeffs 0..p, vb_left,
@@ -107,43 +109,25 @@ def assemble(
     fv = evaluate(problem.f, x)
     b_nodes = evaluate(problem.b, mesh.nodes)
 
-    # per element: (2k+1)/h and the diagonal mass matrix h/(2k+1)
+    # the weak derivatives of every element, and the diagonal mass
+    # matrices h/(2k+1)
+    D = _derivative_operator(mesh, p)
+    Dc = _convection_operator(mesh, p, w, bv, bpv, b_nodes)
     widths = mesh.widths[:, None]
-    odd_lo = 2 * np.arange(p) + 1
-    odd_hi = 2 * np.arange(p + 1) + 1
-    scale_lo, scale_hi = odd_lo / widths, odd_hi / widths
-    mass_lo, mass_hi = widths / odd_lo, widths / odd_hi
+    mass_lo = widths / (2 * np.arange(p) + 1)
+    mass_hi = widths / (2 * np.arange(p + 1) + 1)
 
-    nloc = p + 3
-    alt = _alt_signs(p + 1)
-    # weak derivative before the (2k+1)/h scaling: p x nloc map to D_{p-1}
-    D_unscaled = np.zeros((p, nloc))
-    D_unscaled[:, : p + 1] = -deriv_pairing_matrix(p, p + 1)  # tests of degree p-1
-    D_unscaled[:, p + 1] = -_alt_signs(p)  # vb_left
-    D_unscaled[:, p + 2] = 1.0  # vb_right
-    # stabilizers: jump row vectors (v0 - vb) at each end
-    t_left = np.concatenate([alt, [-1.0, 0.0]])
+    # stabilizers: jump row vectors (v0 - vb) at each end, P_k(-1) = (-1)^k
+    t_left = np.concatenate([(-1.0) ** np.arange(p + 1), [-1.0, 0.0]])
     t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
     jump_right = np.outer(t_right, t_right)
     jump_both = jump_right + np.outer(t_left, t_left)
 
     for j in range(N):
-        h = widths[j, 0]
-        Dloc = D_unscaled * scale_lo[j][:, None]
-
-        # weak convection derivative: (p+1) x nloc
-        Dcloc = np.empty((p + 1, nloc))
-        Dcloc[:, : p + 1] = -((w[j] * bpv[j])[None, :] * vander.T) @ vander - (
-            (w[j] * bv[j])[None, :] * dvander.T * (2.0 / h)
-        ) @ vander
-        Dcloc[:, p + 1] = -b_nodes[j] * alt
-        Dcloc[:, p + 2] = b_nodes[j + 1]
-        Dcloc *= scale_hi[j][:, None]
-
         # the mass matrices are diagonal, so their products are row scalings;
         # a C-ordered left factor keeps the BLAS rounding of the dense form
-        Aloc = np.ascontiguousarray(problem.eps1 * Dloc.T * mass_lo[j]) @ Dloc
-        Aloc[: p + 1] += (problem.eps2 * mass_hi[j])[:, None] * Dcloc
+        Aloc = np.ascontiguousarray(problem.eps1 * D[j].T * mass_lo[j]) @ D[j]
+        Aloc[: p + 1] += (problem.eps2 * mass_hi[j])[:, None] * Dc[j]
         Aloc[: p + 1, : p + 1] += (vander.T * (w[j] * rv[j])) @ vander
         Aloc += sigmas[j] * jump_both
         Aloc += problem.eps2 * b_nodes[j + 1] * jump_right

@@ -240,7 +240,7 @@ def run_convergence(args, config) -> int:
         # the problem is rebuilt per pair: a manufactured f depends on eps
         _, prob = _problem(args, config, eps1, eps2)
         recs, fails = convergence_study(
-            prob, p_range, [(eps1, eps2)], kappa=kappa, ref_mesh=ref_mesh, quad_double=quad_double
+            prob, p_range, kappa=kappa, ref_mesh=ref_mesh, quad_double=quad_double
         )
         records.extend(recs)
         failures.extend(fails)

@@ -10,13 +10,13 @@ exists for sensitivity studies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp import coeffexpr as ce
-from wg_hp.assembly import assemble, solve
+from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolate, quad_order
 from wg_hp.problem import ProblemSpec, Regime, classify_regime, compute_mu, validate
@@ -146,18 +146,13 @@ def reference_solution(
 
 def _transfer(src: WeakFunction, mesh: Mesh, p: int) -> WeakFunction:
     """Elementwise L2 projection of src.v0 onto the broken degree-p space
-    on the target mesh, splitting quadrature at source nodes."""
+    on the target mesh, splitting quadrature at source nodes; the node
+    values come from the source element to the right of each node."""
     rule = gauss_rule(quad_order(p))
     src_nodes = src.mesh.nodes
 
-    def src_eval(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            j = min(int(np.searchsorted(src_nodes, xi, side="right")) - 1, src.mesh.n_elements - 1)
-            j = max(j, 0)
-            out[i] = float(src.element_poly(j)(xi))
-        return out
+    def src_element(x):
+        return np.clip(np.searchsorted(src_nodes, x, side="right") - 1, 0, src.mesh.n_elements - 1)
 
     coeffs = np.empty((mesh.n_elements, p + 1))
     for j in range(mesh.n_elements):
@@ -166,14 +161,18 @@ def _transfer(src: WeakFunction, mesh: Mesh, p: int) -> WeakFunction:
         cuts = np.unique(np.concatenate([[a, b], src_nodes[(src_nodes > a) & (src_nodes < b)]]))
         moments = np.zeros(p + 1)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
+            # each cut lies inside one source element
             x, w = rule.mapped(lo, hi)
             t = 2.0 * (x - a) / h - 1.0
             vander = npleg.legvander(t, p)
-            moments += (vander.T * w) @ src_eval(x)
+            moments += (vander.T * w) @ src.element_poly(src_element(0.5 * (lo + hi)))(x)
         k = np.arange(p + 1)
         coeffs[j] = (2 * k + 1) / h * moments
+    x = mesh.nodes[1:-1]
+    i = src_element(x)
+    t = 2.0 * (x - src_nodes[i]) / (src_nodes[i + 1] - src_nodes[i]) - 1.0
     vb = np.zeros(mesh.n_elements + 1)
-    vb[1:-1] = src_eval(mesh.nodes[1:-1])
+    vb[1:-1] = npleg.legval(t, src.coeffs[i].T, tensor=False)
     return WeakFunction(mesh, coeffs, vb)
 
 
@@ -246,55 +245,51 @@ def solve_on_sbl_mesh(problem: ProblemSpec, p: int, kappa: float = 1.0, nquad=No
 
 
 def convergence_study(
-    base: ProblemSpec,
+    problem: ProblemSpec,
     p_range,
-    eps_grid,
     kappa: float = 1.0,
     ref_mesh: str = "same",
     quad_double: bool = False,
 ) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
-    """Sweep (eps1, eps2, p): solve, compute the degree-2p reference, and
-    record relative energy errors; per-case failures are collected, not
-    raised.  Each eps pair is validated and set up once; quad_double uses
-    2*quad_order(p) Gauss points in both solves at degree p.
+    """Solve at each p of p_range, compute the degree-2p reference, and
+    record relative energy errors in p_range order; per-case failures are
+    collected, not raised.  The problem is validated and set up once;
+    quad_double uses 2*quad_order(p) Gauss points in both solves at
+    degree p.
     """
+    eps1, eps2 = problem.eps1, problem.eps2
     records: list[ConvergenceRecord] = []
     failures: list[CaseFailure] = []
-    for eps1, eps2 in eps_grid:
+    try:
+        validate(problem)
+        regime, mesh_for = sbl_setup(problem, kappa)
+    except Exception as exc:  # noqa: BLE001 - sweep must not abort
+        return records, [CaseFailure(eps1, eps2, p, str(exc)) for p in p_range]
+    for p in p_range:
+        start = time.perf_counter()
         try:
-            prob = replace(base, eps1=eps1, eps2=eps2)
-            validate(prob)
-            regime, mesh_for = sbl_setup(prob, kappa)
+            nquad = 2 * quad_order(p) if quad_double else None
+            mesh = mesh_for(p)
+            u_p = solve(assemble(problem, mesh, p, nquad=nquad))
+            u_ref = reference_solution(
+                problem, mesh, p, ref_mesh=ref_mesh, mesh_builder=mesh_for, nquad=nquad
+            )
+            err_abs, err_rel = energy_error(u_ref, u_p, problem)
+            wall_ms = (time.perf_counter() - start) * 1e3
+            records.append(
+                ConvergenceRecord(
+                    regime=regime.value,
+                    eps1=eps1,
+                    eps2=eps2,
+                    p=p,
+                    n_elements=mesh.n_elements,
+                    dof=DofMap(mesh.n_elements, p).total,
+                    err_rel=err_rel,
+                    err_abs=err_abs,
+                    ref_degree=2 * p,
+                    wall_ms=wall_ms,
+                )
+            )
         except Exception as exc:  # noqa: BLE001 - sweep must not abort
-            failures.extend(CaseFailure(eps1, eps2, p, str(exc)) for p in p_range)
-            continue
-        for p in p_range:
-            start = time.perf_counter()
-            try:
-                nquad = 2 * quad_order(p) if quad_double else None
-                mesh = mesh_for(p)
-                u_p = solve(assemble(prob, mesh, p, nquad=nquad))
-                u_ref = reference_solution(
-                    prob, mesh, p, ref_mesh=ref_mesh, mesh_builder=mesh_for, nquad=nquad
-                )
-                err_abs, err_rel = energy_error(u_ref, u_p, prob)
-                wall_ms = (time.perf_counter() - start) * 1e3
-                records.append(
-                    ConvergenceRecord(
-                        regime=regime.value,
-                        eps1=eps1,
-                        eps2=eps2,
-                        p=p,
-                        n_elements=mesh.n_elements,
-                        dof=mesh.n_elements * (p + 1) + mesh.n_elements - 1,
-                        err_rel=err_rel,
-                        err_abs=err_abs,
-                        ref_degree=2 * p,
-                        wall_ms=wall_ms,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - sweep must not abort
-                failures.append(CaseFailure(eps1, eps2, p, str(exc)))
-    records.sort(key=lambda rec: (rec.eps1, rec.eps2, rec.p))
-    failures.sort(key=lambda rec: (rec.eps1, rec.eps2, rec.p))
+            failures.append(CaseFailure(eps1, eps2, p, str(exc)))
     return records, failures

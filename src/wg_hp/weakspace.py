@@ -5,7 +5,11 @@ degree p plus separate values at the mesh nodes.  The weak derivative of
 degree p-1 and the weak convection derivative of degree p are defined
 elementwise by integration-by-parts duality against Legendre test
 polynomials; both reduce to diagonal solves because the mapped Legendre
-mass matrix is diag(h/(2k+1)).
+mass matrix is diag(h/(2k+1)).  This module is the one place where they
+are defined: _derivative_operator and _convection_operator build them for
+all elements at once as matrices acting on each element's local dofs
+[c_0..c_p, vb_left, vb_right]; weak_derivative, weak_convection_derivative
+and assembly.assemble all apply these matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from wg_hp.coeffexpr import Expr, evaluate
 from wg_hp.polybasis import ElementPoly, basis_tables, l2_project, quad_order
@@ -163,20 +166,49 @@ def deriv_pairing_matrix(n_test: int, n_trial: int) -> np.ndarray:
     return B
 
 
+def _derivative_operator(mesh: Mesh, p: int) -> np.ndarray:
+    """D_{p-1} of every element as an (N, p, p+3) map of its local dofs
+    [c_0..c_p, vb_left, vb_right]: the duality against P_0..P_{p-1},
+    int D q = -int v0 q' + vb_right q(1) - vb_left q(-1), times the inverse
+    mass (2k+1)/h."""
+    D = np.zeros((p, p + 3))
+    D[:, : p + 1] = -deriv_pairing_matrix(p, p + 1)
+    D[:, p + 1] = -_alt_signs(p)  # vb_left
+    D[:, p + 2] = 1.0  # vb_right
+    return D * ((2 * np.arange(p) + 1) / mesh.widths[:, None])[:, :, None]
+
+
+def _convection_operator(mesh: Mesh, p: int, w, bv, bpv, b_nodes) -> np.ndarray:
+    """The weak convection derivative of every element as an (N, p+1, p+3)
+    map of its local dofs: the duality against P_0..P_p,
+    int Dc q = -int v0 (b q)' + vb_right b q(1) - vb_left b q(-1), times the
+    inverse mass (2k+1)/h.  w, bv and bpv hold the quadrature weights and
+    b, b' at every element's quadrature points, one row per element, and
+    b_nodes holds b at the mesh nodes."""
+    _, vander, dvander = basis_tables(p, w.shape[1])
+    Dc = np.empty((mesh.n_elements, p + 1, p + 3))
+    # int v0 (b q)' dx with q = P_k(t), so q' = P_k'(t) * 2/h
+    Dc[:, :, : p + 1] = -((w * bpv)[:, None, :] * vander.T) @ vander - (
+        (w * bv)[:, None, :] * dvander.T * (2.0 / mesh.widths)[:, None, None]
+    ) @ vander
+    Dc[:, :, p + 1] = -b_nodes[:-1, None] * _alt_signs(p + 1)
+    Dc[:, :, p + 2] = b_nodes[1:, None]
+    Dc *= ((2 * np.arange(p + 1) + 1) / mesh.widths[:, None])[:, :, None]
+    return Dc
+
+
+def _apply(op: np.ndarray, v: WeakFunction) -> BrokenPoly:
+    """An element operator applied to every element's local dofs of v."""
+    local = np.column_stack([v.coeffs, v.vb[:-1], v.vb[1:]])
+    return BrokenPoly(v.mesh, (op @ local[:, :, None])[:, :, 0])
+
+
 def weak_derivative(v: WeakFunction) -> BrokenPoly:
     """Degree p-1 weak derivative (duality against q in P_{p-1})."""
     p = v.degree
     if p < 1:
         raise ValueError("weak derivative needs degree p >= 1")
-    B = deriv_pairing_matrix(p, p + 1)
-    alt = _alt_signs(p)
-    k = np.arange(p)
-    out = np.empty((v.mesh.n_elements, p))
-    for j in range(v.mesh.n_elements):
-        h = v.mesh.widths[j]
-        rhs = -B @ v.coeffs[j] + v.vb[j + 1] * np.ones(p) - v.vb[j] * alt
-        out[j] = (2 * k + 1) / h * rhs
-    return BrokenPoly(v.mesh, out)
+    return _apply(_derivative_operator(v.mesh, p), v)
 
 
 def weak_convection_derivative(
@@ -186,24 +218,11 @@ def weak_convection_derivative(
     p = v.degree
     if p < 1:
         raise ValueError("weak convection derivative needs degree p >= 1")
-    rule, vander, dvander = basis_tables(p, quad_order(p, nquad))
-    alt = _alt_signs(p + 1)
-    k = np.arange(p + 1)
-    out = np.empty((v.mesh.n_elements, p + 1))
-    for j in range(v.mesh.n_elements):
-        a, bnd = v.mesh.element(j)
-        h = bnd - a
-        x, w = rule.mapped(a, bnd)
-        v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        bq = evaluate(b, x)
-        bpq = evaluate(b_prime, x)
-        # int v0 * (b*q)' dx with q = P_k(t), so q' = P_k'(t) * 2/h
-        integral = (w * v0 * bpq) @ vander + (w * v0 * bq) @ dvander * (2.0 / h)
-        b_right = evaluate(b, v.mesh.nodes[j + 1])
-        b_left = evaluate(b, v.mesh.nodes[j])
-        rhs = -integral + v.vb[j + 1] * b_right * np.ones(p + 1) - v.vb[j] * b_left * alt
-        out[j] = (2 * k + 1) / h * rhs
-    return BrokenPoly(v.mesh, out)
+    mesh = v.mesh
+    rule, _, _ = basis_tables(p, quad_order(p, nquad))
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    bv, bpv, b_nodes = evaluate(b, x), evaluate(b_prime, x), evaluate(b, mesh.nodes)
+    return _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), v)
 
 
 def stabilizer_S(u: WeakFunction, v: WeakFunction, sigmas) -> float:

@@ -92,6 +92,11 @@ def test_convergence_csv_schema_and_determinism(tmp_path):
     assert main(argv + ["--out", str(out2)]) == EXIT_OK
     text = out1.read_text()
     assert text == out2.read_text()  # byte-identical rerun
+    # rows are sorted by (eps1, eps2, p), whatever the order of the grid
+    out3 = tmp_path / "c3.csv"
+    argv_reversed = ["convergence", "--eps-grid", "1e-4:1e-4,1e-5:1e-2", "--p-range", "1..3"]
+    assert main(argv_reversed + ["--out", str(out3)]) == EXIT_OK
+    assert out3.read_text() == text
     assert "\r" not in text
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
@@ -101,6 +106,8 @@ def test_convergence_csv_schema_and_determinism(tmp_path):
         assert len(row) == 10
         assert row[9] == "0"  # wall_ms pinned for determinism
         assert int(row[8]) == 2 * int(row[3])
+    keys = [(float(row[1]), float(row[2]), int(row[3])) for row in rows]
+    assert keys == sorted(keys)
 
 
 OUTFLOW_LAYER = "x - (exp(-(1-x)/0.001) - exp(-1/0.001))/(1 - exp(-1/0.001))"

@@ -17,7 +17,9 @@ from wg_hp.verify import (
     reference_solution,
     sbl_setup,
     solve_on_sbl_mesh,
+    _transfer,
 )
+from wg_hp.weakspace import WeakFunction
 from wg_hp.assembly import assemble, bilinear_apply, solve
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
@@ -90,6 +92,35 @@ def test_rebuilt_reference_close_to_same_mesh_reference():
         reference_solution(prob, mesh, 3, ref_mesh="rebuilt")
 
 
+def test_transfer_reproduces_broken_polynomials():
+    rng = np.random.default_rng(29)
+    p = 6
+    src_mesh = user_mesh([0.0, 0.5, 1.0])
+    # a different polynomial on each source element, so v0 jumps at 0.5
+    src = WeakFunction(src_mesh, rng.standard_normal((2, p + 1)), np.zeros(3))
+    # the target splits source element 0 at 0.2 and shares the node 0.5
+    target = user_mesh([0.0, 0.2, 0.5, 1.0])
+    moved = _transfer(src, target, p)
+    for j, src_j in ((0, 0), (1, 0), (2, 1)):
+        xs = np.linspace(*target.element(j), 9)
+        np.testing.assert_allclose(
+            moved.element_poly(j)(xs), src.element_poly(src_j)(xs), rtol=1e-12, atol=1e-12
+        )
+    assert moved.vb[1] == src.element_poly(0)(0.2)
+    assert moved.vb[2] == src.element_poly(1)(0.5)  # the right-hand element
+    assert moved.vb[0] == moved.vb[3] == 0.0
+    # one polynomial of degree p - 2 on both source elements: a target
+    # element that spans the source node reproduces it too
+    poly = np.polynomial.Legendre(rng.standard_normal(p - 1), domain=[0.0, 1.0])
+    src = WeakFunction.from_callable(src_mesh, p, poly)
+    target = user_mesh([0.0, 0.3, 0.7, 1.0])
+    moved = _transfer(src, target, p)
+    for j in range(3):
+        xs = np.linspace(*target.element(j), 9)
+        np.testing.assert_allclose(moved.element_poly(j)(xs), poly(xs), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(moved.vb[1:-1], poly(target.nodes[1:-1]), rtol=1e-12)
+
+
 def test_energy_error_zero_and_homogeneity():
     prob = model_problem(1e-4, 1e-3)
     _, mesh, u_p = solve_on_sbl_mesh(prob, 2)
@@ -129,18 +160,22 @@ def test_error_equation_identity():
 
 
 def test_study_empty_range():
-    records, failures = convergence_study(model_problem(1e-4, 1e-3), [], [(1e-4, 1e-3)])
+    records, failures = convergence_study(model_problem(1e-4, 1e-3), [])
     assert records == [] and failures == []
 
 
 def test_study_cardinality_sorting_and_determinism():
-    prob = model_problem(1e-5, 1e-2)
     grid = [(1e-4, 1e-4), (1e-5, 1e-2)]
-    recs1, fails1 = convergence_study(prob, [1, 2], grid)
-    recs2, _ = convergence_study(prob, [1, 2], grid)
+    recs1, fails1, recs2 = [], [], []
+    for eps1, eps2 in grid:
+        recs, fails = convergence_study(model_problem(eps1, eps2), [2, 1])
+        recs1 += recs
+        fails1 += fails
+        recs2 += convergence_study(model_problem(eps1, eps2), [2, 1])[0]
     assert len(recs1) == 4 and fails1 == []
+    # records come back in p_range order, one problem at a time
     keys = [(r.eps1, r.eps2, r.p) for r in recs1]
-    assert keys == sorted(keys)
+    assert keys == [(eps1, eps2, p) for eps1, eps2 in grid for p in (2, 1)]
     for a, b in zip(recs1, recs2):
         assert a.err_rel == b.err_rel and a.err_abs == b.err_abs
     for rec in recs1:
@@ -150,7 +185,7 @@ def test_study_cardinality_sorting_and_determinism():
 
 def test_study_collects_failures_instead_of_raising():
     bad = ProblemSpec.from_strings(1e-4, 1e-3, "-1", "1", "1")  # violates b > 0
-    records, failures = convergence_study(bad, [2, 3], [(1e-4, 1e-3)])
+    records, failures = convergence_study(bad, [2, 3])
     assert records == []
     assert [f.p for f in failures] == [2, 3]
     assert all("b" in f.message for f in failures)
@@ -175,8 +210,11 @@ def test_study_sets_up_each_eps_pair_once(monkeypatch):
     monkeypatch.setattr(verify, "classify_regime", counting_classify_regime)
     monkeypatch.setattr(verify, "compute_mu", counting_compute_mu)
     grid = [(1e-5, 1e-2), (1e-4, 1e-4)]
-    prob = model_problem(1e-5, 1e-2)
-    records, failures = convergence_study(prob, [1, 2, 3], grid, ref_mesh="rebuilt")
+    records, failures = [], []
+    for eps1, eps2 in grid:
+        recs, fails = convergence_study(model_problem(eps1, eps2), [1, 2, 3], ref_mesh="rebuilt")
+        records += recs
+        failures += fails
     assert failures == [] and len(records) == 6
     assert setups == grid
     # only the reaction-convection-diffusion pair's mesh reads mu
@@ -214,7 +252,7 @@ def test_sbl_setup_computes_mu_only_where_the_mesh_reads_it(monkeypatch, eps1, e
 
 def test_study_accurate_beyond_110_quadrature_points():
     # the degree-2p reference solve uses 2p+6 >= 116 Gauss points here
-    records, failures = convergence_study(model_problem(1e-8, 1.0), [55, 60], [(1e-8, 1.0)])
+    records, failures = convergence_study(model_problem(1e-8, 1.0), [55, 60])
     assert failures == []
     assert [r.p for r in records] == [55, 60]
     assert all(r.err_rel < 1e-10 for r in records)

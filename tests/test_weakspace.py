@@ -1,5 +1,7 @@
 """Weak derivatives, stabilizers and the two energy norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -25,6 +27,8 @@ from wg_hp.weakspace import (
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
 MODEL = ProblemSpec.from_strings(1e-5, 1e-2, "cos(x)", "1+x", "exp(x)")
+DEGREES = (1, 3, 8, 16, 32, 64)
+MESHES = (user_mesh([0.0, 1.0]), user_mesh([0.0, 0.6, 1.0]), user_mesh([0.0, 0.3, 0.85, 1.0]))
 
 
 def _conforming_poly(mesh, p, poly_coeffs):
@@ -68,15 +72,16 @@ def test_weak_derivative_sees_node_values():
 
 def test_weak_derivative_exact_on_conforming_polynomials():
     rng = np.random.default_rng(11)
-    mesh = user_mesh([0.0, 0.3, 0.85, 1.0])
-    for p in range(1, 11):
+    for p, mesh in itertools.product(DEGREES, MESHES):
         c = rng.standard_normal(p + 1)
         v = _conforming_poly(mesh, p, c)
         d = weak_derivative(v)
         dpoly = np.polynomial.Polynomial(c).deriv()
         for j in range(mesh.n_elements):
             expect = l2_project(dpoly, p - 1, mesh.element(j), nquad=p + 8).coeffs
-            np.testing.assert_allclose(d.coeffs[j], expect, atol=1e-11 * max(1, np.abs(c).max()))
+            # the duality cancels terms of size (2k+1)/h, so rounding grows with p
+            atol = 1e-11 * max(1, p / 10) ** 3 * max(1, np.abs(c).max())
+            np.testing.assert_allclose(d.coeffs[j], expect, rtol=0, atol=atol)
 
 
 def test_convection_derivative_constant_b_matches_weak_derivative_of_conforming():
@@ -97,27 +102,48 @@ def test_convection_derivative_duality_with_variable_b():
     # duality residual check with b = cos x: for every test q in P_p,
     # int Dc q = -int v0 (b q)' + vb(b) b(b) q(b) - vb(a) b(a) q(a)
     spec = ProblemSpec.from_strings(1e-3, 1e-3, "cos(x)", "1+x", "1")
-    mesh = user_mesh([0.0, 0.6, 1.0])
-    p = 3
     rng = np.random.default_rng(71)
-    v = WeakFunction(mesh, rng.standard_normal((2, p + 1)), rng.standard_normal(3))
-    dc = weak_convection_derivative(v, spec.b, spec.b_prime)
-    rule = gauss_rule(20)
-    for j in range(mesh.n_elements):
-        a, b = mesh.element(j)
-        h = b - a
-        x, w = rule.mapped(a, b)
-        v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        for k in range(p + 1):
-            q = npleg.legval(rule.nodes, np.eye(p + 1)[k])
-            dq = npleg.legval(rule.nodes, npleg.legder(np.eye(p + 1)[k])) * (2.0 / h)
-            lhs = float(np.sum(w * npleg.legval(rule.nodes, dc.coeffs[j]) * q))
-            rhs = (
-                -float(np.sum(w * v0 * (-np.sin(x) * q + np.cos(x) * dq)))
-                + v.vb[j + 1] * np.cos(b) * 1.0
-                - v.vb[j] * np.cos(a) * (-1.0) ** k
-            )
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+    for p, mesh in itertools.product(DEGREES, MESHES):
+        n = mesh.n_elements
+        v = WeakFunction(mesh, rng.standard_normal((n, p + 1)), rng.standard_normal(n + 1))
+        dc = weak_convection_derivative(v, spec.b, spec.b_prime)
+        rule = gauss_rule(p + 20)
+        for j in range(n):
+            a, b = mesh.element(j)
+            h = b - a
+            x, w = rule.mapped(a, b)
+            v0 = npleg.legval(rule.nodes, v.coeffs[j])
+            for k in range(p + 1):
+                q = npleg.legval(rule.nodes, np.eye(p + 1)[k])
+                dq = npleg.legval(rule.nodes, npleg.legder(np.eye(p + 1)[k])) * (2.0 / h)
+                lhs = float(np.sum(w * npleg.legval(rule.nodes, dc.coeffs[j]) * q))
+                volume = w * v0 * (-np.sin(x) * q + np.cos(x) * dq)
+                rhs = (
+                    -float(np.sum(volume))
+                    + v.vb[j + 1] * np.cos(b) * 1.0
+                    - v.vb[j] * np.cos(a) * (-1.0) ** k
+                )
+                # rounding grows like p^2 times the size of the terms
+                scale = float(np.sum(np.abs(volume))) + abs(v.vb[j + 1]) + abs(v.vb[j])
+                assert lhs == pytest.approx(rhs, abs=1e-14 * max(p, 3) ** 2 * scale)
+
+
+def test_weak_convection_derivative_evaluates_coefficients_once(monkeypatch):
+    import wg_hp.weakspace as weakspace
+
+    calls = []
+    real = weakspace.evaluate
+
+    def counting_evaluate(expr, x):
+        calls.append(expr)
+        return real(expr, x)
+
+    monkeypatch.setattr(weakspace, "evaluate", counting_evaluate)
+    mesh = MESHES[2]
+    v = WeakFunction(mesh, np.ones((3, 5)), np.ones(4))
+    weak_convection_derivative(v, MODEL.b, MODEL.b_prime)
+    # b and b' on all elements' quadrature points, and b at the nodes
+    assert len(calls) == 3
 
 
 def test_convection_derivative_of_conforming_constant_vanishes():
