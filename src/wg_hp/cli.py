@@ -47,8 +47,9 @@ def _g(v: float) -> str:
     return f"{v:.17g}"
 
 
-def load_config(path: str) -> dict:
-    """key=value per line; blank lines and # comments ignored."""
+def load_config(path: str, keys: set[str]) -> dict:
+    """key=value per line; blank lines and # comments ignored.  A key
+    outside ``keys`` is an error, not silently unused."""
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -59,21 +60,24 @@ def load_config(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return out
 
 
 def parse_p_range(text: str) -> list[int]:
-    """'a..b' inclusive, or a single integer."""
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise ConfigError(f"bad p range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """'a..b' inclusive, or a single integer; every degree must be >= 1."""
+    lo_s, sep, hi_s = text.partition("..")
+    lo = int(lo_s)
+    hi = int(hi_s) if sep else lo
+    if lo < 1 or hi < lo:
+        raise ConfigError(f"bad p range {text!r}")
+    return list(range(lo, hi + 1))
+
 
 def parse_eps_grid(text: str) -> list[tuple[float, float]]:
     """Comma-separated 'eps1:eps2' pairs."""
@@ -118,7 +122,9 @@ def _resolve(args, config: dict, name: str, cast, default):
     return default
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and every option name some subcommand accepts, spelled
+    as a config key."""
     top = argparse.ArgumentParser(
         prog="wg-hp",
         description="hp weak Galerkin solver for the two-parameter "
@@ -153,10 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=int)
             sp.add_argument("--p-range", **common)
             sp.add_argument("--eps-grid", **common)
-            sp.add_argument("--ref-mesh", choices=("same", "rebuilt"))
         if name == "check":
             sp.add_argument("--sigma", type=float, help="constant penalty override")
-    return top
+    dests = {dest for sp in sub.choices.values() for dest in vars(sp.parse_args([]))}
+    keys = {dest.replace("_", "-") for dest in dests}
+    return top, keys
 
 
 def _problem(args, config, eps1, eps2):
@@ -227,21 +234,17 @@ def run_convergence(args, config) -> int:
         eps2 = _resolve(args, config, "eps2", float, 1e-2)
         eps_grid = [(eps1, eps2)]
     p_text = _resolve(args, config, "p-range", str, None)
-    if p_text is not None:
-        p_range = parse_p_range(p_text)
-    else:
-        p_range = [_resolve(args, config, "p", int, 4)]
+    if p_text is None:
+        p_text = str(_resolve(args, config, "p", int, 4))
+    p_range = parse_p_range(p_text)
     kappa = _resolve(args, config, "kappa", float, 1.0)
-    ref_mesh = _resolve(args, config, "ref-mesh", str, "same")
     quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
 
     records, failures = [], []
     for eps1, eps2 in eps_grid:
         # the problem is rebuilt per pair: a manufactured f depends on eps
         _, prob = _problem(args, config, eps1, eps2)
-        recs, fails = convergence_study(
-            prob, p_range, kappa=kappa, ref_mesh=ref_mesh, quad_double=quad_double
-        )
+        recs, fails = convergence_study(prob, p_range, kappa=kappa, quad_double=quad_double)
         records.extend(recs)
         failures.extend(fails)
     records.sort(key=lambda rec: (rec.eps1, rec.eps2, rec.p))
@@ -288,10 +291,10 @@ def run_checks(args, config) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, keys = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
+        config = load_config(args.config, keys) if args.config else {}
         if args.command == "solve":
             return run_solve(args, config)
         if args.command == "convergence":

@@ -3,8 +3,7 @@ p-convergence study.
 
 The reference solution is the weak Galerkin solve at degree 2p on the same
 mesh (penalties rescaled to the higher degree), so the difference lives in
-one discrete space; a rebuilt-mesh alternative with L2-projection transfer
-exists for sensitivity studies.
+one discrete space.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolate, quad_order
 from wg_hp.problem import ProblemSpec, Regime, classify_regime, compute_mu, validate
 from wg_hp.slmesh import Mesh, build_sbl_mesh
-from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken, norm_p
+from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken
 
 
 class BoundaryValueError(Exception):
@@ -119,82 +118,25 @@ def error_equation_terms(
 
 
 def reference_solution(
-    problem: ProblemSpec,
-    mesh: Mesh,
-    p: int,
-    ref_mesh: str = "same",
-    mesh_builder=None,
-    nquad: int | None = None,
+    problem: ProblemSpec, mesh: Mesh, p: int, nquad: int | None = None
 ) -> WeakFunction:
-    """Weak Galerkin solve at degree 2p used as the error reference.
-
-    ref_mesh="same" solves on the given mesh; "rebuilt" solves on the mesh
-    built for degree 2p (mesh_builder maps a degree to a Mesh) and
-    transfers the result back by elementwise L2 projection.
-    """
-    p_ref = 2 * p
-    if ref_mesh == "same":
-        return solve(assemble(problem, mesh, p_ref, nquad=nquad))
-    if ref_mesh != "rebuilt":
-        raise ValueError("ref_mesh must be 'same' or 'rebuilt'")
-    if mesh_builder is None:
-        raise ValueError("rebuilt reference needs a mesh_builder")
-    src_mesh = mesh_builder(p_ref)
-    src = solve(assemble(problem, src_mesh, p_ref, nquad=nquad))
-    return _transfer(src, mesh, p_ref)
-
-
-def _transfer(src: WeakFunction, mesh: Mesh, p: int) -> WeakFunction:
-    """Elementwise L2 projection of src.v0 onto the broken degree-p space
-    on the target mesh, splitting quadrature at source nodes; the node
-    values come from the source element to the right of each node."""
-    rule = gauss_rule(quad_order(p))
-    src_nodes = src.mesh.nodes
-
-    def src_element(x):
-        return np.clip(np.searchsorted(src_nodes, x, side="right") - 1, 0, src.mesh.n_elements - 1)
-
-    coeffs = np.empty((mesh.n_elements, p + 1))
-    for j in range(mesh.n_elements):
-        a, b = mesh.element(j)
-        h = b - a
-        cuts = np.unique(np.concatenate([[a, b], src_nodes[(src_nodes > a) & (src_nodes < b)]]))
-        moments = np.zeros(p + 1)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            # each cut lies inside one source element
-            x, w = rule.mapped(lo, hi)
-            t = 2.0 * (x - a) / h - 1.0
-            vander = npleg.legvander(t, p)
-            moments += (vander.T * w) @ src.element_poly(src_element(0.5 * (lo + hi)))(x)
-        k = np.arange(p + 1)
-        coeffs[j] = (2 * k + 1) / h * moments
-    x = mesh.nodes[1:-1]
-    i = src_element(x)
-    t = 2.0 * (x - src_nodes[i]) / (src_nodes[i + 1] - src_nodes[i]) - 1.0
-    vb = np.zeros(mesh.n_elements + 1)
-    vb[1:-1] = npleg.legval(t, src.coeffs[i].T, tensor=False)
-    return WeakFunction(mesh, coeffs, vb)
+    """Weak Galerkin solve at degree 2p on the same mesh, used as the error
+    reference."""
+    return solve(assemble(problem, mesh, 2 * p, nquad=nquad))
 
 
 def energy_error(
-    u_hi: WeakFunction,
-    u_lo: WeakFunction,
-    problem: ProblemSpec,
-    sigmas=None,
-    norm: str = "broken",
+    u_hi: WeakFunction, u_lo: WeakFunction, problem: ProblemSpec
 ) -> tuple[float, float]:
-    """Energy-norm difference between the reference and the approximation.
+    """Broken energy-norm difference between the reference and the
+    approximation, with the default penalties at the higher degree.
 
     Returns (absolute, relative); relative is against the norm of u_hi.
-    norm="broken" uses the broken classical derivative; norm="p" uses the
-    weak derivative at the higher degree.
     """
     diff = u_hi - u_lo.pad_to_degree(u_hi.degree)
-    if sigmas is None:
-        sigmas = default_penalties(u_hi.mesh, u_hi.degree, problem.eps1)
-    norm_fn = {"broken": norm_broken, "p": norm_p}[norm]
-    absolute = norm_fn(diff, problem, sigmas)
-    scale = norm_fn(u_hi, problem, sigmas)
+    sigmas = default_penalties(u_hi.mesh, u_hi.degree, problem.eps1)
+    absolute = norm_broken(diff, problem, sigmas)
+    scale = norm_broken(u_hi, problem, sigmas)
     relative = absolute / scale if scale > 0 else (0.0 if absolute == 0 else np.inf)
     return absolute, relative
 
@@ -248,7 +190,6 @@ def convergence_study(
     problem: ProblemSpec,
     p_range,
     kappa: float = 1.0,
-    ref_mesh: str = "same",
     quad_double: bool = False,
 ) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
     """Solve at each p of p_range, compute the degree-2p reference, and
@@ -271,9 +212,7 @@ def convergence_study(
             nquad = 2 * quad_order(p) if quad_double else None
             mesh = mesh_for(p)
             u_p = solve(assemble(problem, mesh, p, nquad=nquad))
-            u_ref = reference_solution(
-                problem, mesh, p, ref_mesh=ref_mesh, mesh_builder=mesh_for, nquad=nquad
-            )
+            u_ref = reference_solution(problem, mesh, p, nquad=nquad)
             err_abs, err_rel = energy_error(u_ref, u_p, problem)
             wall_ms = (time.perf_counter() - start) * 1e3
             records.append(

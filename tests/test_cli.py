@@ -9,6 +9,7 @@ from wg_hp.cli import (
     EXIT_SYNTAX,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    ConfigError,
     main,
     parse_eps_grid,
     parse_p_range,
@@ -20,8 +21,9 @@ CSV_HEADER = "regime,eps1,eps2,p,N,dof,err_rel_percent,err_abs,ref_degree,wall_m
 def test_parse_p_range():
     assert parse_p_range("2..5") == [2, 3, 4, 5]
     assert parse_p_range("7") == [7]
-    with pytest.raises(Exception):
-        parse_p_range("5..2")
+    for bad in ("5..2", "0..2", "0", "-3"):
+        with pytest.raises(ConfigError):
+            parse_p_range(bad)
 
 
 def test_parse_eps_grid():
@@ -83,6 +85,10 @@ def test_usage_error_exit_code(capsys):
     for grid in ("2:1e-2,1e-5:1e-2", "1e-5:1e-2,2:1e-2"):
         assert main(["convergence", "--eps-grid", grid, "--out", "/dev/null"]) == EXIT_USAGE
         assert "eps1 must lie in (0,1]" in capsys.readouterr().err
+    # a non-positive degree is a usage error, given alone as well as in a range
+    for args in (["--p-range", "0"], ["--p-range=-3"], ["--p", "0"]):
+        assert main(["convergence", *args, "--out", "/dev/null"]) == EXIT_USAGE
+        assert "bad p range" in capsys.readouterr().err
 
 
 def test_convergence_csv_schema_and_determinism(tmp_path):
@@ -195,6 +201,24 @@ def test_config_bad_boolean_is_usage_error(tmp_path, capsys):
     cfg.write_text("quad-double=maybe\n")
     assert main(["check", "--config", str(cfg)]) == EXIT_USAGE
     assert "quad-double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["eps_1=1e-3", "ref-mesh=rebuilt"])
+def test_config_unknown_key_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p-range=1..2\n{line}\n")
+    argv = ["convergence", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert repr(line.partition("=")[0]) in capsys.readouterr().err
+
+
+def test_config_shared_across_subcommands(tmp_path):
+    # sigma is read only by check; solve accepts the shared file and ignores it
+    out = tmp_path / "sol.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sigma=0\np=2\nout={out}\n")
+    assert main(["solve", "--config", str(cfg)]) == EXIT_OK
+    assert out.read_text().startswith("kind,x,value\n")
 
 
 def test_bad_config_file(tmp_path, capsys):
