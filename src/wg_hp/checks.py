@@ -105,7 +105,7 @@ def _sigmas(problem, mesh, p, sigma_override):
     return np.full(mesh.n_elements, float(sigma_override))
 
 
-def suite_definition_residuals(rng, nquad=None, **_) -> SuiteResult:
+def suite_definition_residuals(rng, **_) -> SuiteResult:
     """Both weak derivatives satisfy their defining duality relation
     against every admissible test polynomial."""
     tally = _Tally()
@@ -113,8 +113,8 @@ def suite_definition_residuals(rng, nquad=None, **_) -> SuiteResult:
     for prob, mesh, p in _cases():
         v = _random_weakfunction(rng, mesh, p)
         d = weak_derivative(v)
-        dc = weak_convection_derivative(v, prob.b, prob.b_prime, nquad)
-        rule = gauss_rule(quad_order(p, nquad) + p)
+        dc = weak_convection_derivative(v, prob.b, prob.b_prime)
+        rule = gauss_rule(quad_order(p) + p)
         for j in range(mesh.n_elements):
             a, b = mesh.element(j)
             h = b - a
@@ -150,7 +150,7 @@ def suite_definition_residuals(rng, nquad=None, **_) -> SuiteResult:
     return tally.result("definition-residuals", f"worst residual {worst:.2e}")
 
 
-def suite_coercivity_solve(rng, nquad=None, sigma_override=None, **_) -> SuiteResult:
+def suite_coercivity_solve(rng, sigma_override=None, **_) -> SuiteResult:
     """Penalty condition, a provable coercivity bound, solvability of the
     assembled system, and Galerkin orthogonality of the computed solution."""
     tally = _Tally()
@@ -162,13 +162,13 @@ def suite_coercivity_solve(rng, nquad=None, sigma_override=None, **_) -> SuiteRe
         tally.check(ok, f"penalty condition eps1*p^2/h <= sigma violated (p={p})")
         for _trial in range(3):
             v = _random_weakfunction(rng, mesh, p)
-            quad = bilinear_apply(v, v, prob, sigmas, nquad)
+            quad = bilinear_apply(v, v, prob, sigmas)
             bound = 0.25 * min(1.0, gamma_hat) * norm_p(v, prob, sigmas) ** 2
             tally.check(
                 quad >= bound * (1 - 1e-10),
                 f"coercivity {quad:.3e} < {bound:.3e} (p={p})",
             )
-        system = assemble(prob, mesh, p, sigmas=sigmas, nquad=nquad)
+        system = assemble(prob, mesh, p, sigmas=sigmas)
         try:
             u_p = solve(system)
         except Exception as exc:  # noqa: BLE001 - record, keep sweeping
@@ -176,8 +176,8 @@ def suite_coercivity_solve(rng, nquad=None, sigma_override=None, **_) -> SuiteRe
             continue
         tally.check(True)
         v = _random_weakfunction(rng, mesh, p)
-        lhs = bilinear_apply(u_p, v, prob, sigmas, nquad)
-        rhs = load_apply(v, prob, nquad)
+        lhs = bilinear_apply(u_p, v, prob, sigmas)
+        rhs = load_apply(v, prob)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         tally.check(
             abs(lhs - rhs) / scale <= 1e-8,
@@ -186,7 +186,7 @@ def suite_coercivity_solve(rng, nquad=None, sigma_override=None, **_) -> SuiteRe
     return tally.result("coercivity-solve")
 
 
-def suite_norm_equivalence(rng, nquad=None, sigma_override=None, **_) -> SuiteResult:
+def suite_norm_equivalence(rng, sigma_override=None, **_) -> SuiteResult:
     """norm_p and norm_broken stay within a fixed envelope of each other."""
     tally = _Tally()
     lo, hi = np.inf, 0.0
@@ -205,13 +205,13 @@ def suite_norm_equivalence(rng, nquad=None, sigma_override=None, **_) -> SuiteRe
     return tally.result("norm-equivalence", f"ratio range [{lo:.3g}, {hi:.3g}]")
 
 
-def suite_error_equation(rng, nquad=None, **_) -> SuiteResult:
+def suite_error_equation(rng, **_) -> SuiteResult:
     """A(Iu - u_p, v) equals the three consistency-error terms."""
     tally = _Tally()
     worst = 0.0
     for case, mesh, p in _cases("sin(3.141592653589793*x)"):
         prob = case.problem
-        nq = quad_order(p, nquad)
+        nq = quad_order(p)
         u_p = solve(assemble(prob, mesh, p, nquad=nq))
         iu = interpolant_weakfunction(case, mesh, p, nquad=nq)
         v = _random_weakfunction(rng, mesh, p)
@@ -224,25 +224,25 @@ def suite_error_equation(rng, nquad=None, **_) -> SuiteResult:
     return tally.result("error-equation", f"worst residual {worst:.2e}")
 
 
-def suite_polynomial_reproduction(rng, nquad=None, **_) -> SuiteResult:
+def suite_polynomial_reproduction(rng, **_) -> SuiteResult:
     """The method reproduces a polynomial exact solution to roundoff."""
     tally = _Tally()
     for case, mesh, p in _cases("x*(1-x)"):
-        u_p = solve(assemble(case.problem, mesh, p, nquad=nquad))
-        u_star = exact_weakfunction(case, mesh, p, nquad=nquad)
+        u_p = solve(assemble(case.problem, mesh, p))
+        u_star = exact_weakfunction(case, mesh, p)
         _, rel = energy_error(u_star, u_p, case.problem)
         tally.check(rel <= 1e-9, f"reproduction error {rel:.2e} (p={p})")
     return tally.result("polynomial-reproduction")
 
 
-def suite_quadrature_stability(rng, nquad=None, sigma_override=None, **_) -> SuiteResult:
+def suite_quadrature_stability(rng, sigma_override=None, **_) -> SuiteResult:
     """Assembled matrices and bilinear-form values are unchanged (to 1e-10)
     under a doubled quadrature order."""
     tally = _Tally()
     worst = 0.0
     for prob, mesh, p in _cases():
         sigmas = _sigmas(prob, mesh, p, sigma_override)
-        nq = quad_order(p, nquad)
+        nq = quad_order(p)
         sys1 = assemble(prob, mesh, p, sigmas=sigmas, nquad=nq)
         sys2 = assemble(prob, mesh, p, sigmas=sigmas, nquad=2 * nq)
         scale = max(float(np.max(np.abs(sys1.matrix))), 1e-30)
@@ -275,7 +275,6 @@ def run_check(
     seed: int = 0,
     quad_double: bool = False,
     sigma_override: float | None = None,
-    nquad: int | None = None,
 ) -> list[SuiteResult]:
     """Run every property suite; returns one SuiteResult per suite.
 
@@ -288,6 +287,4 @@ def run_check(
     suites = list(SUITES)
     if quad_double:
         suites.append(suite_quadrature_stability)
-    return [
-        fn(rng, nquad=nquad, sigma_override=sigma_override) for fn in suites
-    ]
+    return [fn(rng, sigma_override=sigma_override) for fn in suites]

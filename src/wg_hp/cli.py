@@ -1,7 +1,8 @@
 """Command-line front end: solve, convergence study, and property checks.
 
-Configuration comes from flags plus an optional line-oriented key=value
-config file (flags override the file).  CSV output uses a fixed schema
+Configuration comes from flags; an optional line-oriented key=value
+config file only fills in their defaults, so flags override it.  Each
+option is declared once, in ``_OPTIONS``.  CSV output uses a fixed schema
 with 17-significant-digit floats and LF line endings; the wall-clock
 column is written as 0 so identical invocations produce byte-identical
 files.  Exit codes: 0 success, 1 check-suite failure, 2 usage or config
@@ -34,10 +35,6 @@ EXIT_PARTIAL = 5
 CSV_HEADER = "regime,eps1,eps2,p,N,dof,err_rel_percent,err_abs,ref_degree,wall_ms"
 SAMPLES_PER_ELEMENT = 200
 
-DEFAULT_B = "cos(x)"
-DEFAULT_R = "1+x"
-DEFAULT_F = "exp(x)"
-
 
 class ConfigError(Exception):
     pass
@@ -47,9 +44,12 @@ def _g(v: float) -> str:
     return f"{v:.17g}"
 
 
-def load_config(path: str, keys: set[str]) -> dict:
-    """key=value per line; blank lines and # comments ignored.  A key
-    outside ``keys`` is an error, not silently unused."""
+def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
+    """key=value per line; blank lines and # comments ignored.  Each key
+    names an option in ``actions``, and its value is converted by that
+    option's type (a flag's by ``_parse_bool``); returns the values by
+    argparse dest.  An unknown key or a malformed value is an error, not
+    silently unused."""
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -61,9 +61,14 @@ def load_config(path: str, keys: set[str]) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in keys:
+                action = actions.get(key)
+                if action is None:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                out[key] = value.strip()
+                cast = _parse_bool if action.nargs == 0 else action.type or str
+                try:
+                    out[action.dest] = cast(value.strip())
+                except (ValueError, ConfigError) as exc:
+                    raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return out
@@ -109,22 +114,29 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected one of {', '.join(_TRUE + _FALSE)}, got {text!r}")
 
 
-def _resolve(args, config: dict, name: str, cast, default):
-    """Flag value if given, else config-file value, else the default."""
-    cli_val = getattr(args, name.replace("-", "_"), None)
-    if cli_val is not None:
-        return cli_val
-    if name in config:
-        try:
-            return cast(config[name])
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"config key {name}: {exc}") from exc
-    return default
+_PROBLEM = ("solve", "convergence")
+# every option once: its add_argument keywords and the subcommands that read it
+_OPTIONS = (
+    ("eps1", dict(type=float, default=1e-5), _PROBLEM),
+    ("eps2", dict(type=float, default=1e-2), _PROBLEM),
+    ("p", dict(type=int, default=4), _PROBLEM),
+    ("kappa", dict(type=float, default=1.0), _PROBLEM),
+    ("b", dict(default="cos(x)"), _PROBLEM),
+    ("r", dict(default="1+x"), _PROBLEM),
+    ("f", dict(default="exp(x)"), _PROBLEM),
+    ("manufactured-u", {}, _PROBLEM),
+    ("out", {}, _PROBLEM),
+    ("svg", {}, _PROBLEM),
+    ("p-range", {}, ("convergence",)),
+    ("eps-grid", {}, ("convergence",)),
+    ("quad-double", dict(action="store_true"), ("solve", "convergence", "check")),
+    ("seed", dict(type=int, default=0), ("check",)),
+    ("sigma", dict(type=float, help="constant penalty override"), ("check",)),
+)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
-    """The parser, and every option name some subcommand accepts, spelled
-    as a config key."""
+def _build_parser():
+    """(parser, subcommand parsers by name, option actions by config key)."""
     top = argparse.ArgumentParser(
         prog="wg-hp",
         description="hp weak Galerkin solver for the two-parameter "
@@ -132,73 +144,44 @@ def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
     )
     top.add_argument("--config", help="key=value config file; flags override it")
     sub = top.add_subparsers(dest="command", required=True)
-
-    common = dict(type=str)
-    for name in ("solve", "convergence", "check"):
-        sp = sub.add_parser(name)
+    subs = {name: sub.add_parser(name) for name in ("solve", "convergence", "check")}
+    for sp in subs.values():
         # SUPPRESS: without the flag here, keep a top-level --config value
         sp.add_argument(
             "--config", default=argparse.SUPPRESS,
             help="key=value config file; flags override it",
         )
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--quad-double", action="store_true", default=None)
-        if name in ("solve", "convergence"):
-            sp.add_argument("--eps1", type=float)
-            sp.add_argument("--eps2", type=float)
-            sp.add_argument("--kappa", type=float)
-            sp.add_argument("--b", **common)
-            sp.add_argument("--r", **common)
-            sp.add_argument("--f", **common)
-            sp.add_argument("--manufactured-u", **common)
-            sp.add_argument("--out", **common)
-            sp.add_argument("--svg", **common)
-        if name == "solve":
-            sp.add_argument("--p", type=int)
-        if name == "convergence":
-            sp.add_argument("--p", type=int)
-            sp.add_argument("--p-range", **common)
-            sp.add_argument("--eps-grid", **common)
-        if name == "check":
-            sp.add_argument("--sigma", type=float, help="constant penalty override")
-    dests = {dest for sp in sub.choices.values() for dest in vars(sp.parse_args([]))}
-    keys = {dest.replace("_", "-") for dest in dests}
-    return top, keys
+    actions = {}
+    for key, kwargs, names in _OPTIONS:
+        for name in names:
+            actions[key] = subs[name].add_argument(f"--{key}", **kwargs)
+    return top, subs, actions
 
 
-def _problem(args, config, eps1, eps2):
+def _problem(args, eps1, eps2):
     """(case, spec) for one eps pair; case is the manufactured case, or None
     without --manufactured-u."""
-    b = _resolve(args, config, "b", str, DEFAULT_B)
-    r = _resolve(args, config, "r", str, DEFAULT_R)
-    f = _resolve(args, config, "f", str, DEFAULT_F)
-    spec = ProblemSpec(eps1, eps2, parse(b), parse(r), parse(f))
-    u_text = _resolve(args, config, "manufactured-u", str, None)
-    if u_text is None:
+    spec = ProblemSpec(eps1, eps2, parse(args.b), parse(args.r), parse(args.f))
+    if args.manufactured_u is None:
         return None, spec
-    case = manufacture(u_text, spec)
+    case = manufacture(args.manufactured_u, spec)
     return case, case.problem
 
 
-def _write_out(args, config, text: str):
+def _write_out(args, text: str):
     """Write text to --out if given, else to stdout."""
-    out = _resolve(args, config, "out", str, None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def run_solve(args, config) -> int:
-    eps1 = _resolve(args, config, "eps1", float, 1e-5)
-    eps2 = _resolve(args, config, "eps2", float, 1e-2)
-    p = _resolve(args, config, "p", int, 4)
-    kappa = _resolve(args, config, "kappa", float, 1.0)
-    quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
-    nquad = 2 * quad_order(p) if quad_double else None
-    case, prob = _problem(args, config, eps1, eps2)
-    regime, mesh, u_p = solve_on_sbl_mesh(prob, p, kappa, nquad=nquad)
+def run_solve(args) -> int:
+    p = args.p
+    nquad = 2 * quad_order(p) if args.quad_double else None
+    case, prob = _problem(args, args.eps1, args.eps2)
+    regime, mesh, u_p = solve_on_sbl_mesh(prob, p, args.kappa, nquad=nquad)
 
     lines = ["kind,x,value"]
     segments = []
@@ -210,11 +193,10 @@ def run_solve(args, config) -> int:
         lines.extend(f"interior,{_g(x)},{_g(y)}" for x, y in zip(xs, ys))
     nodes = list(zip(mesh.nodes, u_p.vb))
     lines.extend(f"node,{_g(x)},{_g(v)}" for x, v in nodes)
-    _write_out(args, config, "\n".join(lines) + "\n")
-    svg_path = _resolve(args, config, "svg", str, None)
-    if svg_path:
-        title = f"regime {regime.value}, eps1={eps1:g}, eps2={eps2:g}, p={p}"
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+    _write_out(args, "\n".join(lines) + "\n")
+    if args.svg:
+        title = f"regime {regime.value}, eps1={args.eps1:g}, eps2={args.eps2:g}, p={p}"
+        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svgplot.solution_plot(segments, nodes, title))
     if case is not None:
         from wg_hp.verify import energy_error, exact_weakfunction
@@ -225,26 +207,20 @@ def run_solve(args, config) -> int:
     return EXIT_OK
 
 
-def run_convergence(args, config) -> int:
-    eps_text = _resolve(args, config, "eps-grid", str, None)
-    if eps_text is not None:
-        eps_grid = parse_eps_grid(eps_text)
+def run_convergence(args) -> int:
+    if args.eps_grid is not None:
+        eps_grid = parse_eps_grid(args.eps_grid)
     else:
-        eps1 = _resolve(args, config, "eps1", float, 1e-5)
-        eps2 = _resolve(args, config, "eps2", float, 1e-2)
-        eps_grid = [(eps1, eps2)]
-    p_text = _resolve(args, config, "p-range", str, None)
-    if p_text is None:
-        p_text = str(_resolve(args, config, "p", int, 4))
-    p_range = parse_p_range(p_text)
-    kappa = _resolve(args, config, "kappa", float, 1.0)
-    quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
+        eps_grid = [(args.eps1, args.eps2)]
+    p_range = parse_p_range(args.p_range if args.p_range is not None else str(args.p))
 
     records, failures = [], []
     for eps1, eps2 in eps_grid:
         # the problem is rebuilt per pair: a manufactured f depends on eps
-        _, prob = _problem(args, config, eps1, eps2)
-        recs, fails = convergence_study(prob, p_range, kappa=kappa, quad_double=quad_double)
+        _, prob = _problem(args, eps1, eps2)
+        recs, fails = convergence_study(
+            prob, p_range, kappa=args.kappa, quad_double=args.quad_double
+        )
         records.extend(recs)
         failures.extend(fails)
     records.sort(key=lambda rec: (rec.eps1, rec.eps2, rec.p))
@@ -261,10 +237,9 @@ def run_convergence(args, config) -> int:
         lines.append(
             f"# failed eps1={_g(fail.eps1)} eps2={_g(fail.eps2)} p={fail.p}: {fail.message}"
         )
-    _write_out(args, config, "\n".join(lines) + "\n")
+    _write_out(args, "\n".join(lines) + "\n")
 
-    svg_path = _resolve(args, config, "svg", str, None)
-    if svg_path:
+    if args.svg:
         curves = []
         for eps1, eps2 in eps_grid:
             pts = [(r.p, r.err_rel * 100.0) for r in records
@@ -275,31 +250,31 @@ def run_convergence(args, config) -> int:
         svg = svgplot.semilog_plot(
             curves, "relative energy error vs degree", "p", "error (%)"
         )
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def run_checks(args, config) -> int:
-    seed = _resolve(args, config, "seed", int, 0)
-    quad_double = _resolve(args, config, "quad-double", _parse_bool, False)
-    sigma = _resolve(args, config, "sigma", float, None)
-    results = run_check(seed=seed, quad_double=quad_double, sigma_override=sigma)
+def run_checks(args) -> int:
+    results = run_check(seed=args.seed, quad_double=args.quad_double, sigma_override=args.sigma)
     for res in results:
         print(res.line())
     return EXIT_OK if all(res.passed for res in results) else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
-    parser, keys = _build_parser()
+    parser, subs, actions = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, keys) if args.config else {}
+        if args.config:
+            # the file only fills in defaults: parse again so flags override it
+            subs[args.command].set_defaults(**load_config(args.config, actions))
+            args = parser.parse_args(argv)
         if args.command == "solve":
-            return run_solve(args, config)
+            return run_solve(args)
         if args.command == "convergence":
-            return run_convergence(args, config)
-        return run_checks(args, config)
+            return run_convergence(args)
+        return run_checks(args)
     except ExprSyntaxError as exc:
         print(f"wg-hp: expression error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

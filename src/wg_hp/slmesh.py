@@ -70,7 +70,6 @@ def build_sbl_mesh(
     p: int,
     mu: MuPair | None = None,
     eps1: float | None = None,
-    eps2: float | None = None,
 ) -> Mesh:
     """Spectral boundary-layer mesh for the given regime.
 

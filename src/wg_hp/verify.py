@@ -171,7 +171,7 @@ def sbl_setup(problem: ProblemSpec, kappa: float = 1.0):
     mu = compute_mu(problem) if regime is Regime.REACTION_CONVECTION_DIFFUSION else None
 
     def mesh_for(degree: int) -> Mesh:
-        return build_sbl_mesh(regime, kappa, degree, mu=mu, eps1=problem.eps1, eps2=problem.eps2)
+        return build_sbl_mesh(regime, kappa, degree, mu=mu, eps1=problem.eps1)
 
     return regime, mesh_for
 

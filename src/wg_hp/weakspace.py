@@ -107,14 +107,6 @@ class WeakFunction:
         a, b = self.mesh.element(j)
         return ElementPoly(a, b, self.coeffs[j])
 
-    def trace_left(self, j: int) -> float:
-        """v0(x_{j}^+): value of element j's interior polynomial at its left end."""
-        return float(self.coeffs[j] @ _alt_signs(self.degree + 1))
-
-    def trace_right(self, j: int) -> float:
-        """v0(x_{j+1}^-): value of element j's interior polynomial at its right end."""
-        return float(np.sum(self.coeffs[j]))
-
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """(v0 - vb) at the left and right endpoint of every element."""
         alt = _alt_signs(self.degree + 1)

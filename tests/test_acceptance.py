@@ -65,7 +65,7 @@ def test_criterion_1_polynomial_reproduction():
         regime = classify_regime(eps1, eps2)
         mu = compute_mu(prob)
         for p in range(2, 9):
-            mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1, eps2=eps2)
+            mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1)
             u_p = solve(assemble(prob, mesh, p))
             u_star = exact_weakfunction(case, mesh, p)
             _, rel = energy_error(u_star, u_p, prob)
@@ -116,7 +116,7 @@ def test_criterion_3_coercivity_constant_one():
     ok = True
     worst = np.inf
     for p in range(1, 9):
-        mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=prob.eps1, eps2=prob.eps2)
+        mesh = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=prob.eps1)
         sig = default_penalties(mesh, p, prob.eps1)
         system = assemble(prob, mesh, p)
         n = system.dof_map.total

@@ -77,7 +77,7 @@ def test_matrix_path_matches_direct_path():
             mesh = user_mesh(nodes)
         else:
             regime = classify_regime(eps1, eps2)
-            mesh = build_sbl_mesh(regime, 1.0, p, mu=compute_mu(prob), eps1=eps1, eps2=eps2)
+            mesh = build_sbl_mesh(regime, 1.0, p, mu=compute_mu(prob), eps1=eps1)
         system = assemble(prob, mesh, p)
         n = system.dof_map.total
         for _ in range(5):

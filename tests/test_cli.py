@@ -213,12 +213,30 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, line):
 
 
 def test_config_shared_across_subcommands(tmp_path):
-    # sigma is read only by check; solve accepts the shared file and ignores it
+    # sigma and seed are read only by check; solve accepts the shared file
+    # and ignores them
     out = tmp_path / "sol.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"sigma=0\np=2\nout={out}\n")
+    cfg.write_text(f"sigma=0\nseed=3\np=2\nout={out}\n")
     assert main(["solve", "--config", str(cfg)]) == EXIT_OK
     assert out.read_text().startswith("kind,x,value\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_config_malformed_value_is_usage_error(tmp_path, capsys, command):
+    # converted by the option's own type, whether or not the command reads it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps1=abc\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{cfg}:1:" in err and "eps1" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_seed_is_a_check_option_only(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3", "--p", "2", "--out", "/dev/null"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_bad_config_file(tmp_path, capsys):

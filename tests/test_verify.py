@@ -219,7 +219,7 @@ def test_sbl_setup_computes_mu_only_where_the_mesh_reads_it(monkeypatch, eps1, e
     assert len(calls) == mu_calls
     mu = real(prob)
     for p in (1, 4, 16, 40):
-        expect = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1, eps2=eps2)
+        expect = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1)
         assert np.array_equal(mesh_for(p).nodes, expect.nodes)
     assert len(calls) == mu_calls
 
