@@ -12,6 +12,7 @@ assemble adds the mass products, the reaction mass and the stabilizers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -74,6 +75,26 @@ class AssembledSystem:
         return DofMap(self.mesh.n_elements, self.degree)
 
 
+@lru_cache(maxsize=None)
+def _local_dofs(N: int, p: int):
+    """(dof_index, t_left, t_right) for N elements of degree p, shared and
+    read-only.  Row j of dof_index holds the global index of element j's
+    local dofs [c_0..c_p, vb_left, vb_right]; the eliminated boundary node
+    values get indices n and n+1 (n the number of unknowns), whose rows and
+    columns assemble drops.  t_left and t_right are the jump row vectors
+    (v0 - vb) at each end of an element, with P_k(-1) = (-1)^k."""
+    n = DofMap(N, p).total
+    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
+    dof_index = np.column_stack(
+        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
+    )
+    t_left = np.concatenate([(-1.0) ** np.arange(p + 1), [-1.0, 0.0]])
+    t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
+    for table in (dof_index, t_left, t_right):
+        table.setflags(write=False)
+    return dof_index, t_left, t_right
+
+
 def assemble(
     problem: ProblemSpec,
     mesh: Mesh,
@@ -90,15 +111,7 @@ def assemble(
     rule, vander, _ = basis_tables(p, quad_order(p, nquad))
     N = mesh.n_elements
     n = DofMap(N, p).total
-    # global index of each element's local dofs (coeffs 0..p, vb_left,
-    # vb_right); the eliminated boundary node values get the last two
-    # rows/columns, which are dropped at the end
-    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
-    dof_index = np.column_stack(
-        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
-    )
-    A = np.zeros((n + 2, n + 2))
-    rhs = np.zeros(n)
+    dof_index, t_left, t_right = _local_dofs(N, p)
 
     # quadrature points of every element, one row each, and the
     # coefficients evaluated once per call
@@ -116,25 +129,27 @@ def assemble(
     widths = mesh.widths[:, None]
     mass_lo = widths / (2 * np.arange(p) + 1)
     mass_hi = widths / (2 * np.arange(p + 1) + 1)
+    jump_right = t_right[:, None] * t_right
+    jump_both = jump_right + t_left[:, None] * t_left
 
-    # stabilizers: jump row vectors (v0 - vb) at each end, P_k(-1) = (-1)^k
-    t_left = np.concatenate([(-1.0) ** np.arange(p + 1), [-1.0, 0.0]])
-    t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
-    jump_right = np.outer(t_right, t_right)
-    jump_both = jump_right + np.outer(t_left, t_left)
+    # the element matrices of all elements, one (p+3, p+3) block each; the
+    # mass matrices are diagonal, so their products are row scalings, and a
+    # C-ordered left factor keeps the BLAS rounding of the dense form
+    Aloc = np.ascontiguousarray(problem.eps1 * D.transpose(0, 2, 1) * mass_lo[:, None, :]) @ D
+    Aloc[:, : p + 1] += (problem.eps2 * mass_hi)[:, :, None] * Dc
+    Aloc[:, : p + 1, : p + 1] += (vander.T * (w * rv)[:, None, :]) @ vander
+    Aloc += sigmas[:, None, None] * jump_both
+    Aloc += (problem.eps2 * b_nodes[1:])[:, None, None] * jump_right
+    load = (vander.T * w[:, None, :]) @ fv[:, :, None]
 
-    for j in range(N):
-        # the mass matrices are diagonal, so their products are row scalings;
-        # a C-ordered left factor keeps the BLAS rounding of the dense form
-        Aloc = np.ascontiguousarray(problem.eps1 * D[j].T * mass_lo[j]) @ D[j]
-        Aloc[: p + 1] += (problem.eps2 * mass_hi[j])[:, None] * Dc[j]
-        Aloc[: p + 1, : p + 1] += (vander.T * (w[j] * rv[j])) @ vander
-        Aloc += sigmas[j] * jump_both
-        Aloc += problem.eps2 * b_nodes[j + 1] * jump_right
-
-        g = dof_index[j]
-        A[np.ix_(g, g)] += Aloc
-        rhs[g[: p + 1]] += (vander.T * w[j]) @ fv[j]
+    # one scatter: bincount adds the blocks in element order, so an entry
+    # shared by two elements is summed as an element-by-element scatter sums it
+    flat = dof_index[:, :, None] * (n + 2) + dof_index[:, None, :]
+    A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=(n + 2) ** 2)
+    A = A.reshape(n + 2, n + 2)
+    # added to zeros, not assigned, so a -0.0 load entry becomes 0.0
+    rhs = np.zeros(n)
+    rhs[: N * (p + 1)] += load.ravel()
 
     return AssembledSystem(A[:n, :n].copy(), rhs, mesh, p, sigmas, problem)
 
@@ -199,14 +214,14 @@ def bilinear_apply(
     )
 
     rule = gauss_rule(quad_order(p, nquad))
+    nodes = u.mesh.nodes
+    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
+    rv = evaluate(problem.r, x)
     term3 = 0.0
     for j in range(u.mesh.n_elements):
-        a, bnd = u.mesh.element(j)
-        x, w = rule.mapped(a, bnd)
         u0 = npleg.legval(rule.nodes, u.coeffs[j])
         v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        rv = evaluate(problem.r, x)
-        term3 += float(np.sum(w * rv * u0 * v0))
+        term3 += float(np.sum(w[j] * rv[j] * u0 * v0))
 
     return (
         term1
@@ -220,11 +235,11 @@ def bilinear_apply(
 def load_apply(v: WeakFunction, problem: ProblemSpec, nquad: int | None = None) -> float:
     """(f, v0) by quadrature; companion to bilinear_apply."""
     rule = gauss_rule(quad_order(v.degree, nquad))
+    nodes = v.mesh.nodes
+    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
+    fv = evaluate(problem.f, x)
     total = 0.0
     for j in range(v.mesh.n_elements):
-        a, bnd = v.mesh.element(j)
-        x, w = rule.mapped(a, bnd)
         v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        fv = evaluate(problem.f, x)
-        total += float(np.sum(w * fv * v0))
+        total += float(np.sum(w[j] * fv[j] * v0))
     return total

@@ -114,6 +114,14 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected one of {', '.join(_TRUE + _FALSE)}, got {text!r}")
 
 
+def non_negative_int(text: str) -> int:
+    """An integer >= 0, such as a random seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 _PROBLEM = ("solve", "convergence")
 # every option once: its add_argument keywords and the subcommands that read it
 _OPTIONS = (
@@ -130,7 +138,7 @@ _OPTIONS = (
     ("p-range", {}, ("convergence",)),
     ("eps-grid", {}, ("convergence",)),
     ("quad-double", dict(action="store_true"), ("solve", "convergence", "check")),
-    ("seed", dict(type=int, default=0), ("check",)),
+    ("seed", dict(type=non_negative_int, default=0), ("check",)),
     ("sigma", dict(type=float, help="constant penalty override"), ("check",)),
 )
 

@@ -261,7 +261,19 @@ def evaluate(e: Expr, x):
     if np.ndim(x) == 0:
         return float(_eval(e, float(x)))
     xv = np.asarray(x, dtype=float)
-    return np.broadcast_to(np.asarray(_eval(e, xv), dtype=float), xv.shape).copy()
+    out = _eval(e, xv)
+    # a fresh float array of x's shape is returned as it is; x itself (the
+    # expression "x") and anything else is copied, so the caller always owns
+    # the result
+    if (
+        isinstance(out, np.ndarray)
+        and out.dtype == float
+        and out.shape == xv.shape
+        and out.flags.c_contiguous
+        and out is not xv
+    ):
+        return out
+    return np.broadcast_to(np.asarray(out, dtype=float), xv.shape).copy()
 
 
 def as_callable(e: Expr):

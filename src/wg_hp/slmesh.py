@@ -30,10 +30,14 @@ class Mesh:
             raise ValueError("a mesh needs at least two nodes")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("mesh must span [0,1]")
-        if not np.all(np.diff(nodes) > 0):
+        widths = np.diff(nodes)
+        if not np.all(widths > 0):
             raise ValueError("mesh nodes must be strictly increasing")
         nodes.setflags(write=False)
+        widths.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+        # computed once: assembly and the norms read the widths many times
+        object.__setattr__(self, "_widths", widths)
 
     @property
     def n_elements(self) -> int:
@@ -41,7 +45,8 @@ class Mesh:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        """Element widths, shared and read-only."""
+        return self._widths
 
     def element(self, j: int) -> tuple[float, float]:
         """Endpoints of element j (0-based)."""

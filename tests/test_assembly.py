@@ -8,6 +8,7 @@ from numpy.polynomial import legendre as npleg
 
 from wg_hp.assembly import (
     DofMap,
+    _local_dofs,
     assemble,
     bilinear_apply,
     load_apply,
@@ -187,6 +188,46 @@ def test_vector_round_trip():
         weakfunction_to_vector(system, bad)
 
 
+def test_local_dof_tables_are_shared_and_read_only():
+    tables = _local_dofs(3, 4)
+    assert all(a is b for a, b in zip(tables, _local_dofs(3, 4)))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    dof_index, t_left, t_right = tables
+    dof = DofMap(3, 4)
+    # element 1: its coefficients, then the two interior node values
+    assert dof_index[1].tolist() == list(range(5, 10)) + [dof.node_index(1), dof.node_index(2)]
+    # the boundary node values get the two indices past the unknowns
+    assert dof_index[0, -2] == dof.total and dof_index[2, -1] == dof.total + 1
+    np.testing.assert_array_equal(t_left, [1, -1, 1, -1, 1, -1, 0])
+    np.testing.assert_array_equal(t_right, [1, 1, 1, 1, 1, 0, -1])
+
+
+def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
+    import wg_hp.assembly as assembly
+
+    calls = []
+    real = assembly.evaluate
+
+    def counting_evaluate(expr, x):
+        calls.append(expr)
+        return real(expr, x)
+
+    monkeypatch.setattr(assembly, "evaluate", counting_evaluate)
+    prob = model_problem(1e-4, 1e-2)
+    mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
+    rng = np.random.default_rng(5)
+    u = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, 0.3, -0.2, 0.0])
+    v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
+    # r, and then f, on all elements' quadrature points at once
+    bilinear_apply(u, v, prob)
+    assert calls == [prob.r]
+    load_apply(v, prob)
+    assert calls == [prob.r, prob.f]
+
+
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
         assemble(UNIT, user_mesh([0.0, 1.0]), 0)
@@ -227,18 +268,33 @@ ASSEMBLED_BASELINE = {
 }
 
 
+# the same fingerprint at p = 64 on user meshes of 2 and 3 elements, which
+# no SBL mesh above has; pinned from the per-element assembly loop
+USER_MESH_BASELINE = {
+    ((1e-08, 1.0, None), (0.0, 0.3, 1.0)): (118.45819230572216, 338.45618852597596, 326.6418719986415, 1.4214388893980143),
+    ((1e-06, 0.01, None), (0.0, 0.001, 0.7, 1.0)): (900.7686222727439, 3192.9664181978846, 3192.4445033348334, 1.239770802987062),
+}
+USER_MESH_P = 64
+
+
 @pytest.mark.parametrize(
-    "key, p",
-    list(ASSEMBLED_BASELINE),
-    ids=[f"{e1:g}:{e2:g}{':layer' if u else ''}-p{p}" for (e1, e2, u), p in ASSEMBLED_BASELINE],
+    "key, p, nodes",
+    [(key, p, None) for key, p in ASSEMBLED_BASELINE]
+    + [(key, USER_MESH_P, nodes) for key, nodes in USER_MESH_BASELINE],
+    ids=[f"{e1:g}:{e2:g}{':layer' if u else ''}-p{p}" for (e1, e2, u), p in ASSEMBLED_BASELINE]
+    + [f"{e1:g}:{e2:g}-N{len(nodes) - 1}-p{USER_MESH_P}" for (e1, e2, _), nodes in USER_MESH_BASELINE],
 )
-def test_assemble_matches_pinned_baseline(key, p):
+def test_assemble_matches_pinned_baseline(key, p, nodes):
     eps1, eps2, u_text = key
     prob = model_problem(eps1, eps2)
     if u_text is not None:
         prob = manufacture(u_text, prob).problem
-    _, mesh_for = sbl_setup(prob)
-    system = assemble(prob, mesh_for(p), p)
+    if nodes is None:
+        _, mesh_for = sbl_setup(prob)
+        mesh, expected = mesh_for(p), ASSEMBLED_BASELINE[key, p]
+    else:
+        mesh, expected = user_mesh(nodes), USER_MESH_BASELINE[key, nodes]
+    system = assemble(prob, mesh, p)
     ones = np.ones(system.dof_map.total)
     got = (
         np.trace(system.matrix),
@@ -246,4 +302,4 @@ def test_assemble_matches_pinned_baseline(key, p):
         np.linalg.norm(system.matrix.T @ ones),
         np.linalg.norm(system.rhs),
     )
-    np.testing.assert_allclose(got, ASSEMBLED_BASELINE[key, p], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)

@@ -239,6 +239,22 @@ def test_seed_is_a_check_option_only(command):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--seed", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--seed" in err and "-1" in err
+
+
+def test_config_negative_seed_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-1\n")
+    assert main(["check", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{cfg}:1:" in err and "seed" in err and "-1" in err
+
+
 def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value line\n")

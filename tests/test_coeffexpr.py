@@ -57,6 +57,22 @@ def test_evaluate_array_matches_pointwise():
         assert vi == pytest.approx(evaluate(e, float(xi)), rel=1e-15)
 
 
+@pytest.mark.parametrize("text", ["x", "2.5", "1+x", "cos(x)"])
+def test_evaluate_returns_a_fresh_writable_array(text):
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    x_before = x.copy()
+    vals = evaluate(parse(text), x)
+    assert isinstance(vals, np.ndarray) and vals.dtype == float and vals.shape == x.shape
+    assert vals.flags.writeable and vals.flags.c_contiguous
+    assert not np.shares_memory(vals, x)
+    vals[...] = -7.0
+    np.testing.assert_array_equal(x, x_before)
+    # the same holds for read-only points, such as a mesh's nodes
+    x.setflags(write=False)
+    assert evaluate(parse(text), x).flags.writeable
+    assert type(evaluate(parse(text), 0.5)) is float
+
+
 def test_division_by_zero_raises():
     with pytest.raises(EvalDomainError):
         evaluate(parse("sin(x)/x"), 0.0)

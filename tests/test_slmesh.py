@@ -86,3 +86,13 @@ def test_mesh_nodes_immutable():
     mesh = Mesh(np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
         mesh.nodes[1] = 0.7
+
+
+def test_mesh_widths_computed_once_and_read_only():
+    nodes = np.array([0.0, 1e-3, 0.7, 1.0])
+    mesh = Mesh(nodes)
+    assert mesh.widths is mesh.widths
+    assert mesh.widths.tobytes() == np.diff(nodes).tobytes()
+    assert not mesh.widths.flags.writeable
+    with pytest.raises(ValueError):
+        mesh.widths[0] = 0.5
