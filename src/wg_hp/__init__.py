@@ -5,7 +5,17 @@ conditions, using a weak Galerkin discretization of degree p on spectral
 boundary-layer meshes, and ships the verification harness (manufactured
 solutions, reference solutions, convergence studies) that demonstrates
 parameter-robust exponential convergence in p.
+
+Importing the package pins OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is already set: the dense products and solves round
+differently at other thread counts, and the CSV outputs are promised
+byte-identical across reruns.  OpenBLAS reads the variable once, when numpy
+is first imported, so this has no effect if numpy was imported earlier.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.problem import (

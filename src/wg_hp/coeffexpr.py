@@ -17,7 +17,9 @@ Grammar (EBNF):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +56,10 @@ class UnsupportedDerivativeError(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    @cached_property
+    def _program(self) -> tuple:
+        """The straight-line program evaluate runs, compiled on first use."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -213,55 +218,137 @@ def to_string(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# An Expr is compiled once, on first evaluation, into a straight-line program
+# cached on the instance (Expr._program).  Each structurally distinct
+# subexpression is one step, placed where a left-to-right walk of the tree
+# first finishes it, so the domain checks run in the walk's order and name
+# the same subexpression.  A step is (kind, fn, i, j, node): fn applied to the
+# values of steps i and j (j is None for a unary step), and node the
+# subexpression a domain check names.  A constant's step holds its value in
+# place of fn, and a fill step fills step i's value to x's shape.
+#
+# Constants stay Python floats, except where they feed ^ and x is an array:
+# there they are first filled to x's shape, as the tree walk filled every
+# constant.  np.power(array, 2.0) and np.power(array, 0.5) differ by an ulp
+# from np.power(array, array); the other operations give the same bits for
+# a float as for an array of it.
+
+_NUM, _VAR, _FILL, _APPLY, _CHECKED = range(5)
 
 
-def _eval(e: Expr, x):
-    if isinstance(e, Num):
-        return np.full_like(x, e.value) if np.ndim(x) else e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, x)
-        b = _eval(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if np.any(b == 0):
-                raise EvalDomainError("division by zero", e)
-            return a / b
-        if e.op == "^":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.power(a, b)
-            if not np.all(np.isfinite(out)):
-                raise EvalDomainError("invalid power", e)
-            return out
-        raise ValueError(f"bad operator {e.op!r}")
-    if isinstance(e, Call):
-        a = _eval(e.arg, x)
-        if e.func == "log":
-            if np.any(a <= 0):
-                raise EvalDomainError("log of non-positive value", e)
-            return np.log(a)
-        if e.func == "sqrt":
-            if np.any(a < 0):
-                raise EvalDomainError("sqrt of negative value", e)
-            return np.sqrt(a)
-        return getattr(np, e.func)(a)
-    raise TypeError(f"not an Expr: {e!r}")
+def _any(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _divide(node, a, b):
+    if _any(b == 0):
+        raise EvalDomainError("division by zero", node)
+    return a / b
+
+
+def _power(node, a, b):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.power(a, b)
+    if not np.isfinite(out).all():
+        raise EvalDomainError("invalid power", node)
+    return out
+
+
+def _log(node, a):
+    if _any(a <= 0):
+        raise EvalDomainError("log of non-positive value", node)
+    return np.log(a)
+
+
+def _sqrt(node, a):
+    if _any(a < 0):
+        raise EvalDomainError("sqrt of negative value", node)
+    return np.sqrt(a)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CHECKED_BINARY = {"/": _divide, "^": _power}
+_CHECKED_CALLS = {"log": _log, "sqrt": _sqrt}
+
+
+def _compile(root: Expr) -> tuple:
+    steps: list = []
+    slot: dict = {}  # step key -> step index; keys name children by index
+    const: list = []  # step index -> independent of x
+
+    def emit(key, step, is_const: bool) -> int:
+        k = slot.get(key)
+        if k is None:
+            k = slot[key] = len(steps)
+            steps.append(step)
+            const.append(is_const)
+        return k
+
+    def filled(k: int) -> int:
+        return emit(("fill", k), (_FILL, None, k, None, None), False) if const[k] else k
+
+    def visit(e: Expr) -> int:
+        if isinstance(e, Num):
+            # repr keeps -0.0 apart from 0.0
+            return emit(("num", repr(e.value)), (_NUM, e.value, None, None, None), True)
+        if isinstance(e, Var):
+            return emit(("x",), (_VAR, None, None, None, None), False)
+        if isinstance(e, Neg):
+            a = visit(e.arg)
+            return emit(("neg", a), (_APPLY, operator.neg, a, None, None), const[a])
+        if isinstance(e, BinOp):
+            a = visit(e.left)
+            b = visit(e.right)
+            if e.op in _BINARY:
+                step = (_APPLY, _BINARY[e.op], a, b, None)
+            elif e.op in _CHECKED_BINARY:
+                if e.op == "^":
+                    a, b = filled(a), filled(b)
+                step = (_CHECKED, _CHECKED_BINARY[e.op], a, b, e)
+            else:
+                raise ValueError(f"bad operator {e.op!r}")
+            return emit((e.op, a, b), step, const[a] and const[b])
+        if isinstance(e, Call):
+            a = visit(e.arg)
+            if e.func in _CHECKED_CALLS:
+                step = (_CHECKED, _CHECKED_CALLS[e.func], a, None, e)
+            else:
+                step = (_APPLY, getattr(np, e.func), a, None, None)
+            return emit((e.func, a), step, const[a])
+        raise TypeError(f"not an Expr: {e!r}")
+
+    visit(root)  # the root is finished last, so it is the last step
+    return tuple(steps)
+
+
+def _run(program: tuple, x, array: bool):
+    vals: list = []
+    push = vals.append
+    for kind, fn, i, j, node in program:
+        if kind == _APPLY:
+            push(fn(vals[i]) if j is None else fn(vals[i], vals[j]))
+        elif kind == _CHECKED:
+            push(fn(node, vals[i]) if j is None else fn(node, vals[i], vals[j]))
+        elif kind == _VAR:
+            push(x)
+        elif kind == _NUM:
+            push(fn)
+        else:
+            push(np.full_like(x, vals[i]) if array else vals[i])
+    return vals[-1]
 
 
 def evaluate(e: Expr, x):
     """Evaluate at a scalar or ndarray of points (IEEE double)."""
+    program = e._program
     if np.ndim(x) == 0:
-        return float(_eval(e, float(x)))
+        return float(_run(program, float(x), False))
     xv = np.asarray(x, dtype=float)
-    out = _eval(e, xv)
+    if xv.size == 0:
+        # no point to evaluate, so no domain check can fail
+        return np.empty(xv.shape)
+    out = _run(program, xv, True)
     # a fresh float array of x's shape is returned as it is; x itself (the
     # expression "x") and anything else is copied, so the caller always owns
     # the result

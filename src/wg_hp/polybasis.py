@@ -135,20 +135,35 @@ class ElementPoly:
 
 def l2_project(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
     """L2-orthogonal projection of the callable y onto P_p on the interval."""
+    a, b = interval
+    x, _ = gauss_rule(quad_order(p, nquad)).mapped(a, b)
+    return ElementPoly(a, b, l2_coefficients(y(x), p, nquad))
+
+
+def l2_coefficients(fx, p: int, nquad: int | None = None) -> np.ndarray:
+    """Coefficients of the L2 projection onto P_p of the function whose
+    values at one element's quad_order(p, nquad) mapped Gauss points are
+    fx."""
     if p < 0:
         raise ValueError("degree must be >= 0")
-    a, b = interval
     rule, vander, _ = basis_tables(p, quad_order(p, nquad))
-    x, _ = rule.mapped(a, b)
-    fx = np.asarray(y(x), dtype=float)
+    fx = np.broadcast_to(np.asarray(fx, dtype=float), rule.nodes.shape)
     k = np.arange(p + 1)
-    c = (2 * k + 1) / 2.0 * ((vander.T * rule.weights) @ np.broadcast_to(fx, x.shape))
-    return ElementPoly(a, b, c)
+    return (2 * k + 1) / 2.0 * ((vander.T * rule.weights) @ fx)
 
 
 def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
     """Interpolant of degree p matching y at both endpoints with
-    derivative orthogonal to P_{p-1}'.
+    derivative orthogonal to P_{p-1}'."""
+    a, b = interval
+    x, _ = gauss_rule(quad_order(p, nquad)).mapped(a, b)
+    return ElementPoly(a, b, interpolant_coefficients(y(x), y(a), y(b), p, nquad))
+
+
+def interpolant_coefficients(g, ya, yb, p: int, nquad: int | None = None) -> np.ndarray:
+    """Coefficients of the interpolant of degree p of the function whose
+    values are g at one element's quad_order(p, nquad) mapped Gauss points
+    and ya, yb at its endpoints.
 
     Equivalent to endpoint value plus the integral of the degree-(p-1)
     Legendre truncation of y'; the truncation coefficients are obtained
@@ -156,12 +171,10 @@ def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
     """
     if p < 1:
         raise ValueError("interpolation needs degree p >= 1")
-    a, b = interval
     rule, _, dvander = basis_tables(p, quad_order(p, nquad))
-    x, _ = rule.mapped(a, b)
-    g = np.broadcast_to(np.asarray(y(x), dtype=float), x.shape)
-    ya = float(y(a))
-    yb = float(y(b))
+    g = np.broadcast_to(np.asarray(g, dtype=float), rule.nodes.shape)
+    ya = float(ya)
+    yb = float(yb)
     # e_k = (2k+1)/2 * int_{-1}^{1} g'(t) P_k(t) dt, by parts in t
     # a per-column np.sum, not a matrix product: the error-equation check's
     # residual is sensitive to the rounding of these moments
@@ -171,7 +184,11 @@ def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
     sign = np.where(k % 2, -1.0, 1.0)
     e = (2 * k + 1) / 2.0 * (yb - ya * sign - moments)
     # e holds the Legendre coefficients of d/dt of y(x(t)), so the plain
-    # antiderivative in t recovers the interpolant
-    c = npleg.legint(e, lbnd=-1.0)
+    # antiderivative in t recovers the interpolant; legint shortens the zero
+    # series (y(a) == y(b) at p = 1) to one term, so it is copied into p + 1
+    # coefficients
+    c = np.zeros(p + 1)
+    integral = npleg.legint(e, lbnd=-1.0)
+    c[: len(integral)] = integral
     c[0] += ya
-    return ElementPoly(a, b, c)
+    return c

@@ -17,7 +17,7 @@ from numpy.polynomial import legendre as npleg
 from wg_hp import coeffexpr as ce
 from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.polybasis import gauss_rule, interpolate, quad_order
+from wg_hp.polybasis import gauss_rule, interpolant_coefficients, quad_order
 from wg_hp.problem import ProblemSpec, Regime, classify_regime, compute_mu, validate
 from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken
@@ -68,11 +68,13 @@ def exact_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -
 def interpolant_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
     """The derivative-orthogonality interpolant of the exact solution as a
     conforming weak function."""
-    y = ce.as_callable(case.u_exact)
-    coeffs = np.empty((mesh.n_elements, p + 1))
-    for j in range(mesh.n_elements):
-        coeffs[j] = interpolate(y, p, mesh.element(j), nquad).coeffs
-    vb = np.array([float(y(x)) for x in mesh.nodes])
+    rule = gauss_rule(quad_order(p, nquad))
+    x, _ = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    g = evaluate(case.u_exact, x)
+    vb = evaluate(case.u_exact, mesh.nodes)
+    coeffs = [
+        interpolant_coefficients(g[j], vb[j], vb[j + 1], p, nquad) for j in range(mesh.n_elements)
+    ]
     return WeakFunction(mesh, coeffs, vb)
 
 
@@ -86,9 +88,8 @@ def error_equation_terms(
     prob = case.problem
     nq = quad_order(p, nquad)
     rule = gauss_rule(nq)
-    u = ce.as_callable(case.u_exact)
-    up = ce.as_callable(case.u_prime)
     iu = interpolant_weakfunction(case, mesh, p, nquad=nq)
+    up = evaluate(case.u_prime, mesh.nodes).tolist()
 
     e1 = 0.0
     jl, jr = v.jumps()
@@ -96,24 +97,25 @@ def error_equation_terms(
         poly = iu.element_poly(j)
         dpoly = poly.derivative()
         xl, xr = mesh.element(j)
-        err_d_right = up(xr) - float(dpoly(xr))
-        err_d_left = up(xl) - float(dpoly(xl))
+        err_d_right = up[j + 1] - float(dpoly(xr))
+        err_d_left = up[j] - float(dpoly(xl))
         e1 += prob.eps1 * (err_d_right * jr[j] - err_d_left * jl[j])
 
+    # u and the coefficients on all elements' quadrature points at once
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    uv = evaluate(case.u_exact, x)
+    bv = evaluate(prob.b, x)
+    bpv = evaluate(prob.b_prime, x)
+    rv = evaluate(prob.r, x)
     e2 = 0.0
     e3 = 0.0
     for j in range(mesh.n_elements):
-        a, b = mesh.element(j)
-        h = b - a
-        x, w = rule.mapped(a, b)
-        uerr = u(x) - npleg.legval(rule.nodes, iu.coeffs[j])
+        h = mesh.widths[j]
+        uerr = uv[j] - npleg.legval(rule.nodes, iu.coeffs[j])
         v0 = npleg.legval(rule.nodes, v.coeffs[j])
         dv0 = npleg.legval(rule.nodes, npleg.legder(v.coeffs[j])) * (2.0 / h) if p >= 1 else 0.0
-        bv = evaluate(prob.b, x)
-        bpv = evaluate(prob.b_prime, x)
-        rv = evaluate(prob.r, x)
-        e2 += prob.eps2 * float(np.sum(w * uerr * (bpv * v0 + bv * dv0)))
-        e3 += float(np.sum(w * rv * (-uerr) * v0))
+        e2 += prob.eps2 * float(np.sum(w[j] * uerr * (bpv[j] * v0 + bv[j] * dv0)))
+        e3 += float(np.sum(w[j] * rv[j] * (-uerr) * v0))
     return e1, e2, e3
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from wg_hp.coeffexpr import Expr, evaluate
-from wg_hp.polybasis import ElementPoly, basis_tables, l2_project, quad_order
+from wg_hp.polybasis import ElementPoly, basis_tables, gauss_rule, l2_coefficients, quad_order
 from wg_hp.slmesh import Mesh
 
 
@@ -96,12 +96,13 @@ class WeakFunction:
     @classmethod
     def from_callable(cls, mesh: Mesh, p: int, y, nquad: int | None = None) -> "WeakFunction":
         """Conforming weak function: v0 = elementwise L2 projection of y,
-        vb = nodal values of y."""
-        coeffs = np.empty((mesh.n_elements, p + 1))
-        for j in range(mesh.n_elements):
-            coeffs[j] = l2_project(y, p, mesh.element(j), nquad).coeffs
-        vb = np.array([float(y(x)) for x in mesh.nodes])
-        return cls(mesh, coeffs, vb)
+        vb = nodal values of y.  y is called twice: on all elements'
+        quadrature points at once, as an (N, nq) array, and on the nodes."""
+        rule = gauss_rule(quad_order(p, nquad))
+        x, _ = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+        fx = np.broadcast_to(np.asarray(y(x), dtype=float), x.shape)
+        coeffs = np.array([l2_coefficients(row, p, nquad) for row in fx])
+        return cls(mesh, coeffs, np.broadcast_to(y(mesh.nodes), mesh.nodes.shape))
 
     def element_poly(self, j: int) -> ElementPoly:
         a, b = self.mesh.element(j)

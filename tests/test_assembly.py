@@ -17,7 +17,7 @@ from wg_hp.assembly import (
     weakfunction_to_vector,
 )
 from wg_hp.coeffexpr import evaluate
-from wg_hp.polybasis import gauss_rule
+from wg_hp.polybasis import gauss_rule, quad_order
 from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, model_problem
 from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.problem import Regime
@@ -207,15 +207,18 @@ def test_local_dof_tables_are_shared_and_read_only():
 
 def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     import wg_hp.assembly as assembly
+    import wg_hp.checks as checks
+    import wg_hp.verify as verify
 
     calls = []
     real = assembly.evaluate
 
     def counting_evaluate(expr, x):
-        calls.append(expr)
+        calls.append((expr, np.shape(x)))
         return real(expr, x)
 
-    monkeypatch.setattr(assembly, "evaluate", counting_evaluate)
+    for module in (assembly, checks, verify):
+        monkeypatch.setattr(module, "evaluate", counting_evaluate)
     prob = model_problem(1e-4, 1e-2)
     mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
     rng = np.random.default_rng(5)
@@ -223,9 +226,31 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
     # r, and then f, on all elements' quadrature points at once
     bilinear_apply(u, v, prob)
-    assert calls == [prob.r]
+    assert calls == [(prob.r, (3, 10))]
     load_apply(v, prob)
-    assert calls == [prob.r, prob.f]
+    assert calls == [(prob.r, (3, 10)), (prob.f, (3, 10))]
+
+    # the error-equation terms: the interpolant's u on the quadrature points
+    # and the nodes, u' on the nodes, then u, b, b' and r on the points
+    case = manufacture("sin(3.141592653589793*x)", prob)
+    calls.clear()
+    verify.error_equation_terms(case, v)
+    pts, nodes = (3, 10), (4,)
+    assert calls == [
+        (case.u_exact, pts), (case.u_exact, nodes), (case.u_prime, nodes),
+        (case.u_exact, pts), (prob.b, pts), (prob.b_prime, pts), (prob.r, pts),
+    ]
+
+    # the definition residuals: per case, b and b' on all elements'
+    # quadrature points and b on the nodes, hoisted out of the degree loop
+    calls.clear()
+    checks.suite_definition_residuals(np.random.default_rng(0))
+    cases = [(c, m, p) for c, m, p in checks._cases()]
+    expect = []
+    for c, m, p in cases:
+        pts = (m.n_elements, quad_order(p) + p)
+        expect += [(c.b, pts), (c.b_prime, pts), (c.b, (m.n_elements + 1,))]
+    assert calls == expect
 
 
 def test_degree_zero_rejected():

@@ -173,6 +173,15 @@ def test_interpolant_derivative_orthogonality():
         assert abs(resid) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_interpolant_of_a_constant_keeps_its_degree(p):
+    # at p = 1 the derivative series is zero, which legint shortens to one
+    # term; the interpolant is still a polynomial of degree p
+    iy = interpolate(lambda x: np.full_like(x, 2.0), p, (0.2, 0.5))
+    assert iy.degree == p
+    np.testing.assert_allclose(iy.coeffs, np.r_[2.0, np.zeros(p)], atol=1e-14)
+
+
 @pytest.mark.parametrize("p", range(2, 9))
 def test_interpolant_h1_error_bound_sin(p):
     # |y - Iy|_1 <= ((b-a)/2)^s sqrt((p-s)!/(p+s)!) |y|_{s+1} with s = p;

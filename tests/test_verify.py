@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wg_hp.coeffexpr import evaluate, parse
+from wg_hp.polybasis import interpolate, l2_project
 from wg_hp.problem import ProblemSpec, Regime, model_problem
 from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.verify import (
@@ -131,6 +132,40 @@ def test_error_equation_identity():
         e1, e2, e3 = error_equation_terms(case, v)
         scale = max(abs(lhs), abs(e1) + abs(e2) + abs(e3))
         assert abs(lhs - (e1 + e2 + e3)) <= 1e-8 * scale
+
+
+def test_projections_evaluate_the_exact_solution_twice(monkeypatch):
+    # once on all elements' quadrature points, once on the nodes; the
+    # per-element projections reproduce l2_project and interpolate exactly
+    import wg_hp.coeffexpr as coeffexpr
+    import wg_hp.verify as verify
+
+    calls = []
+    real = coeffexpr.evaluate
+
+    def counting_evaluate(expr, x):
+        calls.append((expr, np.shape(x)))
+        return real(expr, x)
+
+    case = manufacture("x*(1-x)*exp(x) + sin(3.141592653589793*x)", model_problem(1e-6, 1e-2))
+    mesh = user_mesh([0.0, 1e-3, 0.7, 1.0])
+    y = coeffexpr.as_callable(case.u_exact)
+    for p, nquad in ((1, None), (6, None), (6, 19)):
+        nq = p + 6 if nquad is None else nquad
+        for project, per_element in (
+            (exact_weakfunction, l2_project),
+            (interpolant_weakfunction, interpolate),
+        ):
+            calls.clear()
+            with monkeypatch.context() as m:
+                for module in (coeffexpr, verify):
+                    m.setattr(module, "evaluate", counting_evaluate)
+                w = project(case, mesh, p, nquad)
+            assert calls == [(case.u_exact, (3, nq)), (case.u_exact, (4,))]
+            for j in range(3):
+                expect = per_element(y, p, mesh.element(j), nquad).coeffs
+                assert w.coeffs[j].tobytes() == expect.tobytes()
+            assert w.vb.tolist() == [evaluate(case.u_exact, t) for t in mesh.nodes]
 
 
 def test_study_empty_range():
