@@ -18,14 +18,14 @@ from numpy.polynomial import legendre as npleg
 from wg_hp.assembly import assemble, bilinear_apply, load_apply, solve
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
-from wg_hp.problem import model_problem, validate
+from wg_hp.problem import model_problem
 from wg_hp.verify import (
     energy_error,
     error_equation_terms,
     exact_weakfunction,
     interpolant_weakfunction,
     manufacture,
-    sbl_setup,
+    sbl_mesh,
 )
 from wg_hp.weakspace import (
     WeakFunction,
@@ -86,10 +86,9 @@ def _cases(u_text: str | None = None):
     the problem."""
     for eps1, eps2 in EPS_PAIRS:
         prob = model_problem(eps1, eps2)
-        _, mesh_for = sbl_setup(prob)
         item = prob if u_text is None else manufacture(u_text, prob)
         for p in DEGREES:
-            yield item, mesh_for(p), p
+            yield item, sbl_mesh(prob, p), p
 
 
 def _random_weakfunction(rng, mesh, p) -> WeakFunction:
@@ -156,7 +155,6 @@ def suite_coercivity_solve(rng, sigma_override=None, **_) -> SuiteResult:
     assembled system, and Galerkin orthogonality of the computed solution."""
     tally = _Tally()
     for prob, mesh, p in _cases():
-        gamma_hat = validate(prob)
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         required = prob.eps1 * p**2 / mesh.widths
         ok = bool(np.all(required <= C_SIGMA * sigmas * (1 + 1e-12)))
@@ -164,7 +162,7 @@ def suite_coercivity_solve(rng, sigma_override=None, **_) -> SuiteResult:
         for _trial in range(3):
             v = _random_weakfunction(rng, mesh, p)
             quad = bilinear_apply(v, v, prob, sigmas)
-            bound = 0.25 * min(1.0, gamma_hat) * norm_p(v, prob, sigmas) ** 2
+            bound = 0.25 * min(1.0, prob.gamma_hat) * norm_p(v, prob, sigmas) ** 2
             tally.check(
                 quad >= bound * (1 - 1e-10),
                 f"coercivity {quad:.3e} < {bound:.3e} (p={p})",

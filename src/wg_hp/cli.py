@@ -6,8 +6,9 @@ option is declared once, in ``_OPTIONS``.  CSV output uses a fixed schema
 with 17-significant-digit floats and LF line endings; the wall-clock
 column is written as 0 so identical invocations produce byte-identical
 files.  Exit codes: 0 success, 1 check-suite failure, 2 usage or config
-error, 3 expression syntax error, 4 assumption or validation failure,
-5 partial completion of a parameter sweep.
+error, 3 expression syntax error, 4 assumption or validation failure
+(including a layer too thin for the mesh to resolve), 5 partial
+completion of a parameter sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from wg_hp.checks import run_check
 from wg_hp.coeffexpr import ExprSyntaxError, parse
 from wg_hp.polybasis import quad_order
 from wg_hp.problem import AssumptionError, ProblemSpec
+from wg_hp.slmesh import MeshDegeneracyError
 from wg_hp.verify import BoundaryValueError, convergence_study, manufacture, solve_on_sbl_mesh
 
 EXIT_OK = 0
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
     except ExprSyntaxError as exc:
         print(f"wg-hp: expression error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (AssumptionError, BoundaryValueError, SingularSystemError) as exc:
+    except (AssumptionError, BoundaryValueError, MeshDegeneracyError, SingularSystemError) as exc:
         print(f"wg-hp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConfigError, ValueError) as exc:

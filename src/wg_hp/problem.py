@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,28 @@ class ProblemSpec:
     @classmethod
     def from_strings(cls, eps1: float, eps2: float, b: str, r: str, f: str) -> "ProblemSpec":
         return cls(eps1, eps2, parse(b), parse(r), parse(f))
+
+    # The set-up depends only on the problem, so each instance computes it
+    # once; dataclasses.replace gives a fresh instance with a fresh set-up.
+    # cached_property caches no exception: a failing validate raises on
+    # every access.
+
+    @cached_property
+    def gamma_hat(self) -> float:
+        """validate(self): the sampled minimum of r - eps2*b'/2."""
+        return validate(self)
+
+    @cached_property
+    def regime(self) -> Regime:
+        return classify_regime(self.eps1, self.eps2)
+
+    @cached_property
+    def mu(self) -> MuPair | None:
+        """compute_mu(self) where the mesh reads it (reaction-convection-
+        diffusion), else None."""
+        if self.regime is Regime.REACTION_CONVECTION_DIFFUSION:
+            return compute_mu(self)
+        return None
 
 
 def model_problem(eps1: float, eps2: float) -> ProblemSpec:

@@ -5,6 +5,9 @@ kappa*p times the layer scale of the active regime, and a one-element
 fallback once the layer elements would swallow the domain.  The guard is
 width based (layer widths <= 1/4 for the three-element meshes, <= 1/2 for
 the two-element convection-diffusion mesh) so the cases are exhaustive.
+A layer element thinner than DEGENERACY_TOL raises MeshDegeneracyError:
+the mesh could not resolve that layer, and collapsing it to one element
+would return an answer that silently ignores it.
 """
 
 from __future__ import annotations
@@ -61,11 +64,19 @@ def user_mesh(nodes) -> Mesh:
 SINGLE_ELEMENT = (0.0, 1.0)
 
 
-def _guarded(nodes) -> Mesh:
-    # collapse to {0,1} if any interior node (numerically) hits an endpoint
+class MeshDegeneracyError(Exception):
+    """A layer element is too thin for the mesh to resolve its layer."""
+
+
+def _guarded(regime: Regime, nodes, width: float) -> Mesh:
+    """The mesh on nodes, whose thinnest layer element is width wide;
+    raises if an interior node (numerically) hits an endpoint."""
     interior = np.asarray(nodes[1:-1])
     if np.any(interior < DEGENERACY_TOL) or np.any(interior > 1.0 - DEGENERACY_TOL):
-        return Mesh(np.array(SINGLE_ELEMENT))
+        raise MeshDegeneracyError(
+            f"{regime.value} mesh: layer element width {width:.3g} is below "
+            f"{DEGENERACY_TOL:g}, too thin to resolve the layer"
+        )
     return Mesh(np.asarray(nodes, dtype=float))
 
 
@@ -79,7 +90,8 @@ def build_sbl_mesh(
     """Spectral boundary-layer mesh for the given regime.
 
     mu is required for the reaction-convection-diffusion regime, eps1 for
-    the other two.
+    the other two.  Raises MeshDegeneracyError when a layer element would
+    be thinner than DEGENERACY_TOL.
     """
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
@@ -91,20 +103,20 @@ def build_sbl_mesh(
         w0 = kappa * p / mu.mu0
         w1 = kappa * p / mu.mu1
         if w0 <= 0.25 and w1 <= 0.25:
-            return _guarded([0.0, w0, 1.0 - w1, 1.0])
+            return _guarded(regime, [0.0, w0, 1.0 - w1, 1.0], min(w0, w1))
         return Mesh(np.array(SINGLE_ELEMENT))
     if regime is Regime.REACTION_DIFFUSION:
         if eps1 is None:
             raise ValueError("eps1 is required in the reaction-diffusion regime")
         w = kappa * p * np.sqrt(eps1)
         if w <= 0.25:
-            return _guarded([0.0, w, 1.0 - w, 1.0])
+            return _guarded(regime, [0.0, w, 1.0 - w, 1.0], w)
         return Mesh(np.array(SINGLE_ELEMENT))
     if regime is Regime.CONVECTION_DIFFUSION:
         if eps1 is None:
             raise ValueError("eps1 is required in the convection-diffusion regime")
         w = kappa * p * eps1
         if w <= 0.5:
-            return _guarded([0.0, 1.0 - w, 1.0])
+            return _guarded(regime, [0.0, 1.0 - w, 1.0], w)
         return Mesh(np.array(SINGLE_ELEMENT))
     raise ValueError(f"unknown regime {regime!r}")

@@ -18,7 +18,7 @@ from wg_hp import coeffexpr as ce
 from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolant_coefficients, quad_order
-from wg_hp.problem import ProblemSpec, Regime, classify_regime, compute_mu, validate
+from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken
 
@@ -65,17 +65,24 @@ def exact_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -
     return WeakFunction.from_callable(mesh, p, y, nquad)
 
 
+def _interpolant(mesh: Mesh, p: int, g, vb, nquad=None) -> WeakFunction:
+    """The derivative-orthogonality interpolant of a function, from its
+    values g on all elements' quadrature points, shape (N, nq), and vb on
+    the nodes."""
+    coeffs = [
+        interpolant_coefficients(g[j], vb[j], vb[j + 1], p, nquad) for j in range(mesh.n_elements)
+    ]
+    return WeakFunction(mesh, coeffs, vb)
+
+
 def interpolant_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
     """The derivative-orthogonality interpolant of the exact solution as a
     conforming weak function."""
     rule = gauss_rule(quad_order(p, nquad))
     x, _ = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    g = evaluate(case.u_exact, x)
-    vb = evaluate(case.u_exact, mesh.nodes)
-    coeffs = [
-        interpolant_coefficients(g[j], vb[j], vb[j + 1], p, nquad) for j in range(mesh.n_elements)
-    ]
-    return WeakFunction(mesh, coeffs, vb)
+    return _interpolant(
+        mesh, p, evaluate(case.u_exact, x), evaluate(case.u_exact, mesh.nodes), nquad
+    )
 
 
 def error_equation_terms(
@@ -88,7 +95,11 @@ def error_equation_terms(
     prob = case.problem
     nq = quad_order(p, nquad)
     rule = gauss_rule(nq)
-    iu = interpolant_weakfunction(case, mesh, p, nquad=nq)
+    # u on all elements' quadrature points, once for the interpolant and
+    # for its error
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    uv = evaluate(case.u_exact, x)
+    iu = _interpolant(mesh, p, uv, evaluate(case.u_exact, mesh.nodes), nq)
     up = evaluate(case.u_prime, mesh.nodes).tolist()
 
     e1 = 0.0
@@ -101,9 +112,7 @@ def error_equation_terms(
         err_d_left = up[j] - float(dpoly(xl))
         e1 += prob.eps1 * (err_d_right * jr[j] - err_d_left * jl[j])
 
-    # u and the coefficients on all elements' quadrature points at once
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    uv = evaluate(case.u_exact, x)
+    # the coefficients on all elements' quadrature points at once
     bv = evaluate(prob.b, x)
     bpv = evaluate(prob.b_prime, x)
     rv = evaluate(prob.r, x)
@@ -165,27 +174,20 @@ class CaseFailure:
     message: str
 
 
-def sbl_setup(problem: ProblemSpec, kappa: float = 1.0):
-    """Classify the regime, and compute mu once if the regime's mesh reads
-    it (reaction-convection-diffusion only); returns (regime, mesh_for),
-    where mesh_for(degree) builds the layer-adapted mesh at that degree."""
-    regime = classify_regime(problem.eps1, problem.eps2)
-    mu = compute_mu(problem) if regime is Regime.REACTION_CONVECTION_DIFFUSION else None
-
-    def mesh_for(degree: int) -> Mesh:
-        return build_sbl_mesh(regime, kappa, degree, mu=mu, eps1=problem.eps1)
-
-    return regime, mesh_for
+def sbl_mesh(problem: ProblemSpec, p: int, kappa: float = 1.0) -> Mesh:
+    """The layer-adapted mesh at degree p, from the regime and mu that the
+    problem computes once."""
+    return build_sbl_mesh(problem.regime, kappa, p, mu=problem.mu, eps1=problem.eps1)
 
 
 def solve_on_sbl_mesh(problem: ProblemSpec, p: int, kappa: float = 1.0, nquad=None):
-    """Classify, build the layer-adapted mesh, and solve; returns
-    (regime, mesh, solution)."""
-    validate(problem)
-    regime, mesh_for = sbl_setup(problem, kappa)
-    mesh = mesh_for(p)
+    """Validate, build the layer-adapted mesh, and solve; returns
+    (regime, mesh, solution).  The problem is validated and set up once,
+    on its first solve."""
+    problem.gamma_hat  # validates, or raises AssumptionError
+    mesh = sbl_mesh(problem, p, kappa)
     u_p = solve(assemble(problem, mesh, p, nquad=nquad))
-    return regime, mesh, u_p
+    return problem.regime, mesh, u_p
 
 
 def convergence_study(
@@ -196,30 +198,30 @@ def convergence_study(
 ) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
     """Solve at each p of p_range, compute the degree-2p reference, and
     record relative energy errors in p_range order; per-case failures are
-    collected, not raised.  The problem is validated and set up once;
-    quad_double uses 2*quad_order(p) Gauss points in both solves at
-    degree p.
+    collected, not raised.  The problem is validated and set up once per
+    instance (see ProblemSpec); quad_double uses 2*quad_order(p) Gauss
+    points in both solves at degree p.
     """
     eps1, eps2 = problem.eps1, problem.eps2
     records: list[ConvergenceRecord] = []
     failures: list[CaseFailure] = []
     try:
-        validate(problem)
-        regime, mesh_for = sbl_setup(problem, kappa)
+        # validate and set up once: a failure here fails every p
+        problem.gamma_hat, problem.mu
     except Exception as exc:  # noqa: BLE001 - sweep must not abort
         return records, [CaseFailure(eps1, eps2, p, str(exc)) for p in p_range]
     for p in p_range:
         start = time.perf_counter()
         try:
             nquad = 2 * quad_order(p) if quad_double else None
-            mesh = mesh_for(p)
+            mesh = sbl_mesh(problem, p, kappa)
             u_p = solve(assemble(problem, mesh, p, nquad=nquad))
             u_ref = reference_solution(problem, mesh, p, nquad=nquad)
             err_abs, err_rel = energy_error(u_ref, u_p, problem)
             wall_ms = (time.perf_counter() - start) * 1e3
             records.append(
                 ConvergenceRecord(
-                    regime=regime.value,
+                    regime=problem.regime.value,
                     eps1=eps1,
                     eps2=eps2,
                     p=p,

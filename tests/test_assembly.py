@@ -21,7 +21,7 @@ from wg_hp.polybasis import gauss_rule, quad_order
 from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, model_problem
 from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.problem import Regime
-from wg_hp.verify import manufacture, sbl_setup
+from wg_hp.verify import manufacture, sbl_mesh
 from wg_hp.weakspace import WeakFunction, default_penalties, weak_derivative
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
@@ -230,15 +230,16 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     load_apply(v, prob)
     assert calls == [(prob.r, (3, 10)), (prob.f, (3, 10))]
 
-    # the error-equation terms: the interpolant's u on the quadrature points
-    # and the nodes, u' on the nodes, then u, b, b' and r on the points
+    # the error-equation terms: u on the quadrature points (shared by the
+    # interpolant and its error) and the nodes, u' on the nodes, then b, b'
+    # and r on the points
     case = manufacture("sin(3.141592653589793*x)", prob)
     calls.clear()
     verify.error_equation_terms(case, v)
     pts, nodes = (3, 10), (4,)
     assert calls == [
         (case.u_exact, pts), (case.u_exact, nodes), (case.u_prime, nodes),
-        (case.u_exact, pts), (prob.b, pts), (prob.b_prime, pts), (prob.r, pts),
+        (prob.b, pts), (prob.b_prime, pts), (prob.r, pts),
     ]
 
     # the definition residuals: per case, b and b' on all elements'
@@ -315,8 +316,7 @@ def test_assemble_matches_pinned_baseline(key, p, nodes):
     if u_text is not None:
         prob = manufacture(u_text, prob).problem
     if nodes is None:
-        _, mesh_for = sbl_setup(prob)
-        mesh, expected = mesh_for(p), ASSEMBLED_BASELINE[key, p]
+        mesh, expected = sbl_mesh(prob, p), ASSEMBLED_BASELINE[key, p]
     else:
         mesh, expected = user_mesh(nodes), USER_MESH_BASELINE[key, nodes]
     system = assemble(prob, mesh, p)

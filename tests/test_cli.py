@@ -79,6 +79,15 @@ def test_validation_error_exit_code(capsys):
     assert "assumption" in capsys.readouterr().err
 
 
+def test_layer_too_thin_to_resolve_exit_code(capsys):
+    # convection-diffusion layer width p*eps1 = 8e-13, below 1e-12
+    assert main(["solve", "--eps1", "1e-13", "--eps2", "1.0", "--p", "8"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "wg-hp: convection-diffusion mesh: layer element width 8e-13 is below 1e-12, "
+        "too thin to resolve the layer\n"
+    )
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["convergence", "--eps-grid", "1e-5", "--out", "/dev/null"]) == EXIT_USAGE
     # an eps pair out of range is a usage error wherever it sits in the grid

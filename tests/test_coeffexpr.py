@@ -22,7 +22,7 @@ from wg_hp.coeffexpr import (
 )
 from wg_hp.polybasis import gauss_rule, quad_order
 from wg_hp.problem import model_problem
-from wg_hp.verify import manufacture, sbl_setup
+from wg_hp.verify import manufacture, sbl_mesh
 
 
 def test_parse_model_convection_coefficient():
@@ -303,10 +303,9 @@ LAYER_CASES = (
 @pytest.mark.parametrize("eps1, eps2, u_text", LAYER_CASES)
 def test_manufactured_layer_cases_match_the_tree_walk_bit_for_bit(eps1, eps2, u_text):
     case = manufacture(u_text, model_problem(eps1, eps2))
-    _, mesh_for = sbl_setup(case.problem)
     points = list(_POINTS)
     for p in (8, 32, 64):
-        mesh = mesh_for(p)
+        mesh = sbl_mesh(case.problem, p)
         rule = gauss_rule(quad_order(p))
         points += [rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])[0], mesh.nodes]
     for e in (case.problem.f, case.u_exact, case.u_prime):

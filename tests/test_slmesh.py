@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wg_hp.problem import MuPair, Regime
-from wg_hp.slmesh import Mesh, build_sbl_mesh, user_mesh
+from wg_hp.slmesh import Mesh, MeshDegeneracyError, build_sbl_mesh, user_mesh
 
 RCD = Regime.REACTION_CONVECTION_DIFFUSION
 RD = Regime.REACTION_DIFFUSION
@@ -42,10 +42,22 @@ def test_rcd_fallback_when_one_layer_too_wide():
     assert mesh.n_elements == 1
 
 
-def test_degenerate_interior_node_collapses():
-    # layer width below the degeneracy tolerance would leave a zero-width element
-    mesh = build_sbl_mesh(RD, kappa=1.0, p=1, eps1=1e-28)
-    assert mesh.n_elements == 1
+DEGENERATE = [
+    (RD, dict(p=1, eps1=1e-28), "1e-14"),
+    (RCD, dict(p=4, mu=MuPair(100.0, 1e14)), "4e-14"),
+    (CD, dict(p=4, eps1=1e-14), "4e-14"),
+]
+
+
+@pytest.mark.parametrize(
+    "regime, params, width", DEGENERATE, ids=[regime.value for regime, _, _ in DEGENERATE]
+)
+def test_degenerate_interior_node_raises(regime, params, width):
+    # a layer width below the degeneracy tolerance: the mesh cannot resolve
+    # the layer, and one element [0, 1] would ignore it without a word
+    message = f"{regime.value} mesh: layer element width {width} is below 1e-12"
+    with pytest.raises(MeshDegeneracyError, match=message):
+        build_sbl_mesh(regime, kappa=1.0, **params)
 
 
 def test_missing_parameters_raise():

@@ -1,12 +1,15 @@
 """Manufactured solutions, reference solutions and the convergence study."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from wg_hp.coeffexpr import evaluate, parse
 from wg_hp.polybasis import interpolate, l2_project
 from wg_hp.problem import ProblemSpec, Regime, model_problem
-from wg_hp.slmesh import build_sbl_mesh, user_mesh
+from wg_hp.slmesh import MeshDegeneracyError, build_sbl_mesh, user_mesh
 from wg_hp.verify import (
     BoundaryValueError,
     convergence_study,
@@ -16,7 +19,7 @@ from wg_hp.verify import (
     interpolant_weakfunction,
     manufacture,
     reference_solution,
-    sbl_setup,
+    sbl_mesh,
     solve_on_sbl_mesh,
 )
 from wg_hp.assembly import assemble, bilinear_apply, solve
@@ -201,23 +204,30 @@ def test_study_collects_failures_instead_of_raising():
 
 
 def test_study_sets_up_each_eps_pair_once(monkeypatch):
-    import wg_hp.verify as verify
+    import wg_hp.problem as problem_mod
 
     setups = []
+    validations = []
     mu_calls = []
-    real_classify = verify.classify_regime
-    real_mu = verify.compute_mu
+    real_classify = problem_mod.classify_regime
+    real_validate = problem_mod.validate
+    real_mu = problem_mod.compute_mu
 
     def counting_classify_regime(eps1, eps2):
         setups.append((eps1, eps2))
         return real_classify(eps1, eps2)
 
+    def counting_validate(spec):
+        validations.append((spec.eps1, spec.eps2))
+        return real_validate(spec)
+
     def counting_compute_mu(spec):
         mu_calls.append((spec.eps1, spec.eps2))
         return real_mu(spec)
 
-    monkeypatch.setattr(verify, "classify_regime", counting_classify_regime)
-    monkeypatch.setattr(verify, "compute_mu", counting_compute_mu)
+    monkeypatch.setattr(problem_mod, "classify_regime", counting_classify_regime)
+    monkeypatch.setattr(problem_mod, "validate", counting_validate)
+    monkeypatch.setattr(problem_mod, "compute_mu", counting_compute_mu)
     grid = [(1e-5, 1e-2), (1e-4, 1e-4)]
     records, failures = [], []
     for eps1, eps2 in grid:
@@ -226,6 +236,7 @@ def test_study_sets_up_each_eps_pair_once(monkeypatch):
         failures += fails
     assert failures == [] and len(records) == 6
     assert setups == grid
+    assert validations == grid
     # only the reaction-convection-diffusion pair's mesh reads mu
     assert mu_calls == [(1e-5, 1e-2)]
 
@@ -239,24 +250,78 @@ def test_study_sets_up_each_eps_pair_once(monkeypatch):
     ],
 )
 def test_sbl_setup_computes_mu_only_where_the_mesh_reads_it(monkeypatch, eps1, eps2, mu_calls):
-    import wg_hp.verify as verify
+    import wg_hp.problem as problem_mod
 
     calls = []
-    real = verify.compute_mu
+    real = problem_mod.compute_mu
 
     def counting_compute_mu(spec):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(verify, "compute_mu", counting_compute_mu)
+    monkeypatch.setattr(problem_mod, "compute_mu", counting_compute_mu)
     prob = model_problem(eps1, eps2)
-    regime, mesh_for = sbl_setup(prob)
+    assert (prob.mu is None) == (mu_calls == 0)
     assert len(calls) == mu_calls
     mu = real(prob)
     for p in (1, 4, 16, 40):
-        expect = build_sbl_mesh(regime, 1.0, p, mu=mu, eps1=eps1)
-        assert np.array_equal(mesh_for(p).nodes, expect.nodes)
+        expect = build_sbl_mesh(prob.regime, 1.0, p, mu=mu, eps1=eps1)
+        assert np.array_equal(sbl_mesh(prob, p).nodes, expect.nodes)
     assert len(calls) == mu_calls
+
+
+def test_solve_on_sbl_mesh_sets_up_each_problem_once(monkeypatch):
+    import wg_hp.problem as problem_mod
+
+    calls = {"validate": 0, "compute_mu": 0}
+    for name in calls:
+        real = getattr(problem_mod, name)
+
+        def counting(spec, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(spec)
+
+        monkeypatch.setattr(problem_mod, name, counting)
+    # reaction-convection-diffusion, so the mesh reads mu
+    case = manufacture("x*(1 - exp(-(1-x)/1e-4))", model_problem(1e-6, 1e-2))
+    for p in (8, 16, 24):
+        regime, _, _ = solve_on_sbl_mesh(case.problem, p)
+    assert regime is Regime.REACTION_CONVECTION_DIFFUSION
+    assert calls == {"validate": 1, "compute_mu": 1}
+
+
+def test_barely_positive_gamma_hat_warns_once_per_problem():
+    # b' = 0, so gamma_hat is r = 1e-10
+    prob = ProblemSpec.from_strings(1e-4, 1e-2, "1", "1e-10", "1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in (2, 4, 6):
+            solve_on_sbl_mesh(prob, p)
+    assert [str(w.message) for w in caught if "barely positive" in str(w.message)] == [
+        "gamma_hat = 1e-10 is barely positive; the problem is close to losing unique solvability"
+    ]
+
+
+@pytest.mark.parametrize(
+    "eps1, eps2, regime",
+    [
+        # layer width kappa*p*eps1 = 8e-13
+        (1e-13, 1.0, Regime.CONVECTION_DIFFUSION),
+        # layer width kappa*p/mu1 with mu1 about eps2*cos(1)/eps1
+        (1e-16, 1e-2, Regime.REACTION_CONVECTION_DIFFUSION),
+    ],
+)
+def test_layer_too_thin_to_resolve_fails_instead_of_collapsing(eps1, eps2, regime):
+    prob = model_problem(eps1, eps2)
+    assert prob.regime is regime
+    message = rf"^{regime.value} mesh: layer element width [0-9.e-]+ is below 1e-12"
+    with pytest.raises(MeshDegeneracyError, match=message):
+        solve_on_sbl_mesh(prob, 8)
+    records, failures = convergence_study(prob, [4, 8])
+    assert records == []
+    assert [f.p for f in failures] == [4, 8]
+    for failure in failures:
+        assert re.match(message, failure.message)
 
 
 def test_study_accurate_beyond_110_quadrature_points():
