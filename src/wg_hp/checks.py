@@ -80,12 +80,17 @@ class _Tally:
         return SuiteResult(name, self.failed == 0, self.n, self.failed, detail)
 
 
-def _cases(u_text: str | None = None):
+def _problems() -> tuple:
+    """The stock model problem at each pair of EPS_PAIRS."""
+    return tuple(model_problem(eps1, eps2) for eps1, eps2 in EPS_PAIRS)
+
+
+def _cases(problems=None, u_text: str | None = None):
     """Yield (problem, mesh, p) over the regime grid and degree sweep; with
     u_text, yield the manufactured case for that exact solution in place of
-    the problem."""
-    for eps1, eps2 in EPS_PAIRS:
-        prob = model_problem(eps1, eps2)
+    the problem.  problems holds one problem per EPS_PAIRS entry, so that
+    every suite shares their set-up; None builds them afresh."""
+    for prob in _problems() if problems is None else problems:
         item = prob if u_text is None else manufacture(u_text, prob)
         for p in DEGREES:
             yield item, sbl_mesh(prob, p), p
@@ -104,12 +109,12 @@ def _sigmas(problem, mesh, p, sigma_override):
     return np.full(mesh.n_elements, float(sigma_override))
 
 
-def suite_definition_residuals(rng, **_) -> SuiteResult:
+def suite_definition_residuals(rng, problems=None, **_) -> SuiteResult:
     """Both weak derivatives satisfy their defining duality relation
     against every admissible test polynomial."""
     tally = _Tally()
     worst = 0.0
-    for prob, mesh, p in _cases():
+    for prob, mesh, p in _cases(problems):
         v = _random_weakfunction(rng, mesh, p)
         d = weak_derivative(v)
         dc = weak_convection_derivative(v, prob.b, prob.b_prime)
@@ -150,11 +155,11 @@ def suite_definition_residuals(rng, **_) -> SuiteResult:
     return tally.result("definition-residuals", f"worst residual {worst:.2e}")
 
 
-def suite_coercivity_solve(rng, sigma_override=None, **_) -> SuiteResult:
+def suite_coercivity_solve(rng, problems=None, sigma_override=None, **_) -> SuiteResult:
     """Penalty condition, a provable coercivity bound, solvability of the
     assembled system, and Galerkin orthogonality of the computed solution."""
     tally = _Tally()
-    for prob, mesh, p in _cases():
+    for prob, mesh, p in _cases(problems):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         required = prob.eps1 * p**2 / mesh.widths
         ok = bool(np.all(required <= C_SIGMA * sigmas * (1 + 1e-12)))
@@ -185,11 +190,11 @@ def suite_coercivity_solve(rng, sigma_override=None, **_) -> SuiteResult:
     return tally.result("coercivity-solve")
 
 
-def suite_norm_equivalence(rng, sigma_override=None, **_) -> SuiteResult:
+def suite_norm_equivalence(rng, problems=None, sigma_override=None, **_) -> SuiteResult:
     """norm_p and norm_broken stay within a fixed envelope of each other."""
     tally = _Tally()
     lo, hi = np.inf, 0.0
-    for prob, mesh, p in _cases():
+    for prob, mesh, p in _cases(problems):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         for _trial in range(5):
             v = _random_weakfunction(rng, mesh, p)
@@ -204,11 +209,11 @@ def suite_norm_equivalence(rng, sigma_override=None, **_) -> SuiteResult:
     return tally.result("norm-equivalence", f"ratio range [{lo:.3g}, {hi:.3g}]")
 
 
-def suite_error_equation(rng, **_) -> SuiteResult:
+def suite_error_equation(rng, problems=None, **_) -> SuiteResult:
     """A(Iu - u_p, v) equals the three consistency-error terms."""
     tally = _Tally()
     worst = 0.0
-    for case, mesh, p in _cases("sin(3.141592653589793*x)"):
+    for case, mesh, p in _cases(problems, "sin(3.141592653589793*x)"):
         prob = case.problem
         nq = quad_order(p)
         u_p = solve(assemble(prob, mesh, p, nquad=nq))
@@ -223,10 +228,10 @@ def suite_error_equation(rng, **_) -> SuiteResult:
     return tally.result("error-equation", f"worst residual {worst:.2e}")
 
 
-def suite_polynomial_reproduction(rng, **_) -> SuiteResult:
+def suite_polynomial_reproduction(rng, problems=None, **_) -> SuiteResult:
     """The method reproduces a polynomial exact solution to roundoff."""
     tally = _Tally()
-    for case, mesh, p in _cases("x*(1-x)"):
+    for case, mesh, p in _cases(problems, "x*(1-x)"):
         u_p = solve(assemble(case.problem, mesh, p))
         u_star = exact_weakfunction(case, mesh, p)
         _, rel = energy_error(u_star, u_p, case.problem)
@@ -234,12 +239,12 @@ def suite_polynomial_reproduction(rng, **_) -> SuiteResult:
     return tally.result("polynomial-reproduction")
 
 
-def suite_quadrature_stability(rng, sigma_override=None, **_) -> SuiteResult:
+def suite_quadrature_stability(rng, problems=None, sigma_override=None, **_) -> SuiteResult:
     """Assembled matrices and bilinear-form values are unchanged (to 1e-10)
     under a doubled quadrature order."""
     tally = _Tally()
     worst = 0.0
-    for prob, mesh, p in _cases():
+    for prob, mesh, p in _cases(problems):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         nq = quad_order(p)
         sys1 = assemble(prob, mesh, p, sigmas=sigmas, nquad=nq)
@@ -280,10 +285,12 @@ def run_check(
     sigma_override replaces the default per-element penalties with a
     constant (0.0 deliberately violates the penalty condition and makes
     the coercivity-solve suite fail).  quad_double adds the doubled
-    quadrature stability suite.
+    quadrature stability suite.  The problems are built once and shared by
+    every suite, so each is validated and set up once per run.
     """
     rng = np.random.default_rng(seed)
+    problems = _problems()
     suites = list(SUITES)
     if quad_double:
         suites.append(suite_quadrature_stability)
-    return [fn(rng, sigma_override=sigma_override) for fn in suites]
+    return [fn(rng, problems=problems, sigma_override=sigma_override) for fn in suites]

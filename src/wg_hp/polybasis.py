@@ -143,13 +143,16 @@ def l2_project(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
 def l2_coefficients(fx, p: int, nquad: int | None = None) -> np.ndarray:
     """Coefficients of the L2 projection onto P_p of the function whose
     values at one element's quad_order(p, nquad) mapped Gauss points are
-    fx."""
+    fx.  fx may stack the values of several elements, shape (..., nq); the
+    projector is built once and applied to each element's row with the
+    same matrix-vector product."""
     if p < 0:
         raise ValueError("degree must be >= 0")
     rule, vander, _ = basis_tables(p, quad_order(p, nquad))
-    fx = np.broadcast_to(np.asarray(fx, dtype=float), rule.nodes.shape)
+    fx = np.asarray(fx, dtype=float)
+    fx = np.broadcast_to(fx, fx.shape[:-1] + rule.nodes.shape)
     k = np.arange(p + 1)
-    return (2 * k + 1) / 2.0 * ((vander.T * rule.weights) @ fx)
+    return (2 * k + 1) / 2.0 * ((vander.T * rule.weights) @ fx[..., None])[..., 0]
 
 
 def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:

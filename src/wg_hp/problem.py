@@ -110,8 +110,9 @@ def validate(spec: ProblemSpec, samples: int = 257) -> float:
     gamma_hat = float(np.min(gv))
     if gamma_hat < 1e-8:
         warnings.warn(
-            f"gamma_hat = {gamma_hat:.3g} is barely positive; the problem is "
-            "close to losing unique solvability",
+            f"gamma_hat = {gamma_hat:.3g} is barely positive for eps1 = "
+            f"{spec.eps1:g}, eps2 = {spec.eps2:g}; the problem is close to "
+            "losing unique solvability",
             stacklevel=2,
         )
     return gamma_hat

@@ -20,7 +20,7 @@ from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolant_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
-from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken
+from wg_hp.weakspace import WeakFunction, check_same_mesh, default_penalties, energy_norms
 
 
 class BoundaryValueError(Exception):
@@ -143,11 +143,18 @@ def energy_error(
     approximation, with the default penalties at the higher degree.
 
     Returns (absolute, relative); relative is against the norm of u_hi.
+    Both norms are norm_broken's, bit for bit, of u_hi - u_lo (u_lo padded
+    with zero coefficients to u_hi's degree) and of u_hi, from one call of
+    the stacked kernel.
     """
-    diff = u_hi - u_lo.pad_to_degree(u_hi.degree)
+    if u_lo.degree > u_hi.degree:
+        raise ValueError("u_lo must not have a higher degree than u_hi")
+    check_same_mesh(u_hi, u_lo)
+    coeffs = np.array([u_hi.coeffs, u_hi.coeffs])
+    coeffs[0, :, : u_lo.degree + 1] -= u_lo.coeffs
+    vb = np.array([u_hi.vb - u_lo.vb, u_hi.vb])
     sigmas = default_penalties(u_hi.mesh, u_hi.degree, problem.eps1)
-    absolute = norm_broken(diff, problem, sigmas)
-    scale = norm_broken(u_hi, problem, sigmas)
+    absolute, scale = energy_norms(u_hi.mesh, coeffs, vb, problem, sigmas).tolist()
     relative = absolute / scale if scale > 0 else (0.0 if absolute == 0 else np.inf)
     return absolute, relative
 

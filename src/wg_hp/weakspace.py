@@ -100,8 +100,7 @@ class WeakFunction:
         quadrature points at once, as an (N, nq) array, and on the nodes."""
         rule = gauss_rule(quad_order(p, nquad))
         x, _ = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-        fx = np.broadcast_to(np.asarray(y(x), dtype=float), x.shape)
-        coeffs = np.array([l2_coefficients(row, p, nquad) for row in fx])
+        coeffs = l2_coefficients(np.broadcast_to(y(x), x.shape), p, nquad)
         return cls(mesh, coeffs, np.broadcast_to(y(mesh.nodes), mesh.nodes.shape))
 
     def element_poly(self, j: int) -> ElementPoly:
@@ -136,9 +135,14 @@ class WeakFunction:
     __rmul__ = __mul__
 
 
-def _check_compatible(u: WeakFunction, v: WeakFunction):
+def check_same_mesh(u: WeakFunction, v: WeakFunction):
+    """Raise MeshMismatchError unless u and v live on the same mesh."""
     if u.mesh.nodes.shape != v.mesh.nodes.shape or not np.array_equal(u.mesh.nodes, v.mesh.nodes):
         raise MeshMismatchError("weak functions live on different meshes")
+
+
+def _check_compatible(u: WeakFunction, v: WeakFunction):
+    check_same_mesh(u, v)
     if u.degree != v.degree:
         raise MeshMismatchError("weak functions have different degrees")
 
@@ -259,46 +263,57 @@ def _legder_rows(c: np.ndarray) -> np.ndarray:
     return s[:, 1:] * (2 * np.arange(c.shape[1] - 1) + 1)
 
 
-def _broken_deriv_norm_sq(v: WeakFunction) -> float:
-    """sum_j ElementPoly.derivative().l2_norm()**2 over the elements, with
-    one differentiation for all of them."""
-    widths = v.mesh.widths
-    dc = _legder_rows(v.coeffs) * (2.0 / widths)[:, None]
-    k = np.arange(dc.shape[1])
-    terms = dc**2 * widths[:, None] / (2 * k + 1)
-    total = 0.0
-    for row in terms:  # a 1-D sum per element: a 2-D row sum rounds differently
-        total += float(np.sqrt(np.sum(row))) ** 2
-    return total
+def energy_norms(mesh: Mesh, coeffs, vb, problem, sigmas, deriv_sq=None) -> np.ndarray:
+    """The energy norms of k weak functions on one mesh, from their stacked
+    interior coefficients (k, N, P+1) and node values (k, N+1).
 
-
-def _energy_norm(v: WeakFunction, problem, sigmas, deriv_sq: float) -> float:
-    """The energy norm given the squared L2 norm of v's derivative; the
-    other four terms are common to norm_p and norm_broken.  They repeat the
-    arithmetic of stabilizer_S(v, v), stabilizer_Sc(v, v) and
-    jump_seminorm(v)**2 with the jumps and b at the nodes computed once."""
-    left, right = v.jumps()
-    b_out = evaluate(problem.b, v.mesh.nodes[1:])
-    weights = np.ones(v.mesh.n_elements)
+    deriv_sq holds the k squared L2 norms of the derivatives; None takes
+    the broken classical derivative of each v0.  The five terms repeat the
+    arithmetic of eps1 * sum_j ElementPoly.derivative().l2_norm()**2,
+    BrokenPoly.l2_norm_sq(), stabilizer_S(v, v), stabilizer_Sc(v, v) and
+    jump_seminorm(v)**2, with the jumps, b at the nodes and the weights
+    computed once, and one differentiation for all k*N elements."""
+    k_fns, n, cols = coeffs.shape
+    widths = mesh.widths[:, None]
+    left = coeffs @ _alt_signs(cols) - vb[:, :-1]
+    right = coeffs @ np.ones(cols) - vb[:, 1:]
+    b_out = evaluate(problem.b, mesh.nodes[1:])
+    weights = np.ones(n)
     weights[-1] = 0.5
     sig = np.asarray(sigmas, dtype=float)
+    k = np.arange(cols)
+    l2_sq = (coeffs**2 * (widths / (2 * k + 1))).reshape(k_fns, -1).sum(axis=1)
+    if deriv_sq is None:
+        dc = _legder_rows(coeffs.reshape(k_fns * n, cols)).reshape(k_fns, n, cols - 1)
+        dc *= 2.0 / widths
+        # each element's norm is rounded, then squared as a Python float,
+        # as ElementPoly.derivative().l2_norm() ** 2 is
+        roots = np.sqrt((dc**2 * widths / (2 * k[:-1] + 1)).sum(axis=2)).tolist()
+        deriv_sq = []
+        for fn_roots in roots:
+            total = 0.0
+            for root in fn_roots:
+                total += root**2
+            deriv_sq.append(total)
+    jump_norm = np.sqrt((weights * problem.eps2 * b_out * right**2).sum(axis=1)).tolist()
     sq = (
-        problem.eps1 * deriv_sq
-        + BrokenPoly(v.mesh, v.coeffs).l2_norm_sq()
-        + float(np.sum(sig * (right * right + left * left)))
-        + float(np.sum(problem.eps2 * b_out * right * right))
-        + float(np.sqrt(np.sum(weights * problem.eps2 * b_out * right**2))) ** 2
+        problem.eps1 * np.array(deriv_sq)
+        + l2_sq
+        + (sig * (right * right + left * left)).sum(axis=1)
+        + (problem.eps2 * b_out * right * right).sum(axis=1)
+        + np.array([j**2 for j in jump_norm])
     )
-    return float(np.sqrt(max(sq, 0.0)))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def norm_p(v: WeakFunction, problem, sigmas) -> float:
     """Energy norm using the weak derivative D_{p-1}."""
     if v.degree < 1:
         raise ValueError("norm_p needs degree p >= 1")
-    return _energy_norm(v, problem, sigmas, weak_derivative(v).l2_norm_sq())
+    deriv_sq = [weak_derivative(v).l2_norm_sq()]
+    return float(energy_norms(v.mesh, v.coeffs[None], v.vb[None], problem, sigmas, deriv_sq)[0])
 
 
 def norm_broken(v: WeakFunction, problem, sigmas) -> float:
     """Energy norm using the broken classical derivative of v0."""
-    return _energy_norm(v, problem, sigmas, _broken_deriv_norm_sq(v))
+    return float(energy_norms(v.mesh, v.coeffs[None], v.vb[None], problem, sigmas)[0])

@@ -1,5 +1,7 @@
 """Problem validation, layer-strength parameters and regime classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,19 @@ def test_barely_positive_gamma_warns():
     spec = ProblemSpec.from_strings(1e-3, 1e-3, "1", "1e-10", "1")
     with pytest.warns(UserWarning, match="barely positive"):
         validate(spec)
+
+
+def test_barely_positive_gamma_warns_once_for_each_eps_pair():
+    # the default filter prints a given text from one line once, so the
+    # text names the pair: two pairs give two warnings, a repeat gives none
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for eps1, eps2 in ((1e-4, 1e-2), (1e-3, 1e-2), (1e-4, 1e-2)):
+            validate(ProblemSpec.from_strings(eps1, eps2, "1", "1e-10", "1"))
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "eps1 = 0.0001, eps2 = 0.01" in messages[0]
+    assert "eps1 = 0.001, eps2 = 0.01" in messages[1]
 
 
 def test_parameter_range_enforced():

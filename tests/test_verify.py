@@ -23,6 +23,7 @@ from wg_hp.verify import (
     solve_on_sbl_mesh,
 )
 from wg_hp.assembly import assemble, bilinear_apply, solve
+from wg_hp.weakspace import MeshMismatchError, WeakFunction, default_penalties, norm_broken
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
 
@@ -117,6 +118,43 @@ def test_energy_error_zero_and_homogeneity():
     a2, r2 = energy_error(3.0 * ref, 3.0 * u_p, prob)
     assert a2 == pytest.approx(3.0 * a1, rel=1e-12)
     assert r2 == pytest.approx(r1, rel=1e-12)
+
+
+def test_energy_error_is_norm_broken_of_the_padded_difference():
+    # the stacked estimate reproduces, bit for bit, norm_broken of
+    # u_hi - u_lo.pad_to_degree(P) and its ratio to norm_broken(u_hi)
+    prob = model_problem(1e-5, 1e-2)
+    rng = np.random.default_rng(61)
+    meshes = [user_mesh([0.0, 1.0]), user_mesh([0.0, 0.35, 1.0]), user_mesh([0.0, 1e-3, 0.9, 1.0])]
+    for P in range(1, 65):
+        for mesh in meshes:
+            n = mesh.n_elements
+            sigmas = default_penalties(mesh, P, prob.eps1)
+            u_hi = WeakFunction(mesh, rng.standard_normal((n, P + 1)), rng.standard_normal(n + 1))
+            for lo_degree in (P, P // 2):
+                u_lo = WeakFunction(
+                    mesh, rng.standard_normal((n, lo_degree + 1)), rng.standard_normal(n + 1)
+                )
+                absolute, relative = energy_error(u_hi, u_lo, prob)
+                expect = norm_broken(u_hi - u_lo.pad_to_degree(P), prob, sigmas)
+                assert absolute == expect, (P, n, lo_degree)
+                assert relative == expect / norm_broken(u_hi, prob, sigmas), (P, n, lo_degree)
+
+
+def test_energy_error_rejects_other_meshes_and_a_higher_degree_u_lo():
+    prob = model_problem(1e-5, 1e-2)
+    mesh = user_mesh([0.0, 0.5, 1.0])
+    u = WeakFunction(mesh, np.ones((2, 5)), [0.0, 1.0, 0.0])
+    for other in (user_mesh([0.0, 0.4, 1.0]), user_mesh([0.0, 0.2, 0.6, 1.0])):
+        with pytest.raises(MeshMismatchError):
+            energy_error(u, WeakFunction.zeros(other, 2), prob)
+    with pytest.raises(ValueError):
+        energy_error(u, WeakFunction.zeros(mesh, 5), prob)
+    # a zero reference norm gives a relative error of 0 or inf
+    zero = WeakFunction.zeros(mesh, 4)
+    assert energy_error(zero, WeakFunction.zeros(mesh, 2), prob) == (0.0, 0.0)
+    absolute, relative = energy_error(zero, u, prob)
+    assert absolute > 0 and relative == np.inf
 
 
 def test_error_equation_identity():
@@ -298,7 +336,8 @@ def test_barely_positive_gamma_hat_warns_once_per_problem():
         for p in (2, 4, 6):
             solve_on_sbl_mesh(prob, p)
     assert [str(w.message) for w in caught if "barely positive" in str(w.message)] == [
-        "gamma_hat = 1e-10 is barely positive; the problem is close to losing unique solvability"
+        "gamma_hat = 1e-10 is barely positive for eps1 = 0.0001, eps2 = 0.01; the problem is "
+        "close to losing unique solvability"
     ]
 
 
