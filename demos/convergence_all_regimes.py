@@ -9,11 +9,13 @@ magnitude, which is the whole point of combining the weak Galerkin method
 with spectral boundary-layer meshes.
 """
 
-import numpy as np
-
+# wg_hp before numpy: the package pins OpenBLAS to one thread, which
+# only holds if numpy is not loaded yet
 from wg_hp import model_problem
 from wg_hp.verify import convergence_study
 from wg_hp.svgplot import semilog_plot
+
+import numpy as np
 
 GRID = [
     (1e-5, 1e-2),   # reaction-convection-diffusion

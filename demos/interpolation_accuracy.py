@@ -7,9 +7,11 @@ matches the endpoint values exactly and keeps its derivative L2-optimal,
 which is exactly what the discretization error analysis consumes.
 """
 
-import numpy as np
-
+# wg_hp before numpy: the package pins OpenBLAS to one thread, which
+# only holds if numpy is not loaded yet
 from wg_hp.polybasis import gauss_rule, interpolate, l2_project
+
+import numpy as np
 
 rule = gauss_rule(60)
 x, w = rule.mapped(0.0, 1.0)

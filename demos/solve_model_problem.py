@@ -10,11 +10,13 @@ values; the jumps between them are the price of the discontinuous space
 and stay far below the solution scale.
 """
 
-import numpy as np
-
+# wg_hp before numpy: the package pins OpenBLAS to one thread, which
+# only holds if numpy is not loaded yet
 from wg_hp import model_problem
 from wg_hp.verify import solve_on_sbl_mesh
 from wg_hp.svgplot import solution_plot
+
+import numpy as np
 
 prob = model_problem(1e-5, 1e-2)
 regime, mesh, u_p = solve_on_sbl_mesh(prob, p=4)

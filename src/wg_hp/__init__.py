@@ -10,11 +10,20 @@ Importing the package pins OpenBLAS to one thread unless
 OPENBLAS_NUM_THREADS is already set: the dense products and solves round
 differently at other thread counts, and the CSV outputs are promised
 byte-identical across reruns.  OpenBLAS reads the variable once, when numpy
-is first imported, so this has no effect if numpy was imported earlier.
+is first imported, so if numpy was imported earlier this has no effect and
+the import warns.
 """
 
 import os
+import sys
+import warnings
 
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" in sys.modules:
+    warnings.warn(
+        "numpy was imported before wg_hp, so OPENBLAS_NUM_THREADS=1 cannot take effect "
+        "and outputs may change; import wg_hp first or set OPENBLAS_NUM_THREADS=1",
+        RuntimeWarning,
+    )
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse

@@ -200,7 +200,7 @@ def bilinear_apply(
     if sigmas is None:
         sigmas = default_penalties(u.mesh, p, problem.eps1)
     du = weak_derivative(u)
-    dv = weak_derivative(v)
+    dv = du if v is u else weak_derivative(v)
     dcu = weak_convection_derivative(u, problem.b, problem.b_prime, nquad)
 
     k_lo = np.arange(p)
@@ -217,11 +217,11 @@ def bilinear_apply(
     nodes = u.mesh.nodes
     x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
     rv = evaluate(problem.r, x)
+    u0 = npleg.legval(rule.nodes, u.coeffs.T)
+    v0 = u0 if v is u else npleg.legval(rule.nodes, v.coeffs.T)
     term3 = 0.0
-    for j in range(u.mesh.n_elements):
-        u0 = npleg.legval(rule.nodes, u.coeffs[j])
-        v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        term3 += float(np.sum(w[j] * rv[j] * u0 * v0))
+    for row in (w * rv * u0 * v0).sum(axis=1).tolist():
+        term3 += row
 
     return (
         term1
@@ -239,7 +239,6 @@ def load_apply(v: WeakFunction, problem: ProblemSpec, nquad: int | None = None) 
     x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
     fv = evaluate(problem.f, x)
     total = 0.0
-    for j in range(v.mesh.n_elements):
-        v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        total += float(np.sum(w[j] * fv[j] * v0))
+    for row in (w * fv * npleg.legval(rule.nodes, v.coeffs.T)).sum(axis=1).tolist():
+        total += row
     return total

@@ -85,15 +85,21 @@ def _problems() -> tuple:
     return tuple(model_problem(eps1, eps2) for eps1, eps2 in EPS_PAIRS)
 
 
-def _cases(problems=None, u_text: str | None = None):
-    """Yield (problem, mesh, p) over the regime grid and degree sweep; with
-    u_text, yield the manufactured case for that exact solution in place of
-    the problem.  problems holds one problem per EPS_PAIRS entry, so that
-    every suite shares their set-up; None builds them afresh."""
-    for prob in _problems() if problems is None else problems:
-        item = prob if u_text is None else manufacture(u_text, prob)
-        for p in DEGREES:
-            yield item, sbl_mesh(prob, p), p
+def _case_list() -> list:
+    """(problem, mesh, p) over the regime grid and degree sweep, with one
+    problem per EPS_PAIRS entry shared by its degrees."""
+    return [(prob, sbl_mesh(prob, p), p) for prob in _problems() for p in DEGREES]
+
+
+def _cases(cases=None, u_text: str | None = None):
+    """Yield the (problem, mesh, p) of cases, shared by every suite of a run
+    (None builds them afresh); with u_text, yield the manufactured case for
+    that exact solution, made once per problem, in place of the problem."""
+    last = item = None
+    for prob, mesh, p in _case_list() if cases is None else cases:
+        if prob is not last:
+            last, item = prob, prob if u_text is None else manufacture(u_text, prob)
+        yield item, mesh, p
 
 
 def _random_weakfunction(rng, mesh, p) -> WeakFunction:
@@ -109,57 +115,57 @@ def _sigmas(problem, mesh, p, sigma_override):
     return np.full(mesh.n_elements, float(sigma_override))
 
 
-def suite_definition_residuals(rng, problems=None, **_) -> SuiteResult:
+def _definition_residuals(prob, mesh, p, v) -> tuple[list, list]:
+    """The duality residuals of D v against P_0..P_{p-1} and of Dc v against
+    P_0..P_p, one row per element, relative to the size of v there; every
+    element and test degree at once, each moment a row sum."""
+    d = weak_derivative(v)
+    dc = weak_convection_derivative(v, prob.b, prob.b_prime)
+    rule = gauss_rule(quad_order(p) + p)
+    t = rule.nodes
+    # b and b' on all elements' quadrature points, and vb * b at the nodes
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    bv = evaluate(prob.b, x)[:, None, :]
+    bpv = evaluate(prob.b_prime, x)[:, None, :]
+    vb = v.vb[:, None]
+    vbb = vb * evaluate(prob.b, mesh.nodes)[:, None]
+    # the test polynomials P_k and, on each element, their derivatives in x
+    q = npleg.legval(t, np.eye(p + 1))
+    dq = np.array([legendre_eval(k, t)[1] for k in range(p + 1)])
+    dq = dq * (2.0 / mesh.widths)[:, None, None]
+    wv0 = (w * npleg.legval(t, v.coeffs.T))[:, None, :]
+    sign = (-1.0) ** np.arange(p + 1)
+    lhs = ((w * npleg.legval(t, d.coeffs.T))[:, None, :] * q[:p]).sum(axis=2)
+    rhs = -(wv0 * dq[:, :p]).sum(axis=2) + vb[1:] - vb[:-1] * sign[:p]
+    c_lhs = ((w * npleg.legval(t, dc.coeffs.T))[:, None, :] * q).sum(axis=2)
+    c_rhs = -(wv0 * (bpv * q + bv * dq)).sum(axis=2) + vbb[1:] - vbb[:-1] * sign
+    size = np.max(np.abs(v.coeffs), axis=1) + np.abs(v.vb[:-1]) + np.abs(v.vb[1:])
+    scale = np.maximum(size, 1.0)[:, None]
+    return (np.abs(lhs - rhs) / scale).tolist(), (np.abs(c_lhs - c_rhs) / scale).tolist()
+
+
+def suite_definition_residuals(rng, cases=None, **_) -> SuiteResult:
     """Both weak derivatives satisfy their defining duality relation
     against every admissible test polynomial."""
     tally = _Tally()
     worst = 0.0
-    for prob, mesh, p in _cases(problems):
+    for prob, mesh, p in _cases(cases):
         v = _random_weakfunction(rng, mesh, p)
-        d = weak_derivative(v)
-        dc = weak_convection_derivative(v, prob.b, prob.b_prime)
-        rule = gauss_rule(quad_order(p) + p)
-        # b and b' on all elements' quadrature points, and b at the nodes
-        x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-        bv = evaluate(prob.b, x)
-        bpv = evaluate(prob.b_prime, x)
-        b_nodes = evaluate(prob.b, mesh.nodes)
-        for j in range(mesh.n_elements):
-            h = mesh.widths[j]
-            v0 = npleg.legval(rule.nodes, v.coeffs[j])
-            scale = max(1.0, float(np.max(np.abs(v.coeffs[j]))) + abs(v.vb[j]) + abs(v.vb[j + 1]))
-            for k in range(p):
-                q = npleg.legval(rule.nodes, np.eye(p)[k])
-                dq = legendre_eval(k, rule.nodes)[1] * (2.0 / h)
-                lhs = float(np.sum(w[j] * npleg.legval(rule.nodes, d.coeffs[j]) * q))
-                rhs = (
-                    -float(np.sum(w[j] * v0 * dq))
-                    + v.vb[j + 1] * 1.0
-                    - v.vb[j] * (-1.0) ** k
-                )
-                resid = abs(lhs - rhs) / scale
+        for d_row, dc_row in zip(*_definition_residuals(prob, mesh, p, v)):
+            for resid in d_row:
                 worst = max(worst, resid)
                 tally.check(resid <= 1e-10, f"D residual {resid:.2e} (p={p})")
-            for k in range(p + 1):
-                q = npleg.legval(rule.nodes, np.eye(p + 1)[k])
-                dq = legendre_eval(k, rule.nodes)[1] * (2.0 / h)
-                lhs = float(np.sum(w[j] * npleg.legval(rule.nodes, dc.coeffs[j]) * q))
-                rhs = (
-                    -float(np.sum(w[j] * v0 * (bpv[j] * q + bv[j] * dq)))
-                    + v.vb[j + 1] * b_nodes[j + 1]
-                    - v.vb[j] * b_nodes[j] * (-1.0) ** k
-                )
-                resid = abs(lhs - rhs) / scale
+            for resid in dc_row:
                 worst = max(worst, resid)
                 tally.check(resid <= 1e-10, f"Dc residual {resid:.2e} (p={p})")
     return tally.result("definition-residuals", f"worst residual {worst:.2e}")
 
 
-def suite_coercivity_solve(rng, problems=None, sigma_override=None, **_) -> SuiteResult:
+def suite_coercivity_solve(rng, cases=None, sigma_override=None, **_) -> SuiteResult:
     """Penalty condition, a provable coercivity bound, solvability of the
     assembled system, and Galerkin orthogonality of the computed solution."""
     tally = _Tally()
-    for prob, mesh, p in _cases(problems):
+    for prob, mesh, p in _cases(cases):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         required = prob.eps1 * p**2 / mesh.widths
         ok = bool(np.all(required <= C_SIGMA * sigmas * (1 + 1e-12)))
@@ -190,11 +196,11 @@ def suite_coercivity_solve(rng, problems=None, sigma_override=None, **_) -> Suit
     return tally.result("coercivity-solve")
 
 
-def suite_norm_equivalence(rng, problems=None, sigma_override=None, **_) -> SuiteResult:
+def suite_norm_equivalence(rng, cases=None, sigma_override=None, **_) -> SuiteResult:
     """norm_p and norm_broken stay within a fixed envelope of each other."""
     tally = _Tally()
     lo, hi = np.inf, 0.0
-    for prob, mesh, p in _cases(problems):
+    for prob, mesh, p in _cases(cases):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         for _trial in range(5):
             v = _random_weakfunction(rng, mesh, p)
@@ -209,11 +215,11 @@ def suite_norm_equivalence(rng, problems=None, sigma_override=None, **_) -> Suit
     return tally.result("norm-equivalence", f"ratio range [{lo:.3g}, {hi:.3g}]")
 
 
-def suite_error_equation(rng, problems=None, **_) -> SuiteResult:
+def suite_error_equation(rng, cases=None, **_) -> SuiteResult:
     """A(Iu - u_p, v) equals the three consistency-error terms."""
     tally = _Tally()
     worst = 0.0
-    for case, mesh, p in _cases(problems, "sin(3.141592653589793*x)"):
+    for case, mesh, p in _cases(cases, "sin(3.141592653589793*x)"):
         prob = case.problem
         nq = quad_order(p)
         u_p = solve(assemble(prob, mesh, p, nquad=nq))
@@ -228,10 +234,10 @@ def suite_error_equation(rng, problems=None, **_) -> SuiteResult:
     return tally.result("error-equation", f"worst residual {worst:.2e}")
 
 
-def suite_polynomial_reproduction(rng, problems=None, **_) -> SuiteResult:
+def suite_polynomial_reproduction(rng, cases=None, **_) -> SuiteResult:
     """The method reproduces a polynomial exact solution to roundoff."""
     tally = _Tally()
-    for case, mesh, p in _cases(problems, "x*(1-x)"):
+    for case, mesh, p in _cases(cases, "x*(1-x)"):
         u_p = solve(assemble(case.problem, mesh, p))
         u_star = exact_weakfunction(case, mesh, p)
         _, rel = energy_error(u_star, u_p, case.problem)
@@ -239,12 +245,12 @@ def suite_polynomial_reproduction(rng, problems=None, **_) -> SuiteResult:
     return tally.result("polynomial-reproduction")
 
 
-def suite_quadrature_stability(rng, problems=None, sigma_override=None, **_) -> SuiteResult:
+def suite_quadrature_stability(rng, cases=None, sigma_override=None, **_) -> SuiteResult:
     """Assembled matrices and bilinear-form values are unchanged (to 1e-10)
     under a doubled quadrature order."""
     tally = _Tally()
     worst = 0.0
-    for prob, mesh, p in _cases(problems):
+    for prob, mesh, p in _cases(cases):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         nq = quad_order(p)
         sys1 = assemble(prob, mesh, p, sigmas=sigmas, nquad=nq)
@@ -285,12 +291,13 @@ def run_check(
     sigma_override replaces the default per-element penalties with a
     constant (0.0 deliberately violates the penalty condition and makes
     the coercivity-solve suite fail).  quad_double adds the doubled
-    quadrature stability suite.  The problems are built once and shared by
-    every suite, so each is validated and set up once per run.
+    quadrature stability suite.  The cases, problems and meshes, are built
+    once and shared by every suite, so each problem is validated and set
+    up once per run and each mesh built once.
     """
     rng = np.random.default_rng(seed)
-    problems = _problems()
+    cases = _case_list()
     suites = list(SUITES)
     if quad_double:
         suites.append(suite_quadrature_stability)
-    return [fn(rng, problems=problems, sigma_override=sigma_override) for fn in suites]
+    return [fn(rng, cases=cases, sigma_override=sigma_override) for fn in suites]

@@ -166,7 +166,9 @@ def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:
 def interpolant_coefficients(g, ya, yb, p: int, nquad: int | None = None) -> np.ndarray:
     """Coefficients of the interpolant of degree p of the function whose
     values are g at one element's quad_order(p, nquad) mapped Gauss points
-    and ya, yb at its endpoints.
+    and ya, yb at its endpoints.  g may stack the values of several
+    elements, shape (..., nq), with ya and yb of shape (...); each element's
+    coefficients come out bit for bit as from a call with its row alone.
 
     Equivalent to endpoint value plus the integral of the degree-(p-1)
     Legendre truncation of y'; the truncation coefficients are obtained
@@ -175,23 +177,25 @@ def interpolant_coefficients(g, ya, yb, p: int, nquad: int | None = None) -> np.
     if p < 1:
         raise ValueError("interpolation needs degree p >= 1")
     rule, _, dvander = basis_tables(p, quad_order(p, nquad))
-    g = np.broadcast_to(np.asarray(g, dtype=float), rule.nodes.shape)
-    ya = float(ya)
-    yb = float(yb)
+    g = np.asarray(g, dtype=float)
+    g = np.broadcast_to(g, g.shape[:-1] + rule.nodes.shape)
+    ya = np.asarray(ya, dtype=float)[..., None]
+    yb = np.asarray(yb, dtype=float)[..., None]
     # e_k = (2k+1)/2 * int_{-1}^{1} g'(t) P_k(t) dt, by parts in t
-    # a per-column np.sum, not a matrix product: the error-equation check's
-    # residual is sensitive to the rounding of these moments
+    # row sums over contiguous rows of P_k'(nodes), not a matrix product:
+    # the error-equation check's residual is sensitive to the rounding of
+    # these moments
     wg = rule.weights * g
-    moments = np.array([np.sum(wg * dvander[:, k]) for k in range(p)])
+    moments = (wg[..., None, :] * np.ascontiguousarray(dvander[:, :p].T)).sum(axis=-1)
     k = np.arange(p)
     sign = np.where(k % 2, -1.0, 1.0)
     e = (2 * k + 1) / 2.0 * (yb - ya * sign - moments)
     # e holds the Legendre coefficients of d/dt of y(x(t)), so the plain
-    # antiderivative in t recovers the interpolant; legint shortens the zero
-    # series (y(a) == y(b) at p = 1) to one term, so it is copied into p + 1
-    # coefficients
-    c = np.zeros(p + 1)
-    integral = npleg.legint(e, lbnd=-1.0)
-    c[: len(integral)] = integral
-    c[0] += ya
+    # antiderivative in t recovers the interpolant; legint shortens an
+    # all-zero series (y(a) == y(b) at p = 1) to one term, so it is copied
+    # into p + 1 coefficients
+    integral = npleg.legint(e, lbnd=-1.0, axis=-1)
+    c = np.zeros(e.shape[:-1] + (p + 1,))
+    c[..., : integral.shape[-1]] = integral
+    c[..., :1] += ya
     return c

@@ -68,11 +68,8 @@ def exact_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -
 def _interpolant(mesh: Mesh, p: int, g, vb, nquad=None) -> WeakFunction:
     """The derivative-orthogonality interpolant of a function, from its
     values g on all elements' quadrature points, shape (N, nq), and vb on
-    the nodes."""
-    coeffs = [
-        interpolant_coefficients(g[j], vb[j], vb[j + 1], p, nquad) for j in range(mesh.n_elements)
-    ]
-    return WeakFunction(mesh, coeffs, vb)
+    the nodes; one interpolant_coefficients call for all elements."""
+    return WeakFunction(mesh, interpolant_coefficients(g, vb[:-1], vb[1:], p, nquad), vb)
 
 
 def interpolant_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
@@ -102,29 +99,32 @@ def error_equation_terms(
     iu = _interpolant(mesh, p, uv, evaluate(case.u_exact, mesh.nodes), nq)
     up = evaluate(case.u_prime, mesh.nodes).tolist()
 
+    # the interpolant's derivative at both ends of every element; the
+    # ends map to t = -1 and t = 1 exactly
+    scale = 2.0 / mesh.widths
+    diu = npleg.legder(iu.coeffs, axis=1) * scale[:, None]
+    d_left = npleg.legval(-1.0, diu.T).tolist()
+    d_right = npleg.legval(1.0, diu.T).tolist()
     e1 = 0.0
     jl, jr = v.jumps()
     for j in range(mesh.n_elements):
-        poly = iu.element_poly(j)
-        dpoly = poly.derivative()
-        xl, xr = mesh.element(j)
-        err_d_right = up[j + 1] - float(dpoly(xr))
-        err_d_left = up[j] - float(dpoly(xl))
-        e1 += prob.eps1 * (err_d_right * jr[j] - err_d_left * jl[j])
+        e1 += prob.eps1 * ((up[j + 1] - d_right[j]) * jr[j] - (up[j] - d_left[j]) * jl[j])
 
-    # the coefficients on all elements' quadrature points at once
+    # the coefficients, the interpolant's error, v0 and v0' on all
+    # elements' quadrature points at once
     bv = evaluate(prob.b, x)
     bpv = evaluate(prob.b_prime, x)
     rv = evaluate(prob.r, x)
+    uerr = uv - npleg.legval(rule.nodes, iu.coeffs.T)
+    v0 = npleg.legval(rule.nodes, v.coeffs.T)
+    dv0 = npleg.legval(rule.nodes, npleg.legder(v.coeffs, axis=1).T) * scale[:, None]
+    e2_rows = (w * uerr * (bpv * v0 + bv * dv0)).sum(axis=1).tolist()
+    e3_rows = (w * rv * (-uerr) * v0).sum(axis=1).tolist()
     e2 = 0.0
     e3 = 0.0
     for j in range(mesh.n_elements):
-        h = mesh.widths[j]
-        uerr = uv[j] - npleg.legval(rule.nodes, iu.coeffs[j])
-        v0 = npleg.legval(rule.nodes, v.coeffs[j])
-        dv0 = npleg.legval(rule.nodes, npleg.legder(v.coeffs[j])) * (2.0 / h) if p >= 1 else 0.0
-        e2 += prob.eps2 * float(np.sum(w[j] * uerr * (bpv[j] * v0 + bv[j] * dv0)))
-        e3 += float(np.sum(w[j] * rv[j] * (-uerr) * v0))
+        e2 += prob.eps2 * e2_rows[j]
+        e3 += e3_rows[j]
     return e1, e2, e3
 
 

@@ -22,7 +22,14 @@ from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, model_proble
 from wg_hp.slmesh import build_sbl_mesh, user_mesh
 from wg_hp.problem import Regime
 from wg_hp.verify import manufacture, sbl_mesh
-from wg_hp.weakspace import WeakFunction, default_penalties, weak_derivative
+from wg_hp.weakspace import (
+    WeakFunction,
+    default_penalties,
+    stabilizer_S,
+    stabilizer_Sc,
+    weak_convection_derivative,
+    weak_derivative,
+)
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
 
@@ -252,6 +259,106 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
         pts = (m.n_elements, quad_order(p) + p)
         expect += [(c.b, pts), (c.b_prime, pts), (c.b, (m.n_elements + 1,))]
     assert calls == expect
+
+
+def _bilinear_apply_per_element(u, v, problem, sigmas=None, nquad=None):
+    # bilinear_apply with one legval per element and function, as it was
+    # before its element loop was batched: the oracle for its bits
+    p = u.degree
+    if sigmas is None:
+        sigmas = default_penalties(u.mesh, p, problem.eps1)
+    du = weak_derivative(u)
+    dv = weak_derivative(v)
+    dcu = weak_convection_derivative(u, problem.b, problem.b_prime, nquad)
+    k_lo = np.arange(p)
+    k_hi = np.arange(p + 1)
+    widths = u.mesh.widths
+    term1 = problem.eps1 * float(
+        np.sum(du.coeffs * dv.coeffs * (widths[:, None] / (2 * k_lo + 1)))
+    )
+    term2 = problem.eps2 * float(
+        np.sum(dcu.coeffs * v.coeffs * (widths[:, None] / (2 * k_hi + 1)))
+    )
+    rule = gauss_rule(quad_order(p, nquad))
+    nodes = u.mesh.nodes
+    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
+    rv = evaluate(problem.r, x)
+    term3 = 0.0
+    for j in range(u.mesh.n_elements):
+        u0 = npleg.legval(rule.nodes, u.coeffs[j])
+        v0 = npleg.legval(rule.nodes, v.coeffs[j])
+        term3 += float(np.sum(w[j] * rv[j] * u0 * v0))
+    return (
+        term1
+        + term2
+        + term3
+        + stabilizer_S(u, v, sigmas)
+        + stabilizer_Sc(u, v, problem.b, problem.eps2)
+    )
+
+
+def _load_apply_per_element(v, problem, nquad=None):
+    # load_apply's element loop before batching, kept as its bitwise oracle
+    rule = gauss_rule(quad_order(v.degree, nquad))
+    nodes = v.mesh.nodes
+    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
+    fv = evaluate(problem.f, x)
+    total = 0.0
+    for j in range(v.mesh.n_elements):
+        v0 = npleg.legval(rule.nodes, v.coeffs[j])
+        total += float(np.sum(w[j] * fv[j] * v0))
+    return total
+
+
+ORACLE_MESHES = (
+    user_mesh([0.0, 1.0]),
+    user_mesh([0.0, 0.35, 1.0]),
+    user_mesh([0.0, 1e-3, 0.9, 1.0]),
+    user_mesh([0.0, 0.3, 0.65, 1.0]),
+)
+
+
+def test_batched_oracle_paths_match_the_per_element_loops_bit_for_bit():
+    rng = np.random.default_rng(83)
+    for (eps1, eps2), mesh, p in itertools.product(
+        ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0)), ORACLE_MESHES, range(1, 13)
+    ):
+        prob = model_problem(eps1, eps2)
+        n = mesh.n_elements
+        u, v = (
+            WeakFunction(mesh, rng.standard_normal((n, p + 1)), rng.standard_normal(n + 1))
+            for _ in range(2)
+        )
+        for nquad in (None, 2 * quad_order(p)):
+            where = (eps1, n, p, nquad)
+            expect = _bilinear_apply_per_element(u, v, prob, nquad=nquad)
+            assert bilinear_apply(u, v, prob, nquad=nquad) == expect, where
+            expect = _bilinear_apply_per_element(v, v, prob, nquad=nquad)
+            assert bilinear_apply(v, v, prob, nquad=nquad) == expect, where
+            assert load_apply(v, prob, nquad) == _load_apply_per_element(v, prob, nquad), where
+
+
+def test_bilinear_apply_of_v_with_itself_takes_one_weak_derivative(monkeypatch):
+    import wg_hp.assembly as assembly
+
+    calls = []
+    real = assembly.weak_derivative
+
+    def counting_weak_derivative(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(assembly, "weak_derivative", counting_weak_derivative)
+    prob = model_problem(1e-4, 1e-2)
+    mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
+    rng = np.random.default_rng(9)
+    u = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, 0.3, -0.2, 0.0])
+    v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
+    bilinear_apply(v, v, prob)
+    assert len(calls) == 1 and calls[0] is v
+    calls.clear()
+    bilinear_apply(u, v, prob)
+    assert len(calls) == 2 and calls[0] is u and calls[1] is v
 
 
 def test_degree_zero_rejected():

@@ -1,8 +1,15 @@
 """The property suites behind the check command."""
 
+import numpy as np
+from numpy.polynomial import legendre as npleg
+
 import wg_hp.checks as checks
 import wg_hp.problem as problem
 from wg_hp.checks import run_check
+from wg_hp.coeffexpr import evaluate
+from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
+from wg_hp.slmesh import user_mesh
+from wg_hp.weakspace import weak_convection_derivative, weak_derivative
 
 
 def test_default_run_all_suites_pass():
@@ -61,3 +68,87 @@ def test_one_run_sets_up_each_problem_once(monkeypatch):
     assert all(r.passed for r in results)
     assert built == list(checks.EPS_PAIRS)
     assert mu_calls == [(1e-5, 1e-2)]
+
+
+def _definition_residuals_per_degree(prob, mesh, p, v):
+    # the residual suite's loops over elements and test degrees, with one
+    # legval and legendre_eval per element and degree, as they were before
+    # they were batched: the oracle for the bits of _definition_residuals
+    d = weak_derivative(v)
+    dc = weak_convection_derivative(v, prob.b, prob.b_prime)
+    rule = gauss_rule(quad_order(p) + p)
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    bv = evaluate(prob.b, x)
+    bpv = evaluate(prob.b_prime, x)
+    b_nodes = evaluate(prob.b, mesh.nodes)
+    d_rows, dc_rows = [], []
+    for j in range(mesh.n_elements):
+        h = mesh.widths[j]
+        v0 = npleg.legval(rule.nodes, v.coeffs[j])
+        scale = max(1.0, float(np.max(np.abs(v.coeffs[j]))) + abs(v.vb[j]) + abs(v.vb[j + 1]))
+        d_rows.append([])
+        for k in range(p):
+            q = npleg.legval(rule.nodes, np.eye(p)[k])
+            dq = legendre_eval(k, rule.nodes)[1] * (2.0 / h)
+            lhs = float(np.sum(w[j] * npleg.legval(rule.nodes, d.coeffs[j]) * q))
+            rhs = -float(np.sum(w[j] * v0 * dq)) + v.vb[j + 1] * 1.0 - v.vb[j] * (-1.0) ** k
+            d_rows[-1].append(float(abs(lhs - rhs) / scale))
+        dc_rows.append([])
+        for k in range(p + 1):
+            q = npleg.legval(rule.nodes, np.eye(p + 1)[k])
+            dq = legendre_eval(k, rule.nodes)[1] * (2.0 / h)
+            lhs = float(np.sum(w[j] * npleg.legval(rule.nodes, dc.coeffs[j]) * q))
+            rhs = (
+                -float(np.sum(w[j] * v0 * (bpv[j] * q + bv[j] * dq)))
+                + v.vb[j + 1] * b_nodes[j + 1]
+                - v.vb[j] * b_nodes[j] * (-1.0) ** k
+            )
+            dc_rows[-1].append(float(abs(lhs - rhs) / scale))
+    return d_rows, dc_rows
+
+
+def test_definition_residuals_match_the_per_degree_loops_bit_for_bit():
+    rng = np.random.default_rng(37)
+    meshes = [
+        user_mesh(nodes)
+        for nodes in ([0.0, 1.0], [0.0, 0.35, 1.0], [0.0, 1e-3, 0.9, 1.0], [0.0, 0.3, 0.65, 1.0])
+    ]
+    cases = [(prob, mesh, p) for prob, mesh, p in checks._cases()]
+    cases += [(prob, mesh, p) for prob in checks._problems() for mesh in meshes for p in range(1, 13)]
+    for prob, mesh, p in cases:
+        v = checks._random_weakfunction(rng, mesh, p)
+        expect = _definition_residuals_per_degree(prob, mesh, p, v)
+        assert checks._definition_residuals(prob, mesh, p, v) == expect, (prob.eps1, mesh.nodes, p)
+
+
+def test_definition_residuals_evaluate_each_derivative_once_per_case(monkeypatch):
+    # P_k' for k = 0..p, once per case, shared by every element
+    calls = []
+    real = checks.legendre_eval
+
+    def counting_legendre_eval(k, t):
+        calls.append(k)
+        return real(k, t)
+
+    monkeypatch.setattr(checks, "legendre_eval", counting_legendre_eval)
+    checks.suite_definition_residuals(np.random.default_rng(0))
+    assert calls == [k for _, _, p in checks._cases() for k in range(p + 1)]
+
+
+def test_one_run_builds_each_mesh_once(monkeypatch):
+    import wg_hp.verify as verify
+
+    built = []
+    real = verify.build_sbl_mesh
+
+    def counting_build_sbl_mesh(regime, kappa, p, **kw):
+        built.append((regime, p))
+        return real(regime, kappa, p, **kw)
+
+    monkeypatch.setattr(verify, "build_sbl_mesh", counting_build_sbl_mesh)
+    expect = run_check(seed=2, quad_double=True)
+    assert len(built) == len(checks.EPS_PAIRS) * len(checks.DEGREES)
+    # the same results as suites that build their own cases when called alone
+    rng = np.random.default_rng(2)
+    alone = [fn(rng) for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
+    assert alone == expect

@@ -11,6 +11,7 @@ from wg_hp.polybasis import (
     ElementPoly,
     basis_tables,
     gauss_rule,
+    interpolant_coefficients,
     interpolate,
     l2_project,
     legendre_eval,
@@ -180,6 +181,52 @@ def test_interpolant_of_a_constant_keeps_its_degree(p):
     iy = interpolate(lambda x: np.full_like(x, 2.0), p, (0.2, 0.5))
     assert iy.degree == p
     np.testing.assert_allclose(iy.coeffs, np.r_[2.0, np.zeros(p)], atol=1e-14)
+
+
+def _interpolant_coefficients_per_column(g, ya, yb, p, nquad=None):
+    # interpolant_coefficients of one element, with one np.sum per moment
+    # and a 1-D legint, as it was before it took stacked rows: the oracle
+    # for its bits
+    rule, _, dvander = basis_tables(p, quad_order(p, nquad))
+    g = np.broadcast_to(np.asarray(g, dtype=float), rule.nodes.shape)
+    ya = float(ya)
+    yb = float(yb)
+    wg = rule.weights * g
+    moments = np.array([np.sum(wg * dvander[:, k]) for k in range(p)])
+    k = np.arange(p)
+    sign = np.where(k % 2, -1.0, 1.0)
+    e = (2 * k + 1) / 2.0 * (yb - ya * sign - moments)
+    c = np.zeros(p + 1)
+    integral = npleg.legint(e, lbnd=-1.0)
+    c[: len(integral)] = integral
+    c[0] += ya
+    return c
+
+
+def test_stacked_interpolant_matches_the_per_element_calls_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for p in range(1, 13):
+        for nquad in (None, 2 * quad_order(p)):
+            nq = quad_order(p, nquad)
+            for n in (1, 2, 3):
+                g = rng.standard_normal((n, nq))
+                ends = rng.standard_normal((2, n))
+                if p == 1:
+                    ends[1, 0] = ends[0, 0]  # y(a) == y(b): a zero derivative series
+                stacked = interpolant_coefficients(g, ends[0], ends[1], p, nquad)
+                assert stacked.shape == (n, p + 1)
+                for j in range(n):
+                    expect = _interpolant_coefficients_per_column(g[j], ends[0, j], ends[1, j], p, nquad)
+                    assert stacked[j].tobytes() == expect.tobytes(), (p, nquad, n, j)
+                    one = interpolant_coefficients(g[j], ends[0, j], ends[1, j], p, nquad)
+                    assert one.tobytes() == expect.tobytes(), (p, nquad, n, j)
+    # every row with y(a) == y(b) at p = 1, where legint shortens the series
+    g = np.full((3, 7), 2.0)
+    y = np.array([2.0, -1.0, 0.5])
+    stacked = interpolant_coefficients(g, y, y, 1)
+    for j in range(3):
+        expect = _interpolant_coefficients_per_column(g[j], y[j], y[j], 1)
+        assert stacked[j].tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("p", range(2, 9))

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from wg_hp.coeffexpr import evaluate, parse
-from wg_hp.polybasis import interpolate, l2_project
+from wg_hp.polybasis import gauss_rule, interpolant_coefficients, interpolate, l2_project, quad_order
 from wg_hp.problem import ProblemSpec, Regime, model_problem
 from wg_hp.slmesh import MeshDegeneracyError, build_sbl_mesh, user_mesh
 from wg_hp.verify import (
@@ -173,6 +174,61 @@ def test_error_equation_identity():
         e1, e2, e3 = error_equation_terms(case, v)
         scale = max(abs(lhs), abs(e1) + abs(e2) + abs(e3))
         assert abs(lhs - (e1 + e2 + e3)) <= 1e-8 * scale
+
+
+def _error_equation_terms_per_element(case, v, nquad=None):
+    # error_equation_terms with one interpolant, ElementPoly derivative and
+    # legval per element, as it was before its element loops were batched:
+    # the oracle for its bits
+    mesh = v.mesh
+    p = v.degree
+    prob = case.problem
+    nq = quad_order(p, nquad)
+    rule = gauss_rule(nq)
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    uv = evaluate(case.u_exact, x)
+    vb = evaluate(case.u_exact, mesh.nodes)
+    coeffs = [interpolant_coefficients(uv[j], vb[j], vb[j + 1], p, nq) for j in range(len(uv))]
+    iu = WeakFunction(mesh, coeffs, vb)
+    up = evaluate(case.u_prime, mesh.nodes).tolist()
+    e1 = 0.0
+    jl, jr = v.jumps()
+    for j in range(mesh.n_elements):
+        dpoly = iu.element_poly(j).derivative()
+        xl, xr = mesh.element(j)
+        err_d_right = up[j + 1] - float(dpoly(xr))
+        err_d_left = up[j] - float(dpoly(xl))
+        e1 += prob.eps1 * (err_d_right * jr[j] - err_d_left * jl[j])
+    bv = evaluate(prob.b, x)
+    bpv = evaluate(prob.b_prime, x)
+    rv = evaluate(prob.r, x)
+    e2 = 0.0
+    e3 = 0.0
+    for j in range(mesh.n_elements):
+        h = mesh.widths[j]
+        uerr = uv[j] - npleg.legval(rule.nodes, iu.coeffs[j])
+        v0 = npleg.legval(rule.nodes, v.coeffs[j])
+        dv0 = npleg.legval(rule.nodes, npleg.legder(v.coeffs[j])) * (2.0 / h)
+        e2 += prob.eps2 * float(np.sum(w[j] * uerr * (bpv[j] * v0 + bv[j] * dv0)))
+        e3 += float(np.sum(w[j] * rv[j] * (-uerr) * v0))
+    return e1, e2, e3
+
+
+def test_error_equation_terms_match_the_per_element_loops_bit_for_bit():
+    rng = np.random.default_rng(47)
+    meshes = [
+        user_mesh(nodes)
+        for nodes in ([0.0, 1.0], [0.0, 0.35, 1.0], [0.0, 1e-3, 0.9, 1.0], [0.0, 0.3, 0.65, 1.0])
+    ]
+    for eps1, eps2 in ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0)):
+        case = manufacture("sin(3.141592653589793*x)*exp(x)", model_problem(eps1, eps2))
+        for mesh in meshes:
+            n = mesh.n_elements
+            for p in range(1, 13):
+                v = WeakFunction(mesh, rng.standard_normal((n, p + 1)), rng.standard_normal(n + 1))
+                for nquad in (None, 2 * quad_order(p)):
+                    expect = _error_equation_terms_per_element(case, v, nquad)
+                    assert error_equation_terms(case, v, nquad) == expect, (eps1, n, p, nquad)
 
 
 def test_projections_evaluate_the_exact_solution_twice(monkeypatch):
