@@ -23,14 +23,13 @@ from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh
 from wg_hp.weakspace import (
     WeakFunction,
+    _apply,
     _check_compatible,
     _convection_operator,
+    _degree_tables,
     _derivative_operator,
+    _jumps,
     default_penalties,
-    stabilizer_S,
-    stabilizer_Sc,
-    weak_convection_derivative,
-    weak_derivative,
 )
 
 
@@ -126,9 +125,8 @@ def assemble(
     # matrices h/(2k+1)
     D = _derivative_operator(mesh, p)
     Dc = _convection_operator(mesh, p, w, bv, bpv, b_nodes)
-    widths = mesh.widths[:, None]
-    mass_lo = widths / (2 * np.arange(p) + 1)
-    mass_hi = widths / (2 * np.arange(p + 1) + 1)
+    mass_hi = mesh.widths[:, None] / _degree_tables(p + 1)[2]
+    mass_lo = mass_hi[:, :p]
     jump_right = t_right[:, None] * t_right
     jump_both = jump_right + t_left[:, None] * t_left
 
@@ -185,6 +183,44 @@ def solve(system: AssembledSystem, residual_tol: float = 1e-10) -> WeakFunction:
     return vector_to_weakfunction(system, x)
 
 
+def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=None) -> np.ndarray:
+    """B(u_i, v_i) of k pairs of weak functions by quadrature, without the
+    assembled matrix.  u and v are (coeffs, vb) pairs stacked as for
+    energy_norms; v is u pairs each function with itself.  The coefficients,
+    operators and jumps are formed once per call, and each function's terms
+    are reduced as for k = 1, so B(u_i, v_i) does not depend on k."""
+    (uc, ub), (vc, vb) = u, v
+    p = uc.shape[2] - 1
+    if p < 1:
+        raise ValueError("weak derivative needs degree p >= 1")
+    sig = default_penalties(mesh, p, problem.eps1) if sigmas is None else np.asarray(sigmas, float)
+    rule, _, _ = basis_tables(p, quad_order(p, nquad))
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    bv, bpv, rv = (evaluate(e, x) for e in (problem.b, problem.b_prime, problem.r))
+    b_nodes = evaluate(problem.b, mesh.nodes)
+    D = _derivative_operator(mesh, p)
+    du = _apply(D, uc, ub)
+    dv = du if v is u else _apply(D, vc, vb)
+    dcu = _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), uc, ub)
+    mass_hi = mesh.widths[:, None] / _degree_tables(p + 1)[2]
+    term1 = problem.eps1 * (du * dv * mass_hi[:, :p]).reshape(len(uc), -1).sum(axis=1)
+    term2 = problem.eps2 * (dcu * vc * mass_hi).reshape(len(uc), -1).sum(axis=1)
+    # (r v0, u0) element by element, the rows added in element order
+    u0 = npleg.legval(rule.nodes, np.moveaxis(uc, 2, 0))
+    v0 = u0 if v is u else npleg.legval(rule.nodes, np.moveaxis(vc, 2, 0))
+    term3 = []
+    for rows in (w * rv * u0 * v0).sum(axis=2).tolist():
+        term3.append(0.0)
+        for row in rows:
+            term3[-1] += row
+    # the stabilizers S and S_c, from one set of jumps per operand
+    ul, ur = _jumps(uc, ub)
+    vl, vr = (ul, ur) if v is u else _jumps(vc, vb)
+    s = (sig * (ur * vr + ul * vl)).sum(axis=1)
+    sc = (problem.eps2 * b_nodes[1:] * ur * vr).sum(axis=1)
+    return term1 + term2 + np.array(term3) + s + sc
+
+
 def bilinear_apply(
     u: WeakFunction,
     v: WeakFunction,
@@ -192,44 +228,13 @@ def bilinear_apply(
     sigmas=None,
     nquad: int | None = None,
 ) -> float:
-    """Evaluate the bilinear form directly by quadrature, without the
-    assembled matrix; the independent path used by the self-consistency and
-    coercivity checks."""
+    """B(u, v) directly by quadrature, without the assembled matrix: the
+    independent path of the self-consistency and coercivity checks;
+    bilinear_values with k = 1."""
     _check_compatible(u, v)
-    p = u.degree
-    if sigmas is None:
-        sigmas = default_penalties(u.mesh, p, problem.eps1)
-    du = weak_derivative(u)
-    dv = du if v is u else weak_derivative(v)
-    dcu = weak_convection_derivative(u, problem.b, problem.b_prime, nquad)
-
-    k_lo = np.arange(p)
-    k_hi = np.arange(p + 1)
-    widths = u.mesh.widths
-    term1 = problem.eps1 * float(
-        np.sum(du.coeffs * dv.coeffs * (widths[:, None] / (2 * k_lo + 1)))
-    )
-    term2 = problem.eps2 * float(
-        np.sum(dcu.coeffs * v.coeffs * (widths[:, None] / (2 * k_hi + 1)))
-    )
-
-    rule = gauss_rule(quad_order(p, nquad))
-    nodes = u.mesh.nodes
-    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
-    rv = evaluate(problem.r, x)
-    u0 = npleg.legval(rule.nodes, u.coeffs.T)
-    v0 = u0 if v is u else npleg.legval(rule.nodes, v.coeffs.T)
-    term3 = 0.0
-    for row in (w * rv * u0 * v0).sum(axis=1).tolist():
-        term3 += row
-
-    return (
-        term1
-        + term2
-        + term3
-        + stabilizer_S(u, v, sigmas)
-        + stabilizer_Sc(u, v, problem.b, problem.eps2)
-    )
+    uu = (u.coeffs[None], u.vb[None])
+    vv = uu if v is u else (v.coeffs[None], v.vb[None])
+    return float(bilinear_values(u.mesh, uu, vv, problem, sigmas, nquad)[0])
 
 
 def load_apply(v: WeakFunction, problem: ProblemSpec, nquad: int | None = None) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from wg_hp.assembly import assemble, bilinear_apply, load_apply, solve
+from wg_hp.assembly import assemble, bilinear_apply, bilinear_values, load_apply, solve
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
 from wg_hp.problem import model_problem
@@ -30,8 +30,8 @@ from wg_hp.verify import (
 from wg_hp.weakspace import (
     WeakFunction,
     default_penalties,
-    norm_broken,
-    norm_p,
+    energy_norms,
+    norms_p,
     weak_convection_derivative,
     weak_derivative,
 )
@@ -109,6 +109,12 @@ def _random_weakfunction(rng, mesh, p) -> WeakFunction:
     return WeakFunction(mesh, coeffs, vb)
 
 
+def _random_stack(rng, mesh, p, k) -> tuple:
+    """k random weak functions drawn one at a time, stacked as (coeffs, vb)."""
+    vs = [_random_weakfunction(rng, mesh, p) for _ in range(k)]
+    return np.stack([v.coeffs for v in vs]), np.stack([v.vb for v in vs])
+
+
 def _sigmas(problem, mesh, p, sigma_override):
     if sigma_override is None:
         return default_penalties(mesh, p, problem.eps1)
@@ -163,17 +169,19 @@ def suite_definition_residuals(rng, cases=None, **_) -> SuiteResult:
 
 def suite_coercivity_solve(rng, cases=None, sigma_override=None, **_) -> SuiteResult:
     """Penalty condition, a provable coercivity bound, solvability of the
-    assembled system, and Galerkin orthogonality of the computed solution."""
+    assembled system, and Galerkin orthogonality of the computed solution.
+    The 3 coercivity trials of a case are drawn one at a time and then
+    evaluated together: one stacked B(v, v) and one stacked norm_p."""
     tally = _Tally()
     for prob, mesh, p in _cases(cases):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
         required = prob.eps1 * p**2 / mesh.widths
         ok = bool(np.all(required <= C_SIGMA * sigmas * (1 + 1e-12)))
         tally.check(ok, f"penalty condition eps1*p^2/h <= sigma violated (p={p})")
-        for _trial in range(3):
-            v = _random_weakfunction(rng, mesh, p)
-            quad = bilinear_apply(v, v, prob, sigmas)
-            bound = 0.25 * min(1.0, prob.gamma_hat) * norm_p(v, prob, sigmas) ** 2
+        v = _random_stack(rng, mesh, p, 3)
+        quads = bilinear_values(mesh, v, v, prob, sigmas).tolist()
+        for quad, norm in zip(quads, norms_p(mesh, *v, prob, sigmas).tolist()):
+            bound = 0.25 * min(1.0, prob.gamma_hat) * norm**2
             tally.check(
                 quad >= bound * (1 - 1e-10),
                 f"coercivity {quad:.3e} < {bound:.3e} (p={p})",
@@ -197,15 +205,16 @@ def suite_coercivity_solve(rng, cases=None, sigma_override=None, **_) -> SuiteRe
 
 
 def suite_norm_equivalence(rng, cases=None, sigma_override=None, **_) -> SuiteResult:
-    """norm_p and norm_broken stay within a fixed envelope of each other."""
+    """norm_p and norm_broken stay within a fixed envelope of each other.
+    The 5 trials of a case are drawn one at a time and then evaluated
+    together: one stacked call for each norm."""
     tally = _Tally()
     lo, hi = np.inf, 0.0
     for prob, mesh, p in _cases(cases):
         sigmas = _sigmas(prob, mesh, p, sigma_override)
-        for _trial in range(5):
-            v = _random_weakfunction(rng, mesh, p)
-            a = norm_p(v, prob, sigmas)
-            c = norm_broken(v, prob, sigmas)
+        v = _random_stack(rng, mesh, p, 5)
+        norms = norms_p(mesh, *v, prob, sigmas).tolist()
+        for a, c in zip(norms, energy_norms(mesh, *v, prob, sigmas).tolist()):
             if c == 0.0:
                 tally.check(a == 0.0, "norm_broken vanished on a nonzero function")
                 continue

@@ -28,11 +28,21 @@ class MeshMismatchError(Exception):
     """Operands live on different meshes or degrees."""
 
 
-def _alt_signs(n: int) -> np.ndarray:
-    """(-1)^k for k = 0..n-1, i.e. P_k(-1)."""
-    s = np.ones(n)
-    s[1::2] = -1.0
-    return s
+@lru_cache(maxsize=None)
+def _degree_tables(n: int) -> tuple:
+    """(P_k(-1), P_k(1), 2k+1) for k = 0..n-1, as float arrays, so that no
+    hot path mixes int and float operands; shared and read-only."""
+    tables = ((-1.0) ** np.arange(n), np.ones(n), 2.0 * np.arange(n) + 1)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _jumps(coeffs, vb) -> tuple[np.ndarray, np.ndarray]:
+    """(v0 - vb) at the left and right end of every element, from interior
+    coefficients (..., N, P+1) and node values (..., N+1)."""
+    alt, ones, _ = _degree_tables(coeffs.shape[-1])
+    return coeffs @ alt - vb[..., :-1], coeffs @ ones - vb[..., 1:]
 
 
 @dataclass(frozen=True)
@@ -58,8 +68,8 @@ class BrokenPoly:
         return ElementPoly(a, b, self.coeffs[j])
 
     def l2_norm_sq(self) -> float:
-        k = np.arange(self.coeffs.shape[1])
-        return float(np.sum(self.coeffs**2 * (self.mesh.widths[:, None] / (2 * k + 1))))
+        odd = _degree_tables(self.coeffs.shape[1])[2]
+        return float(np.sum(self.coeffs**2 * (self.mesh.widths[:, None] / odd)))
 
     def l2_norm(self) -> float:
         return np.sqrt(self.l2_norm_sq())
@@ -109,10 +119,7 @@ class WeakFunction:
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """(v0 - vb) at the left and right endpoint of every element."""
-        alt = _alt_signs(self.degree + 1)
-        left = self.coeffs @ alt - self.vb[:-1]
-        right = self.coeffs @ np.ones(self.degree + 1) - self.vb[1:]
-        return left, right
+        return _jumps(self.coeffs, self.vb)
 
     def pad_to_degree(self, p: int) -> "WeakFunction":
         """Embed into the degree-p space by zero-padding coefficients."""
@@ -163,16 +170,20 @@ def deriv_pairing_matrix(n_test: int, n_trial: int) -> np.ndarray:
     return B
 
 
+@lru_cache(maxsize=None)
+def _reference_derivative(p: int) -> np.ndarray:
+    """The (p, p+3) duality of D_{p-1} against P_0..P_{p-1} on [-1, 1],
+    int D q = -int v0 q' + vb_right q(1) - vb_left q(-1), as a map of the
+    local dofs [c_0..c_p, vb_left, vb_right]; shared and read-only."""
+    D = np.column_stack([-deriv_pairing_matrix(p, p + 1), -_degree_tables(p)[0], np.ones(p)])
+    D.setflags(write=False)
+    return D
+
+
 def _derivative_operator(mesh: Mesh, p: int) -> np.ndarray:
-    """D_{p-1} of every element as an (N, p, p+3) map of its local dofs
-    [c_0..c_p, vb_left, vb_right]: the duality against P_0..P_{p-1},
-    int D q = -int v0 q' + vb_right q(1) - vb_left q(-1), times the inverse
-    mass (2k+1)/h."""
-    D = np.zeros((p, p + 3))
-    D[:, : p + 1] = -deriv_pairing_matrix(p, p + 1)
-    D[:, p + 1] = -_alt_signs(p)  # vb_left
-    D[:, p + 2] = 1.0  # vb_right
-    return D * ((2 * np.arange(p) + 1) / mesh.widths[:, None])[:, :, None]
+    """D_{p-1} of every element as an (N, p, p+3) map of its local dofs:
+    the reference duality times the inverse mass (2k+1)/h."""
+    return _reference_derivative(p) * (_degree_tables(p)[2] / mesh.widths[:, None])[:, :, None]
 
 
 def _convection_operator(mesh: Mesh, p: int, w, bv, bpv, b_nodes) -> np.ndarray:
@@ -188,16 +199,19 @@ def _convection_operator(mesh: Mesh, p: int, w, bv, bpv, b_nodes) -> np.ndarray:
     Dc[:, :, : p + 1] = -((w * bpv)[:, None, :] * vander.T) @ vander - (
         (w * bv)[:, None, :] * dvander.T * (2.0 / mesh.widths)[:, None, None]
     ) @ vander
-    Dc[:, :, p + 1] = -b_nodes[:-1, None] * _alt_signs(p + 1)
+    alt, _, odd = _degree_tables(p + 1)
+    Dc[:, :, p + 1] = -b_nodes[:-1, None] * alt
     Dc[:, :, p + 2] = b_nodes[1:, None]
-    Dc *= ((2 * np.arange(p + 1) + 1) / mesh.widths[:, None])[:, :, None]
+    Dc *= (odd / mesh.widths[:, None])[:, :, None]
     return Dc
 
 
-def _apply(op: np.ndarray, v: WeakFunction) -> BrokenPoly:
-    """An element operator applied to every element's local dofs of v."""
-    local = np.column_stack([v.coeffs, v.vb[:-1], v.vb[1:]])
-    return BrokenPoly(v.mesh, (op @ local[:, :, None])[:, :, 0])
+def _apply(op: np.ndarray, coeffs, vb) -> np.ndarray:
+    """An (N, rows, p+3) element operator applied to the local dofs of k
+    stacked weak functions: (k, N, rows).  op is broadcast over k, so each
+    element product keeps its (rows, p+3) @ (p+3, 1) shape and rounding."""
+    local = np.concatenate([coeffs, vb[:, :-1, None], vb[:, 1:, None]], axis=2)
+    return (op @ local[..., None])[..., 0]
 
 
 def weak_derivative(v: WeakFunction) -> BrokenPoly:
@@ -205,7 +219,8 @@ def weak_derivative(v: WeakFunction) -> BrokenPoly:
     p = v.degree
     if p < 1:
         raise ValueError("weak derivative needs degree p >= 1")
-    return _apply(_derivative_operator(v.mesh, p), v)
+    d = _apply(_derivative_operator(v.mesh, p), v.coeffs[None], v.vb[None])
+    return BrokenPoly(v.mesh, d[0])
 
 
 def weak_convection_derivative(
@@ -219,7 +234,8 @@ def weak_convection_derivative(
     rule, _, _ = basis_tables(p, quad_order(p, nquad))
     x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
     bv, bpv, b_nodes = evaluate(b, x), evaluate(b_prime, x), evaluate(b, mesh.nodes)
-    return _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), v)
+    Dc = _convection_operator(mesh, p, w, bv, bpv, b_nodes)
+    return BrokenPoly(mesh, _apply(Dc, v.coeffs[None], v.vb[None])[0])
 
 
 def stabilizer_S(u: WeakFunction, v: WeakFunction, sigmas) -> float:
@@ -260,7 +276,7 @@ def _legder_rows(c: np.ndarray) -> np.ndarray:
     s_top_down, c_top_down = s[:, ::-1], c[:, ::-1]
     s_top_down[:, 0::2] = np.cumsum(c_top_down[:, 0::2], axis=1)
     s_top_down[:, 1::2] = np.cumsum(c_top_down[:, 1::2], axis=1)
-    return s[:, 1:] * (2 * np.arange(c.shape[1] - 1) + 1)
+    return s[:, 1:] * _degree_tables(c.shape[1] - 1)[2]
 
 
 def energy_norms(mesh: Mesh, coeffs, vb, problem, sigmas, deriv_sq=None) -> np.ndarray:
@@ -275,20 +291,19 @@ def energy_norms(mesh: Mesh, coeffs, vb, problem, sigmas, deriv_sq=None) -> np.n
     computed once, and one differentiation for all k*N elements."""
     k_fns, n, cols = coeffs.shape
     widths = mesh.widths[:, None]
-    left = coeffs @ _alt_signs(cols) - vb[:, :-1]
-    right = coeffs @ np.ones(cols) - vb[:, 1:]
+    left, right = _jumps(coeffs, vb)
     b_out = evaluate(problem.b, mesh.nodes[1:])
     weights = np.ones(n)
     weights[-1] = 0.5
     sig = np.asarray(sigmas, dtype=float)
-    k = np.arange(cols)
-    l2_sq = (coeffs**2 * (widths / (2 * k + 1))).reshape(k_fns, -1).sum(axis=1)
+    odd = _degree_tables(cols)[2]
+    l2_sq = (coeffs**2 * (widths / odd)).reshape(k_fns, -1).sum(axis=1)
     if deriv_sq is None:
         dc = _legder_rows(coeffs.reshape(k_fns * n, cols)).reshape(k_fns, n, cols - 1)
         dc *= 2.0 / widths
         # each element's norm is rounded, then squared as a Python float,
         # as ElementPoly.derivative().l2_norm() ** 2 is
-        roots = np.sqrt((dc**2 * widths / (2 * k[:-1] + 1)).sum(axis=2)).tolist()
+        roots = np.sqrt((dc**2 * widths / odd[:-1]).sum(axis=2)).tolist()
         deriv_sq = []
         for fn_roots in roots:
             total = 0.0
@@ -306,12 +321,20 @@ def energy_norms(mesh: Mesh, coeffs, vb, problem, sigmas, deriv_sq=None) -> np.n
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def norm_p(v: WeakFunction, problem, sigmas) -> float:
-    """Energy norm using the weak derivative D_{p-1}."""
-    if v.degree < 1:
+def norms_p(mesh: Mesh, coeffs, vb, problem, sigmas) -> np.ndarray:
+    """norm_p of k weak functions stacked as for energy_norms, with one
+    D_{p-1} for all k, each squared norm summed as BrokenPoly.l2_norm_sq."""
+    k_fns, _, cols = coeffs.shape
+    if cols < 2:
         raise ValueError("norm_p needs degree p >= 1")
-    deriv_sq = [weak_derivative(v).l2_norm_sq()]
-    return float(energy_norms(v.mesh, v.coeffs[None], v.vb[None], problem, sigmas, deriv_sq)[0])
+    d = _apply(_derivative_operator(mesh, cols - 1), coeffs, vb)
+    deriv_sq = (d**2 * (mesh.widths[:, None] / _degree_tables(cols - 1)[2])).reshape(k_fns, -1)
+    return energy_norms(mesh, coeffs, vb, problem, sigmas, deriv_sq.sum(axis=1))
+
+
+def norm_p(v: WeakFunction, problem, sigmas) -> float:
+    """Energy norm using the weak derivative D_{p-1}; norms_p with k = 1."""
+    return float(norms_p(v.mesh, v.coeffs[None], v.vb[None], problem, sigmas)[0])
 
 
 def norm_broken(v: WeakFunction, problem, sigmas) -> float:

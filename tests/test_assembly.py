@@ -11,6 +11,7 @@ from wg_hp.assembly import (
     _local_dofs,
     assemble,
     bilinear_apply,
+    bilinear_values,
     load_apply,
     solve,
     vector_to_weakfunction,
@@ -231,11 +232,14 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     rng = np.random.default_rng(5)
     u = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, 0.3, -0.2, 0.0])
     v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
-    # r, and then f, on all elements' quadrature points at once
+    # b, b' and r on all elements' quadrature points at once, and b at the
+    # nodes; then f on the points
+    pts, nodes = (3, 10), (4,)
     bilinear_apply(u, v, prob)
-    assert calls == [(prob.r, (3, 10))]
+    assert calls == [(prob.b, pts), (prob.b_prime, pts), (prob.r, pts), (prob.b, nodes)]
+    calls.clear()
     load_apply(v, prob)
-    assert calls == [(prob.r, (3, 10)), (prob.f, (3, 10))]
+    assert calls == [(prob.f, pts)]
 
     # the error-equation terms: u on the quadrature points (shared by the
     # interpolant and its error) and the nodes, u' on the nodes, then b, b'
@@ -243,7 +247,6 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     case = manufacture("sin(3.141592653589793*x)", prob)
     calls.clear()
     verify.error_equation_terms(case, v)
-    pts, nodes = (3, 10), (4,)
     assert calls == [
         (case.u_exact, pts), (case.u_exact, nodes), (case.u_prime, nodes),
         (prob.b, pts), (prob.b_prime, pts), (prob.r, pts),
@@ -297,6 +300,43 @@ def _bilinear_apply_per_element(u, v, problem, sigmas=None, nquad=None):
     )
 
 
+def _bilinear_apply_per_call(u, v, problem, sigmas=None, nquad=None):
+    # bilinear_apply as it was before it became a wrapper of the stacked
+    # kernel, with one weak derivative, convection derivative and stabilizer
+    # call per function: the oracle for the bits of bilinear_values
+    p = u.degree
+    if sigmas is None:
+        sigmas = default_penalties(u.mesh, p, problem.eps1)
+    du = weak_derivative(u)
+    dv = du if v is u else weak_derivative(v)
+    dcu = weak_convection_derivative(u, problem.b, problem.b_prime, nquad)
+    k_lo = np.arange(p)
+    k_hi = np.arange(p + 1)
+    widths = u.mesh.widths
+    term1 = problem.eps1 * float(
+        np.sum(du.coeffs * dv.coeffs * (widths[:, None] / (2 * k_lo + 1)))
+    )
+    term2 = problem.eps2 * float(
+        np.sum(dcu.coeffs * v.coeffs * (widths[:, None] / (2 * k_hi + 1)))
+    )
+    rule = gauss_rule(quad_order(p, nquad))
+    nodes = u.mesh.nodes
+    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
+    rv = evaluate(problem.r, x)
+    u0 = npleg.legval(rule.nodes, u.coeffs.T)
+    v0 = u0 if v is u else npleg.legval(rule.nodes, v.coeffs.T)
+    term3 = 0.0
+    for row in (w * rv * u0 * v0).sum(axis=1).tolist():
+        term3 += row
+    return (
+        term1
+        + term2
+        + term3
+        + stabilizer_S(u, v, sigmas)
+        + stabilizer_Sc(u, v, problem.b, problem.eps2)
+    )
+
+
 def _load_apply_per_element(v, problem, nquad=None):
     # load_apply's element loop before batching, kept as its bitwise oracle
     rule = gauss_rule(quad_order(v.degree, nquad))
@@ -338,27 +378,87 @@ def test_batched_oracle_paths_match_the_per_element_loops_bit_for_bit():
             assert load_apply(v, prob, nquad) == _load_apply_per_element(v, prob, nquad), where
 
 
+def test_stacked_bilinear_values_match_the_per_call_form_bit_for_bit():
+    # B(u_i, v_i) from one stacked call equals, bit for bit, the old
+    # one-function-at-a-time bilinear_apply, for any k and either operand form
+    rng = np.random.default_rng(89)
+    for (eps1, eps2), mesh, p in itertools.product(
+        ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0)), ORACLE_MESHES, range(1, 13)
+    ):
+        prob = model_problem(eps1, eps2)
+        n = mesh.n_elements
+        us, vs = (
+            [WeakFunction(mesh, rng.standard_normal((n, p + 1)), rng.standard_normal(n + 1))
+             for _ in range(5)]
+            for _ in range(2)
+        )
+        u_all = (np.stack([w.coeffs for w in us]), np.stack([w.vb for w in us]))
+        v_all = (np.stack([w.coeffs for w in vs]), np.stack([w.vb for w in vs]))
+        for nquad in (None, 2 * quad_order(p)):
+            uv = [_bilinear_apply_per_call(a, b, prob, nquad=nquad) for a, b in zip(us, vs)]
+            vv = [_bilinear_apply_per_call(b, b, prob, nquad=nquad) for b in vs]
+            for k in range(1, 6):
+                where = (eps1, n, p, k, nquad)
+                u, v = (u_all[0][:k], u_all[1][:k]), (v_all[0][:k], v_all[1][:k])
+                assert bilinear_values(mesh, u, v, prob, nquad=nquad).tolist() == uv[:k], where
+                assert bilinear_values(mesh, v, v, prob, nquad=nquad).tolist() == vv[:k], where
+
+
 def test_bilinear_apply_of_v_with_itself_takes_one_weak_derivative(monkeypatch):
     import wg_hp.assembly as assembly
 
     calls = []
-    real = assembly.weak_derivative
+    real = assembly._apply
 
-    def counting_weak_derivative(v):
-        calls.append(v)
-        return real(v)
+    def counting_apply(op, coeffs, vb):
+        calls.append((op.shape[1], coeffs))
+        return real(op, coeffs, vb)
 
-    monkeypatch.setattr(assembly, "weak_derivative", counting_weak_derivative)
+    monkeypatch.setattr(assembly, "_apply", counting_apply)
     prob = model_problem(1e-4, 1e-2)
     mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
     rng = np.random.default_rng(9)
     u = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, 0.3, -0.2, 0.0])
     v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
+    # D_{p-1} has p = 4 rows per element, the convection derivative p + 1
     bilinear_apply(v, v, prob)
-    assert len(calls) == 1 and calls[0] is v
+    assert [rows for rows, _ in calls] == [4, 5]
+    assert all(np.array_equal(c[0], v.coeffs) for _, c in calls)
     calls.clear()
     bilinear_apply(u, v, prob)
-    assert len(calls) == 2 and calls[0] is u and calls[1] is v
+    assert [rows for rows, _ in calls] == [4, 4, 5]
+    assert [np.array_equal(c[0], u.coeffs) for _, c in calls] == [True, False, True]
+
+
+def test_bilinear_apply_evaluates_b_at_the_nodes_once_and_takes_no_jumps(monkeypatch):
+    # both stabilizers share one set of jumps per operand and one b at the
+    # nodes, so neither WeakFunction.jumps nor the per-function stabilizers,
+    # which call it, run
+    import wg_hp.assembly as assembly
+    import wg_hp.weakspace as weakspace
+
+    calls = []
+    real = assembly.evaluate
+
+    def counting_evaluate(expr, x):
+        calls.append((expr, np.shape(x)))
+        return real(expr, x)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bilinear_apply called WeakFunction.jumps")
+
+    monkeypatch.setattr(assembly, "evaluate", counting_evaluate)
+    monkeypatch.setattr(weakspace, "evaluate", counting_evaluate)
+    monkeypatch.setattr(WeakFunction, "jumps", forbidden)
+    prob = model_problem(1e-6, 1.0)
+    mesh = user_mesh([0.0, 0.4, 1.0])
+    rng = np.random.default_rng(13)
+    u, v = (WeakFunction(mesh, rng.standard_normal((2, 4)), [0.0, 0.7, 0.0]) for _ in range(2))
+    for a, b in ((u, v), (v, v)):
+        calls.clear()
+        bilinear_apply(a, b, prob)
+        assert [(e, shape) for e, shape in calls if shape == (3,)] == [(prob.b, (3,))]
+        assert len(calls) == 4
 
 
 def test_degree_zero_rejected():

@@ -5,11 +5,12 @@ from numpy.polynomial import legendre as npleg
 
 import wg_hp.checks as checks
 import wg_hp.problem as problem
+from wg_hp.assembly import assemble, bilinear_apply, load_apply, solve
 from wg_hp.checks import run_check
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
 from wg_hp.slmesh import user_mesh
-from wg_hp.weakspace import weak_convection_derivative, weak_derivative
+from wg_hp.weakspace import norm_broken, norm_p, weak_convection_derivative, weak_derivative
 
 
 def test_default_run_all_suites_pass():
@@ -152,3 +153,80 @@ def test_one_run_builds_each_mesh_once(monkeypatch):
     rng = np.random.default_rng(2)
     alone = [fn(rng) for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
     assert alone == expect
+
+
+def _suite_coercivity_solve_per_trial(rng, cases=None, sigma_override=None, **_):
+    # the coercivity suite as it was before its trials were stacked, one
+    # bilinear_apply and norm_p per trial: the oracle for its results
+    tally = checks._Tally()
+    for prob, mesh, p in checks._cases(cases):
+        sigmas = checks._sigmas(prob, mesh, p, sigma_override)
+        required = prob.eps1 * p**2 / mesh.widths
+        ok = bool(np.all(required <= checks.C_SIGMA * sigmas * (1 + 1e-12)))
+        tally.check(ok, f"penalty condition eps1*p^2/h <= sigma violated (p={p})")
+        for _trial in range(3):
+            v = checks._random_weakfunction(rng, mesh, p)
+            quad = bilinear_apply(v, v, prob, sigmas)
+            bound = 0.25 * min(1.0, prob.gamma_hat) * norm_p(v, prob, sigmas) ** 2
+            tally.check(
+                quad >= bound * (1 - 1e-10),
+                f"coercivity {quad:.3e} < {bound:.3e} (p={p})",
+            )
+        system = assemble(prob, mesh, p, sigmas=sigmas)
+        try:
+            u_p = solve(system)
+        except Exception as exc:  # noqa: BLE001 - record, keep sweeping
+            tally.check(False, f"solve failed: {exc}")
+            continue
+        tally.check(True)
+        v = checks._random_weakfunction(rng, mesh, p)
+        lhs = bilinear_apply(u_p, v, prob, sigmas)
+        rhs = load_apply(v, prob)
+        scale = max(abs(lhs), abs(rhs), 1e-30)
+        tally.check(
+            abs(lhs - rhs) / scale <= 1e-8,
+            f"Galerkin residual {abs(lhs - rhs) / scale:.2e} (p={p})",
+        )
+    return tally.result("coercivity-solve")
+
+
+def _suite_norm_equivalence_per_trial(rng, cases=None, sigma_override=None, **_):
+    # the norm-equivalence suite before its trials were stacked, one norm_p
+    # and norm_broken per trial: the oracle for its results
+    tally = checks._Tally()
+    lo, hi = np.inf, 0.0
+    for prob, mesh, p in checks._cases(cases):
+        sigmas = checks._sigmas(prob, mesh, p, sigma_override)
+        for _trial in range(5):
+            v = checks._random_weakfunction(rng, mesh, p)
+            a = norm_p(v, prob, sigmas)
+            c = norm_broken(v, prob, sigmas)
+            if c == 0.0:
+                tally.check(a == 0.0, "norm_broken vanished on a nonzero function")
+                continue
+            ratio = a / c
+            lo, hi = min(lo, ratio), max(hi, ratio)
+            tally.check(1.0 / 50.0 <= ratio <= 50.0, f"ratio {ratio:.3g} outside envelope")
+    return tally.result("norm-equivalence", f"ratio range [{lo:.3g}, {hi:.3g}]")
+
+
+def test_stacked_trial_suites_match_the_per_trial_suites():
+    # run_check with the stacked suites gives the same SuiteResults, detail
+    # included, as the per-trial suites drawing from the same generator
+    per_trial = {
+        checks.suite_coercivity_solve: _suite_coercivity_solve_per_trial,
+        checks.suite_norm_equivalence: _suite_norm_equivalence_per_trial,
+    }
+    suites = [per_trial.get(fn, fn) for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
+    cases = checks._case_list()
+    for seed in range(9):
+        for sigma in (None, 0.0, 1e-3):
+            rng = np.random.default_rng(seed)
+            expect = [fn(rng, cases=cases, sigma_override=sigma) for fn in suites]
+            where = (seed, sigma)
+            assert run_check(seed, quad_double=True, sigma_override=sigma) == expect, where
+            assert run_check(seed, sigma_override=sigma) == expect[:-1], where
+            if sigma is None:
+                assert all(r.passed for r in expect), where
+            if sigma == 0.0:
+                assert not expect[1].passed and expect[1].detail, where

@@ -13,12 +13,15 @@ from wg_hp.weakspace import (
     BrokenPoly,
     MeshMismatchError,
     WeakFunction,
+    _degree_tables,
     _legder_rows,
     default_penalties,
     deriv_pairing_matrix,
+    energy_norms,
     jump_seminorm,
     norm_broken,
     norm_p,
+    norms_p,
     stabilizer_S,
     stabilizer_Sc,
     weak_convection_derivative,
@@ -264,6 +267,67 @@ def test_norms_equal_the_five_public_terms():
                     + jump_seminorm(v, MODEL.b, MODEL.eps2) ** 2
                 )
                 assert norm(v, MODEL, sig) == float(np.sqrt(sq))
+
+
+def _norm_p_per_call(v, problem, sigmas):
+    # norm_p as it was before the stacked path, one weak derivative and one
+    # BrokenPoly.l2_norm_sq per function: the oracle for the bits of norms_p
+    deriv_sq = [weak_derivative(v).l2_norm_sq()]
+    return float(energy_norms(v.mesh, v.coeffs[None], v.vb[None], problem, sigmas, deriv_sq)[0])
+
+
+def _apply_per_function(op, v):
+    # the element operator product of one function, from its column-stacked
+    # local dofs, as weak_derivative formed it before stacking
+    local = np.column_stack([v.coeffs, v.vb[:-1], v.vb[1:]])
+    return (op @ local[:, :, None])[:, :, 0]
+
+
+def test_stacked_norms_match_the_per_call_norms_bit_for_bit():
+    import wg_hp.weakspace as weakspace
+
+    rng = np.random.default_rng(97)
+    meshes = (user_mesh([0.0, 1.0]), user_mesh([0.0, 0.35, 1.0]), user_mesh([0.0, 1e-3, 0.9, 1.0]))
+    problems = [
+        ProblemSpec.from_strings(eps1, eps2, "cos(x)", "1+x", "exp(x)")
+        for eps1, eps2 in ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0))
+    ]
+    for prob, mesh, p in itertools.product(problems, meshes, range(1, 13)):
+        n = mesh.n_elements
+        vs = [WeakFunction(mesh, rng.standard_normal((n, p + 1)), rng.standard_normal(n + 1))
+              for _ in range(5)]
+        sig = default_penalties(mesh, p, prob.eps1)
+        coeffs, vb = np.stack([v.coeffs for v in vs]), np.stack([v.vb for v in vs])
+        weak = [_norm_p_per_call(v, prob, sig) for v in vs]
+        broken = [norm_broken(v, prob, sig) for v in vs]
+        for k in range(1, 6):
+            where = (prob.eps1, n, p, k)
+            assert norms_p(mesh, coeffs[:k], vb[:k], prob, sig).tolist() == weak[:k], where
+            assert energy_norms(mesh, coeffs[:k], vb[:k], prob, sig).tolist() == broken[:k], where
+        assert [norm_p(v, prob, sig) for v in vs] == weak
+        # both weak derivatives equal the one-function operator product
+        D = weakspace._derivative_operator(mesh, p)
+        for v in vs:
+            assert weak_derivative(v).coeffs.tobytes() == _apply_per_function(D, v).tobytes()
+        x, w = gauss_rule(p + 6).mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+        b = weakspace.evaluate(prob.b, x), weakspace.evaluate(prob.b_prime, x)
+        Dc = weakspace._convection_operator(mesh, p, w, *b, weakspace.evaluate(prob.b, mesh.nodes))
+        got = weak_convection_derivative(vs[0], prob.b, prob.b_prime).coeffs
+        assert got.tobytes() == _apply_per_function(Dc, vs[0]).tobytes()
+
+
+def test_degree_tables_are_shared_read_only_floats():
+    for n in (1, 2, 7):
+        tables = _degree_tables(n)
+        assert all(a is b for a, b in zip(tables, _degree_tables(n)))
+        for table in tables:
+            assert table.dtype == np.float64 and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        alt, ones, odd = tables
+        assert alt.tolist() == [(-1.0) ** k for k in range(n)]
+        assert ones.tolist() == [1.0] * n
+        assert odd.tolist() == [2.0 * k + 1 for k in range(n)]
 
 
 def test_norm_ratio_finite_positive_for_random_v():
