@@ -1,10 +1,10 @@
 """Spectral boundary-layer meshes.
 
 The mesh is minimal: at most three elements, with layer elements of width
-kappa*p times the layer scale of the active regime, and a one-element
-fallback once the layer elements would swallow the domain.  The guard is
-width based (layer widths <= 1/4 for the three-element meshes, <= 1/2 for
-the two-element convection-diffusion mesh) so the cases are exhaustive.
+kappa*p times the layer scale of the active regime.  A layer width is
+capped at 1/4 on the three-element meshes and at 1/2 on the two-element
+convection-diffusion mesh, so a layer that is no longer thin gets a wide
+element while the other layer keeps its own.
 A layer element thinner than DEGENERACY_TOL raises MeshDegeneracyError:
 the mesh could not resolve that layer, and collapsing it to one element
 would return an answer that silently ignores it.
@@ -61,9 +61,6 @@ def user_mesh(nodes) -> Mesh:
     return Mesh(np.asarray(nodes, dtype=float))
 
 
-SINGLE_ELEMENT = (0.0, 1.0)
-
-
 class MeshDegeneracyError(Exception):
     """A layer element is too thin for the mesh to resolve its layer."""
 
@@ -97,26 +94,20 @@ def build_sbl_mesh(
         raise ValueError("polynomial degree must be >= 1")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if regime is Regime.REACTION_CONVECTION_DIFFUSION:
-        if mu is None:
-            raise ValueError("mu is required in the reaction-convection-diffusion regime")
-        w0 = kappa * p / mu.mu0
-        w1 = kappa * p / mu.mu1
-        if w0 <= 0.25 and w1 <= 0.25:
-            return _guarded(regime, [0.0, w0, 1.0 - w1, 1.0], min(w0, w1))
-        return Mesh(np.array(SINGLE_ELEMENT))
-    if regime is Regime.REACTION_DIFFUSION:
-        if eps1 is None:
-            raise ValueError("eps1 is required in the reaction-diffusion regime")
-        w = kappa * p * np.sqrt(eps1)
-        if w <= 0.25:
-            return _guarded(regime, [0.0, w, 1.0 - w, 1.0], w)
-        return Mesh(np.array(SINGLE_ELEMENT))
     if regime is Regime.CONVECTION_DIFFUSION:
         if eps1 is None:
             raise ValueError("eps1 is required in the convection-diffusion regime")
-        w = kappa * p * eps1
-        if w <= 0.5:
-            return _guarded(regime, [0.0, 1.0 - w, 1.0], w)
-        return Mesh(np.array(SINGLE_ELEMENT))
-    raise ValueError(f"unknown regime {regime!r}")
+        w = min(kappa * p * eps1, 0.5)
+        return _guarded(regime, [0.0, 1.0 - w, 1.0], w)
+    if regime is Regime.REACTION_CONVECTION_DIFFUSION:
+        if mu is None:
+            raise ValueError("mu is required in the reaction-convection-diffusion regime")
+        w0 = min(kappa * p / mu.mu0, 0.25)
+        w1 = min(kappa * p / mu.mu1, 0.25)
+    elif regime is Regime.REACTION_DIFFUSION:
+        if eps1 is None:
+            raise ValueError("eps1 is required in the reaction-diffusion regime")
+        w0 = w1 = min(kappa * p * np.sqrt(eps1), 0.25)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    return _guarded(regime, [0.0, w0, 1.0 - w1, 1.0], min(w0, w1))

@@ -31,7 +31,8 @@ from wg_hp.verify import (
 )
 from wg_hp.weakspace import WeakFunction, default_penalties, norm_broken, weak_derivative
 
-# one eps sample per regime plus a single-element fallback case
+# one eps sample per regime, plus (0.5, 0.5): reaction-diffusion with both
+# layer widths capped, the mesh [0, 1/4, 3/4, 1]
 REGIME_SAMPLES = ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0), (0.5, 0.5))
 
 # relative energy errors for the stock problem at eps1=1e-5, eps2=1e-2,

@@ -485,7 +485,7 @@ ASSEMBLED_BASELINE = {
     ((1e-06, 0.01, None), 1): (2.0997610036693644, 1.7895128340118742, 1.778636958433383, 1.7300398556487064),
     ((1e-06, 0.01, None), 4): (3.2257390214027675, 1.905869162422842, 1.8805612677156407, 1.6964871446353746),
     ((1e-06, 0.01, None), 16): (9.397690436515438, 9.803365497427533, 9.744693149487311, 1.5598564178504688),
-    ((1e-06, 0.01, None), 40): (4.796574421066833, 2.992059056046897, 2.7019358769906896, 1.7414488280415414),
+    ((1e-06, 0.01, None), 40): (37.99038956156411, 90.80726709344013, 90.68816200558, 1.4542695234420913),
     ((1e-06, 1e-06, None), 1): (2.0120144836277554, 1.7910431032492937, 1.7910420179670639, 1.7373704191231385),
     ((1e-06, 1e-06, None), 4): (2.8212804156628035, 1.883894504299927, 1.8838920306862115, 1.7260723195403462),
     ((1e-06, 1e-06, None), 16): (5.449394673782046, 2.9757222922843756, 2.9757051846789366, 1.6806357632077826),
@@ -493,7 +493,7 @@ ASSEMBLED_BASELINE = {
     ((0.0001, 1e-05, None), 1): (2.1208812287593974, 1.7559110995801428, 1.7559000264467606, 1.7030188797568973),
     ((0.0001, 1e-05, None), 4): (4.115002363932082, 1.9611725014429582, 1.961134914426293, 1.5929867481196405),
     ((0.0001, 1e-05, None), 16): (24.193378967784817, 23.50274975860773, 23.502617799696853, 1.2306484124804271),
-    ((0.0001, 1e-05, None), 40): (25.91415234199785, 63.5866560248814, 63.58654552794687, 1.7414488280415414),
+    ((0.0001, 1e-05, None), 40): (224.65886668063507, 373.21776406180766, 373.21742173659874, 1.0684633886893011),
     ((1e-08, 0.0001, LAYER_U), 1): (2.0018466112239586, 1.7947475190184763, 1.794639214813012, 1.50892534267117),
     ((1e-08, 0.0001, LAYER_U), 4): (2.69630554069881, 1.8975968043136242, 1.8973653123673286, 1.508008990444441),
     ((1e-08, 0.0001, LAYER_U), 16): (3.7855416323398723, 1.9472352949861789, 1.9458211673149604, 1.5043467622264932),
@@ -501,21 +501,24 @@ ASSEMBLED_BASELINE = {
 }
 
 
-# the same fingerprint at p = 64 on user meshes of 2 and 3 elements, which
-# no SBL mesh above has; pinned from the per-element assembly loop
+# the same fingerprint on user meshes: at p = 64 on 2 and 3 elements, which
+# no SBL mesh above has, pinned from the per-element assembly loop; and at
+# p = 40 on the one element [0, 1], pinned when the SBL mesh of these two
+# eps pairs still fell back to it there
 USER_MESH_BASELINE = {
-    ((1e-08, 1.0, None), (0.0, 0.3, 1.0)): (118.45819230572216, 338.45618852597596, 326.6418719986415, 1.4214388893980143),
-    ((1e-06, 0.01, None), (0.0, 0.001, 0.7, 1.0)): (900.7686222727439, 3192.9664181978846, 3192.4445033348334, 1.239770802987062),
+    ((1e-08, 1.0, None), (0.0, 0.3, 1.0), 64): (118.45819230572216, 338.45618852597596, 326.6418719986415, 1.4214388893980143),
+    ((1e-06, 0.01, None), (0.0, 0.001, 0.7, 1.0), 64): (900.7686222727439, 3192.9664181978846, 3192.4445033348334, 1.239770802987062),
+    ((1e-06, 0.01, None), (0.0, 1.0), 40): (4.796574421066833, 2.992059056046897, 2.7019358769906896, 1.7414488280415414),
+    ((0.0001, 1e-05, None), (0.0, 1.0), 40): (25.91415234199785, 63.5866560248814, 63.58654552794687, 1.7414488280415414),
 }
-USER_MESH_P = 64
 
 
 @pytest.mark.parametrize(
     "key, p, nodes",
     [(key, p, None) for key, p in ASSEMBLED_BASELINE]
-    + [(key, USER_MESH_P, nodes) for key, nodes in USER_MESH_BASELINE],
+    + [(key, p, nodes) for key, nodes, p in USER_MESH_BASELINE],
     ids=[f"{e1:g}:{e2:g}{':layer' if u else ''}-p{p}" for (e1, e2, u), p in ASSEMBLED_BASELINE]
-    + [f"{e1:g}:{e2:g}-N{len(nodes) - 1}-p{USER_MESH_P}" for (e1, e2, _), nodes in USER_MESH_BASELINE],
+    + [f"{e1:g}:{e2:g}-N{len(nodes) - 1}-p{p}" for (e1, e2, _), nodes, p in USER_MESH_BASELINE],
 )
 def test_assemble_matches_pinned_baseline(key, p, nodes):
     eps1, eps2, u_text = key
@@ -525,7 +528,7 @@ def test_assemble_matches_pinned_baseline(key, p, nodes):
     if nodes is None:
         mesh, expected = sbl_mesh(prob, p), ASSEMBLED_BASELINE[key, p]
     else:
-        mesh, expected = user_mesh(nodes), USER_MESH_BASELINE[key, nodes]
+        mesh, expected = user_mesh(nodes), USER_MESH_BASELINE[key, nodes, p]
     system = assemble(prob, mesh, p)
     ones = np.ones(system.dof_map.total)
     got = (

@@ -26,32 +26,33 @@ def test_cd_node_formula():
     np.testing.assert_allclose(mesh.nodes, [0.0, 0.996, 1.0], atol=1e-15)
 
 
-def test_cd_fallback_to_single_element():
-    # kappa*p*eps1 = 0.8 > 1/2
-    mesh = build_sbl_mesh(CD, kappa=1.0, p=4, eps1=0.2)
-    np.testing.assert_allclose(mesh.nodes, [0.0, 1.0])
-
-
-def test_rd_fallback_when_layers_too_wide():
-    mesh = build_sbl_mesh(RD, kappa=1.0, p=8, eps1=0.01)  # width 0.8 > 1/4
-    assert mesh.n_elements == 1
-
-
-def test_rcd_fallback_when_one_layer_too_wide():
-    mesh = build_sbl_mesh(RCD, kappa=1.0, p=4, mu=MuPair(2.0, 1e4))  # w0 = 2
-    assert mesh.n_elements == 1
-
-
-DEGENERATE = [
-    (RD, dict(p=1, eps1=1e-28), "1e-14"),
-    (RCD, dict(p=4, mu=MuPair(100.0, 1e14)), "4e-14"),
-    (CD, dict(p=4, eps1=1e-14), "4e-14"),
+CAPPED = [
+    (RD, dict(p=8, eps1=0.01), [0.0, 0.25, 0.75, 1.0]),  # both widths 0.8 > 1/4
+    (RCD, dict(p=4, mu=MuPair(2.0, 1e4)), [0.0, 0.25, 0.9996, 1.0]),  # w0 = 2, w1 = 4e-4
+    (CD, dict(p=4, eps1=0.2), [0.0, 0.5, 1.0]),  # kappa*p*eps1 = 0.8 > 1/2
 ]
 
 
 @pytest.mark.parametrize(
-    "regime, params, width", DEGENERATE, ids=[regime.value for regime, _, _ in DEGENERATE]
+    "regime, params, nodes", CAPPED, ids=[regime.value for regime, _, _ in CAPPED]
 )
+def test_wide_layer_is_capped_and_the_other_kept(regime, params, nodes):
+    # a layer element wider than the cap gets the cap's width; the mesh
+    # keeps its shape, so a thin layer at the other end keeps its element
+    mesh = build_sbl_mesh(regime, kappa=1.0, **params)
+    np.testing.assert_allclose(mesh.nodes, nodes, rtol=0, atol=1e-15)
+
+
+DEGENERATE = [
+    pytest.param(RD, dict(p=1, eps1=1e-28), "1e-14", id=RD.value),
+    pytest.param(RCD, dict(p=4, mu=MuPair(100.0, 1e14)), "4e-14", id=RCD.value),
+    pytest.param(CD, dict(p=4, eps1=1e-14), "4e-14", id=CD.value),
+    # w0 = 2 is capped at 1/4; the thin layer at x = 1 still raises
+    pytest.param(RCD, dict(p=4, mu=MuPair(2.0, 1e14)), "4e-14", id="rcd-other-layer-capped"),
+]
+
+
+@pytest.mark.parametrize("regime, params, width", DEGENERATE)
 def test_degenerate_interior_node_raises(regime, params, width):
     # a layer width below the degeneracy tolerance: the mesh cannot resolve
     # the layer, and one element [0, 1] would ignore it without a word

@@ -427,6 +427,22 @@ def test_study_accurate_beyond_110_quadrature_points():
     assert all(r.err_rel < 1e-10 for r in records)
 
 
+@pytest.mark.parametrize(
+    "eps1, eps2",
+    # the criterion-6 grid, then two pairs whose x = 0 layer outgrows the
+    # width cap of 1/4 while the x = 1 layer stays thin
+    [(1e-8, 1.0), (1e-8, 1e-3), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5), (1e-5, 1e-2), (1e-9, 0.1)],
+)
+def test_error_does_not_grow_with_p_until_roundoff(eps1, eps2):
+    # the central claim: exponential convergence in p on the layer-adapted
+    # mesh, for every eps pair; a mesh that drops a layer makes it rise
+    records, failures = convergence_study(model_problem(eps1, eps2), range(2, 41, 2))
+    assert failures == []
+    for lo, hi in zip(records, records[1:]):
+        if lo.err_rel > 1e-12:
+            assert hi.err_rel <= lo.err_rel, (lo.p, lo.err_rel, hi.p, hi.err_rel)
+
+
 def test_solve_on_sbl_mesh_regimes():
     regime, mesh, _ = solve_on_sbl_mesh(model_problem(1e-5, 1e-2), 2)
     assert regime is Regime.REACTION_CONVECTION_DIFFUSION
