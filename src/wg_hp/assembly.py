@@ -186,7 +186,8 @@ def solve(system: AssembledSystem, residual_tol: float = 1e-10) -> WeakFunction:
 def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=None) -> np.ndarray:
     """B(u_i, v_i) of k pairs of weak functions by quadrature, without the
     assembled matrix.  u and v are (coeffs, vb) pairs stacked as for
-    energy_norms; v is u pairs each function with itself.  The coefficients,
+    energy_norms; v is u pairs each function with itself, and a u of one
+    function is paired with every v_i.  The coefficients,
     operators and jumps are formed once per call, and each function's terms
     are reduced as for k = 1, so B(u_i, v_i) does not depend on k."""
     (uc, ub), (vc, vb) = u, v
@@ -203,22 +204,21 @@ def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=N
     dv = du if v is u else _apply(D, vc, vb)
     dcu = _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), uc, ub)
     mass_hi = mesh.widths[:, None] / _degree_tables(p + 1)[2]
-    term1 = problem.eps1 * (du * dv * mass_hi[:, :p]).reshape(len(uc), -1).sum(axis=1)
-    term2 = problem.eps2 * (dcu * vc * mass_hi).reshape(len(uc), -1).sum(axis=1)
+    term1 = problem.eps1 * (du * dv * mass_hi[:, :p]).reshape(len(vc), -1).sum(axis=1)
+    term2 = problem.eps2 * (dcu * vc * mass_hi).reshape(len(vc), -1).sum(axis=1)
     # (r v0, u0) element by element, the rows added in element order
     u0 = npleg.legval(rule.nodes, np.moveaxis(uc, 2, 0))
     v0 = u0 if v is u else npleg.legval(rule.nodes, np.moveaxis(vc, 2, 0))
-    term3 = []
-    for rows in (w * rv * u0 * v0).sum(axis=2).tolist():
-        term3.append(0.0)
-        for row in rows:
-            term3[-1] += row
+    rows = (w * rv * u0 * v0).sum(axis=2)
+    term3 = np.zeros(len(rows))
+    for j in range(rows.shape[1]):
+        term3 += rows[:, j]
     # the stabilizers S and S_c, from one set of jumps per operand
     ul, ur = _jumps(uc, ub)
     vl, vr = (ul, ur) if v is u else _jumps(vc, vb)
     s = (sig * (ur * vr + ul * vl)).sum(axis=1)
     sc = (problem.eps2 * b_nodes[1:] * ur * vr).sum(axis=1)
-    return term1 + term2 + np.array(term3) + s + sc
+    return term1 + term2 + term3 + s + sc
 
 
 def bilinear_apply(

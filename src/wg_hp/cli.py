@@ -117,7 +117,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def non_negative_int(text: str) -> int:
-    """An integer >= 0, such as a random seed."""
+    """An integer >= 0, such as check's --seed."""
     value = int(text)
     if value < 0:
         raise ValueError(f"expected a non-negative integer, got {text!r}")
@@ -140,7 +140,7 @@ _OPTIONS = (
     ("p-range", {}, ("convergence",)),
     ("eps-grid", {}, ("convergence",)),
     ("quad-double", dict(action="store_true"), ("solve", "convergence", "check")),
-    ("seed", dict(type=non_negative_int, default=0), ("check",)),
+    ("seed", dict(type=non_negative_int, default=0, help="accepted; has no effect"), ("check",)),
     ("sigma", dict(type=float, help="constant penalty override"), ("check",)),
 )
 
@@ -266,7 +266,7 @@ def run_convergence(args) -> int:
 
 
 def run_checks(args) -> int:
-    results = run_check(seed=args.seed, quad_double=args.quad_double, sigma_override=args.sigma)
+    results = run_check(quad_double=args.quad_double, sigma_override=args.sigma)
     for res in results:
         print(res.line())
     return EXIT_OK if all(res.passed for res in results) else EXIT_CHECK_FAILED

@@ -20,7 +20,7 @@ from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolant_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
-from wg_hp.weakspace import WeakFunction, check_same_mesh, default_penalties, energy_norms
+from wg_hp.weakspace import WeakFunction, _jumps, check_same_mesh, default_penalties, energy_norms
 
 
 class BoundaryValueError(Exception):
@@ -85,10 +85,16 @@ def interpolant_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=N
 def error_equation_terms(
     case: ManufacturedCase, v: WeakFunction, nquad: int | None = None
 ) -> tuple[float, float, float]:
-    """The three consistency-error terms of the discrete error equation,
-    evaluated by quadrature from their definitions."""
-    mesh = v.mesh
-    p = v.degree
+    """The three consistency-error terms of the discrete error equation by
+    quadrature from their definitions; error_equation_values with k = 1."""
+    terms = error_equation_values(case, v.mesh, v.coeffs[None], v.vb[None], nquad)
+    return tuple(terms[:, 0].tolist())
+
+
+def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=None) -> np.ndarray:
+    """The terms (3, k) of error_equation_terms for k test functions stacked
+    as for energy_norms; each function's terms are reduced as for k = 1."""
+    p = coeffs.shape[2] - 1
     prob = case.problem
     nq = quad_order(p, nquad)
     rule = gauss_rule(nq)
@@ -105,27 +111,21 @@ def error_equation_terms(
     diu = npleg.legder(iu.coeffs, axis=1) * scale[:, None]
     d_left = npleg.legval(-1.0, diu.T).tolist()
     d_right = npleg.legval(1.0, diu.T).tolist()
-    e1 = 0.0
-    jl, jr = v.jumps()
-    for j in range(mesh.n_elements):
-        e1 += prob.eps1 * ((up[j + 1] - d_right[j]) * jr[j] - (up[j] - d_left[j]) * jl[j])
+    jl, jr = _jumps(coeffs, vb)
 
     # the coefficients, the interpolant's error, v0 and v0' on all
     # elements' quadrature points at once
-    bv = evaluate(prob.b, x)
-    bpv = evaluate(prob.b_prime, x)
-    rv = evaluate(prob.r, x)
+    bv, bpv, rv = (evaluate(e, x) for e in (prob.b, prob.b_prime, prob.r))
     uerr = uv - npleg.legval(rule.nodes, iu.coeffs.T)
-    v0 = npleg.legval(rule.nodes, v.coeffs.T)
-    dv0 = npleg.legval(rule.nodes, npleg.legder(v.coeffs, axis=1).T) * scale[:, None]
-    e2_rows = (w * uerr * (bpv * v0 + bv * dv0)).sum(axis=1).tolist()
-    e3_rows = (w * rv * (-uerr) * v0).sum(axis=1).tolist()
-    e2 = 0.0
-    e3 = 0.0
+    v0 = npleg.legval(rule.nodes, np.moveaxis(coeffs, 2, 0))
+    dv0 = npleg.legval(rule.nodes, np.moveaxis(npleg.legder(coeffs, axis=2), 2, 0)) * scale[:, None]
+    e2_rows = (w * uerr * (bpv * v0 + bv * dv0)).sum(axis=2)
+    e3_rows = (w * rv * (-uerr) * v0).sum(axis=2)
+    terms = np.zeros((3, len(coeffs)))
     for j in range(mesh.n_elements):
-        e2 += prob.eps2 * e2_rows[j]
-        e3 += e3_rows[j]
-    return e1, e2, e3
+        ends = (up[j + 1] - d_right[j]) * jr[:, j] - (up[j] - d_left[j]) * jl[:, j]
+        terms += [prob.eps1 * ends, prob.eps2 * e2_rows[:, j], e3_rows[:, j]]
+    return terms
 
 
 def reference_solution(

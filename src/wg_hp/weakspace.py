@@ -227,15 +227,20 @@ def weak_convection_derivative(
     v: WeakFunction, b: Expr, b_prime: Expr, nquad: int | None = None
 ) -> BrokenPoly:
     """Degree p weak convection derivative (duality against (b*q)' terms)."""
-    p = v.degree
-    if p < 1:
+    if v.degree < 1:
         raise ValueError("weak convection derivative needs degree p >= 1")
-    mesh = v.mesh
+    dc = _convection_apply(v.mesh, v.coeffs[None], v.vb[None], b, b_prime, nquad)
+    return BrokenPoly(v.mesh, dc[0])
+
+
+def _convection_apply(mesh: Mesh, coeffs, vb, b: Expr, b_prime: Expr, nquad=None) -> np.ndarray:
+    """The weak convection derivatives (k, N, p+1) of k weak functions
+    stacked as for energy_norms, from one operator for all k."""
+    p = coeffs.shape[2] - 1
     rule, _, _ = basis_tables(p, quad_order(p, nquad))
     x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
     bv, bpv, b_nodes = evaluate(b, x), evaluate(b_prime, x), evaluate(b, mesh.nodes)
-    Dc = _convection_operator(mesh, p, w, bv, bpv, b_nodes)
-    return BrokenPoly(mesh, _apply(Dc, v.coeffs[None], v.vb[None])[0])
+    return _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), coeffs, vb)
 
 
 def stabilizer_S(u: WeakFunction, v: WeakFunction, sigmas) -> float:
@@ -330,6 +335,23 @@ def norms_p(mesh: Mesh, coeffs, vb, problem, sigmas) -> np.ndarray:
     d = _apply(_derivative_operator(mesh, cols - 1), coeffs, vb)
     deriv_sq = (d**2 * (mesh.widths[:, None] / _degree_tables(cols - 1)[2])).reshape(k_fns, -1)
     return energy_norms(mesh, coeffs, vb, problem, sigmas, deriv_sq.sum(axis=1))
+
+
+def gram_rows(mesh: Mesh, coeffs, vb, problem, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (k, m), linear in k weak functions stacked as for energy_norms,
+    whose squared sums are the squared norms_p and energy_norms; on a basis,
+    rows @ rows.T is the norm's Gram matrix.  The penalties must be >= 0."""
+    k_fns, n, cols = coeffs.shape
+    root_mass = np.sqrt(mesh.widths[:, None] / _degree_tables(cols)[2])
+    left, right = _jumps(coeffs, vb)
+    # S_c and |v|_J^2 weight right jumps by eps2*b, |v|_J^2 by half on the last element
+    b_out = np.r_[np.full(n - 1, 2.0), 1.5] * problem.eps2 * evaluate(problem.b, mesh.nodes[1:])
+    weights = np.sqrt(np.stack([np.asarray(sigmas, dtype=float)] * 2 + [b_out], axis=1))
+    rest = [coeffs * root_mass, np.stack([left, right, right], axis=2) * weights]
+    weak = _apply(_derivative_operator(mesh, cols - 1), coeffs, vb)
+    broken = _legder_rows(coeffs.reshape(-1, cols)).reshape(weak.shape) * (2 / mesh.widths[:, None])
+    return tuple(np.concatenate([np.sqrt(problem.eps1) * d * root_mass[:, :-1]] + rest, axis=2)
+                 .reshape(k_fns, -1) for d in (weak, broken))
 
 
 def norm_p(v: WeakFunction, problem, sigmas) -> float:

@@ -255,7 +255,7 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     # the definition residuals: per case, b and b' on all elements'
     # quadrature points and b on the nodes, hoisted out of the degree loop
     calls.clear()
-    checks.suite_definition_residuals(np.random.default_rng(0))
+    checks.suite_definition_residuals()
     cases = [(c, m, p) for c, m, p in checks._cases()]
     expect = []
     for c, m, p in cases:

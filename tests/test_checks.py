@@ -1,20 +1,34 @@
 """The property suites behind the check command."""
 
+import re
+
 import numpy as np
+import pytest
 from numpy.polynomial import legendre as npleg
 
 import wg_hp.checks as checks
 import wg_hp.problem as problem
-from wg_hp.assembly import assemble, bilinear_apply, load_apply, solve
 from wg_hp.checks import run_check
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
 from wg_hp.slmesh import user_mesh
-from wg_hp.weakspace import norm_broken, norm_p, weak_convection_derivative, weak_derivative
+from wg_hp.weakspace import (
+    WeakFunction,
+    energy_norms,
+    gram_rows,
+    norms_p,
+    weak_convection_derivative,
+    weak_derivative,
+)
+
+MESHES = [
+    user_mesh(nodes)
+    for nodes in ([0.0, 1.0], [0.0, 0.35, 1.0], [0.0, 1e-3, 0.9, 1.0], [0.0, 0.3, 0.65, 1.0])
+]
 
 
 def test_default_run_all_suites_pass():
-    results = run_check(seed=0)
+    results = run_check()
     names = [r.name for r in results]
     assert names == [
         "definition-residuals",
@@ -30,20 +44,54 @@ def test_default_run_all_suites_pass():
 
 
 def test_zero_penalty_fails_coercivity_suite():
-    results = run_check(seed=0, sigma_override=0.0)
+    results = run_check(sigma_override=0.0)
     by_name = {r.name: r for r in results}
     assert not by_name["coercivity-solve"].passed
     assert "penalty condition" in by_name["coercivity-solve"].detail
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.1])
+def test_weak_penalties_fail_norm_equivalence(sigma):
+    # the exact least norm_p / norm_broken is 2.0e-4, 0.0129 and 0.127 there
+    # (CD, p = 6), below the envelope's 1/2
+    result = run_check(sigma_override=sigma)[2]
+    assert result.name == "norm-equivalence" and not result.passed, result.line()
+
+
+def test_the_printed_constants_are_the_sharp_ones():
+    # the least coercivity constant is convection-diffusion's at p = 6
+    by_name = {r.name: r.detail for r in run_check()}
+    constant = re.search(r"min constant ([0-9.e+-]+)", by_name["coercivity-solve"]).group(1)
+    lo, hi = re.search(r"ratio range \[([^,]+), ([^\]]+)\]", by_name["norm-equivalence"]).groups()
+    assert float(constant) == pytest.approx(0.279, abs=1e-3)
+    assert float(lo) == pytest.approx(0.581, abs=1e-3)
+    assert float(hi) == pytest.approx(1.72, abs=1e-3)
+
+
+def test_gram_rows_square_to_the_squared_norms():
+    rng = np.random.default_rng(53)
+    for prob in checks._problems():
+        for mesh in MESHES[:3]:
+            n = mesh.n_elements
+            for p in range(1, 13):
+                stack = rng.standard_normal((4, n, p + 1)), rng.standard_normal((4, n + 1))
+                for sigma in (None, 0.0):
+                    sigmas = checks._sigmas(prob, mesh, p, sigma)
+                    rows_p, rows_broken = gram_rows(mesh, *stack, prob, sigmas)
+                    expect_p = norms_p(mesh, *stack, prob, sigmas) ** 2
+                    expect_b = energy_norms(mesh, *stack, prob, sigmas) ** 2
+                    np.testing.assert_allclose((rows_p**2).sum(axis=1), expect_p, rtol=1e-13)
+                    np.testing.assert_allclose((rows_broken**2).sum(axis=1), expect_b, rtol=1e-13)
+
+
 def test_quad_double_adds_stability_suite():
-    results = run_check(seed=1, quad_double=True)
+    results = run_check(quad_double=True)
     assert results[-1].name == "quadrature-stability"
     assert results[-1].passed, results[-1].line()
 
 
 def test_result_line_format():
-    res = run_check(seed=0)[0]
+    res = run_check()[0]
     line = res.line()
     assert line.startswith("[pass]") or line.startswith("[FAIL]")
     assert f"{res.n_checks - res.n_failed}/{res.n_checks}" in line
@@ -65,7 +113,7 @@ def test_one_run_sets_up_each_problem_once(monkeypatch):
 
     monkeypatch.setattr(checks, "model_problem", counting_model_problem)
     monkeypatch.setattr(problem, "compute_mu", counting_compute_mu)
-    results = run_check(seed=1, quad_double=True)
+    results = run_check(quad_double=True)
     assert all(r.passed for r in results)
     assert built == list(checks.EPS_PAIRS)
     assert mu_calls == [(1e-5, 1e-2)]
@@ -109,21 +157,24 @@ def _definition_residuals_per_degree(prob, mesh, p, v):
 
 
 def test_definition_residuals_match_the_per_degree_loops_bit_for_bit():
+    # each function of a stack gets the bits of the per-degree loops
     rng = np.random.default_rng(37)
-    meshes = [
-        user_mesh(nodes)
-        for nodes in ([0.0, 1.0], [0.0, 0.35, 1.0], [0.0, 1e-3, 0.9, 1.0], [0.0, 0.3, 0.65, 1.0])
-    ]
     cases = [(prob, mesh, p) for prob, mesh, p in checks._cases()]
-    cases += [(prob, mesh, p) for prob in checks._problems() for mesh in meshes for p in range(1, 13)]
+    cases += [(prob, mesh, p) for prob in checks._problems() for mesh in MESHES for p in range(1, 13)]
     for prob, mesh, p in cases:
-        v = checks._random_weakfunction(rng, mesh, p)
-        expect = _definition_residuals_per_degree(prob, mesh, p, v)
-        assert checks._definition_residuals(prob, mesh, p, v) == expect, (prob.eps1, mesh.nodes, p)
+        n = mesh.n_elements
+        coeffs, vb = rng.standard_normal((3, n, p + 1)), rng.standard_normal((3, n + 1))
+        d_res, dc_res = checks._definition_residuals(prob, mesh, p, coeffs, vb)
+        for i in range(3):
+            v = WeakFunction(mesh, coeffs[i], vb[i])
+            expect = _definition_residuals_per_degree(prob, mesh, p, v)
+            assert (d_res[i].tolist(), dc_res[i].tolist()) == expect, (prob.eps1, mesh.nodes, p)
 
 
 def test_definition_residuals_evaluate_each_derivative_once_per_case(monkeypatch):
-    # P_k' for k = 0..p, once per case, shared by every element
+    # P_k' for k = 0..p, once per degree, shared by every element and by
+    # every case of that degree
+    checks._test_polynomials.cache_clear()
     calls = []
     real = checks.legendre_eval
 
@@ -132,8 +183,8 @@ def test_definition_residuals_evaluate_each_derivative_once_per_case(monkeypatch
         return real(k, t)
 
     monkeypatch.setattr(checks, "legendre_eval", counting_legendre_eval)
-    checks.suite_definition_residuals(np.random.default_rng(0))
-    assert calls == [k for _, _, p in checks._cases() for k in range(p + 1)]
+    checks.suite_definition_residuals()
+    assert calls == [k for p in checks.DEGREES for k in range(p + 1)]
 
 
 def test_one_run_builds_each_mesh_once(monkeypatch):
@@ -147,86 +198,8 @@ def test_one_run_builds_each_mesh_once(monkeypatch):
         return real(regime, kappa, p, **kw)
 
     monkeypatch.setattr(verify, "build_sbl_mesh", counting_build_sbl_mesh)
-    expect = run_check(seed=2, quad_double=True)
+    expect = run_check(quad_double=True)
     assert len(built) == len(checks.EPS_PAIRS) * len(checks.DEGREES)
     # the same results as suites that build their own cases when called alone
-    rng = np.random.default_rng(2)
-    alone = [fn(rng) for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
+    alone = [fn() for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
     assert alone == expect
-
-
-def _suite_coercivity_solve_per_trial(rng, cases=None, sigma_override=None, **_):
-    # the coercivity suite as it was before its trials were stacked, one
-    # bilinear_apply and norm_p per trial: the oracle for its results
-    tally = checks._Tally()
-    for prob, mesh, p in checks._cases(cases):
-        sigmas = checks._sigmas(prob, mesh, p, sigma_override)
-        required = prob.eps1 * p**2 / mesh.widths
-        ok = bool(np.all(required <= checks.C_SIGMA * sigmas * (1 + 1e-12)))
-        tally.check(ok, f"penalty condition eps1*p^2/h <= sigma violated (p={p})")
-        for _trial in range(3):
-            v = checks._random_weakfunction(rng, mesh, p)
-            quad = bilinear_apply(v, v, prob, sigmas)
-            bound = 0.25 * min(1.0, prob.gamma_hat) * norm_p(v, prob, sigmas) ** 2
-            tally.check(
-                quad >= bound * (1 - 1e-10),
-                f"coercivity {quad:.3e} < {bound:.3e} (p={p})",
-            )
-        system = assemble(prob, mesh, p, sigmas=sigmas)
-        try:
-            u_p = solve(system)
-        except Exception as exc:  # noqa: BLE001 - record, keep sweeping
-            tally.check(False, f"solve failed: {exc}")
-            continue
-        tally.check(True)
-        v = checks._random_weakfunction(rng, mesh, p)
-        lhs = bilinear_apply(u_p, v, prob, sigmas)
-        rhs = load_apply(v, prob)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        tally.check(
-            abs(lhs - rhs) / scale <= 1e-8,
-            f"Galerkin residual {abs(lhs - rhs) / scale:.2e} (p={p})",
-        )
-    return tally.result("coercivity-solve")
-
-
-def _suite_norm_equivalence_per_trial(rng, cases=None, sigma_override=None, **_):
-    # the norm-equivalence suite before its trials were stacked, one norm_p
-    # and norm_broken per trial: the oracle for its results
-    tally = checks._Tally()
-    lo, hi = np.inf, 0.0
-    for prob, mesh, p in checks._cases(cases):
-        sigmas = checks._sigmas(prob, mesh, p, sigma_override)
-        for _trial in range(5):
-            v = checks._random_weakfunction(rng, mesh, p)
-            a = norm_p(v, prob, sigmas)
-            c = norm_broken(v, prob, sigmas)
-            if c == 0.0:
-                tally.check(a == 0.0, "norm_broken vanished on a nonzero function")
-                continue
-            ratio = a / c
-            lo, hi = min(lo, ratio), max(hi, ratio)
-            tally.check(1.0 / 50.0 <= ratio <= 50.0, f"ratio {ratio:.3g} outside envelope")
-    return tally.result("norm-equivalence", f"ratio range [{lo:.3g}, {hi:.3g}]")
-
-
-def test_stacked_trial_suites_match_the_per_trial_suites():
-    # run_check with the stacked suites gives the same SuiteResults, detail
-    # included, as the per-trial suites drawing from the same generator
-    per_trial = {
-        checks.suite_coercivity_solve: _suite_coercivity_solve_per_trial,
-        checks.suite_norm_equivalence: _suite_norm_equivalence_per_trial,
-    }
-    suites = [per_trial.get(fn, fn) for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
-    cases = checks._case_list()
-    for seed in range(9):
-        for sigma in (None, 0.0, 1e-3):
-            rng = np.random.default_rng(seed)
-            expect = [fn(rng, cases=cases, sigma_override=sigma) for fn in suites]
-            where = (seed, sigma)
-            assert run_check(seed, quad_double=True, sigma_override=sigma) == expect, where
-            assert run_check(seed, sigma_override=sigma) == expect[:-1], where
-            if sigma is None:
-                assert all(r.passed for r in expect), where
-            if sigma == 0.0:
-                assert not expect[1].passed and expect[1].detail, where

@@ -271,11 +271,15 @@ def test_bad_config_file(tmp_path, capsys):
 
 
 def test_check_command(capsys):
-    assert main(["check"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("[pass]") == 5
+    # check accepts --seed and ignores it
+    outs = []
+    for seed in ([], ["--seed", "2"]):
+        assert main(["check", *seed]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0].count("[pass]") == 5 and outs[0] == outs[1]
 
 
 def test_check_command_zero_penalty_fails(capsys):
     assert main(["check", "--sigma", "0"]) == EXIT_CHECK_FAILED
-    assert "[FAIL]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] coercivity-solve: " in out and "[FAIL] norm-equivalence: " in out
