@@ -66,8 +66,6 @@ class AssembledSystem:
     rhs: np.ndarray = field(repr=False)
     mesh: Mesh
     degree: int
-    sigmas: np.ndarray = field(repr=False)
-    problem: ProblemSpec
 
     @property
     def dof_map(self) -> DofMap:
@@ -149,7 +147,7 @@ def assemble(
     rhs = np.zeros(n)
     rhs[: N * (p + 1)] += load.ravel()
 
-    return AssembledSystem(A[:n, :n].copy(), rhs, mesh, p, sigmas, problem)
+    return AssembledSystem(A[:n, :n].copy(), rhs, mesh, p)
 
 
 def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:

@@ -25,7 +25,6 @@ from wg_hp.verify import (
     energy_error,
     error_equation_values,
     exact_weakfunction,
-    interpolant_weakfunction,
     manufacture,
     sbl_mesh,
 )
@@ -41,7 +40,6 @@ from wg_hp.weakspace import (
 # (eps1, eps2) pairs hitting each regime, and the degrees swept per suite
 EPS_PAIRS = ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0))
 DEGREES = (2, 4, 6)
-
 
 
 @dataclass
@@ -85,21 +83,34 @@ def _problems() -> tuple:
     return tuple(model_problem(eps1, eps2) for eps1, eps2 in EPS_PAIRS)
 
 
-def _case_list() -> list:
-    """(problem, mesh, p) over the regime grid and degree sweep, with one
-    problem per EPS_PAIRS entry shared by its degrees."""
-    return [(prob, sbl_mesh(prob, p), p) for prob in _problems() for p in DEGREES]
+def _case_list(sigma_override: float | None = None) -> list:
+    """(problem, mesh, p, sigmas, basis, system, grams) over the regime grid and
+    degree sweep, one problem per EPS_PAIRS entry: the penalties (sigma_override
+    on every element, if given), the stacked _basis, the system assembled with
+    them, and the Gram matrices (G_p, G_broken) of the two norms on the basis."""
+    if sigma_override is not None and not 0 <= sigma_override < np.inf:
+        raise ValueError(f"sigma_override must be finite and >= 0, got {sigma_override!r}")
+    cases = []
+    for prob in _problems():
+        for p in DEGREES:
+            mesh = sbl_mesh(prob, p)
+            sigmas = (default_penalties(mesh, p, prob.eps1) if sigma_override is None
+                      else np.full(mesh.n_elements, float(sigma_override)))
+            basis = _basis(mesh, p)
+            grams = tuple(rows @ rows.T for rows in gram_rows(mesh, *basis, prob, sigmas))
+            cases.append((prob, mesh, p, sigmas, basis, assemble(prob, mesh, p, sigmas=sigmas), grams))
+    return cases
 
 
 def _cases(cases=None, u_text: str | None = None):
-    """Yield the (problem, mesh, p) of cases, shared by every suite of a run
-    (None builds them afresh); with u_text, yield the manufactured case for
-    that exact solution, made once per problem, in place of the problem."""
+    """Yield the cases of _case_list, shared by every suite of a run (None
+    builds them afresh); with u_text, yield the manufactured case for that
+    exact solution, made once per problem, in place of the problem."""
     last = item = None
-    for prob, mesh, p in _case_list() if cases is None else cases:
+    for prob, *rest in _case_list() if cases is None else cases:
         if prob is not last:
             last, item = prob, prob if u_text is None else manufacture(u_text, prob)
-        yield item, mesh, p
+        yield (item, *rest)
 
 
 def _basis(mesh, p) -> tuple:
@@ -120,12 +131,6 @@ def _pencil(gram, mat) -> tuple:
     except np.linalg.LinAlgError:
         return np.full(len(gram), np.nan), np.full(gram.shape, np.nan)
     return lam, linv.T @ y
-
-
-def _sigmas(problem, mesh, p, sigma_override):
-    if sigma_override is None:
-        return default_penalties(mesh, p, problem.eps1)
-    return np.full(mesh.n_elements, float(sigma_override))
 
 
 @lru_cache(maxsize=None)
@@ -167,34 +172,30 @@ def _definition_residuals(prob, mesh, p, coeffs, vb) -> tuple:
     return np.abs(lhs - rhs) / scale, np.abs(c_lhs - c_rhs) / scale
 
 
-def suite_definition_residuals(cases=None, **_) -> SuiteResult:
+def suite_definition_residuals(cases=None) -> SuiteResult:
     """Both weak derivatives of every basis function satisfy their defining
     duality relation against every admissible test polynomial."""
     tally = _Tally()
     worst = 0.0
-    for prob, mesh, p in _cases(cases):
-        for name, resid in zip(("D", "Dc"), _definition_residuals(prob, mesh, p, *_basis(mesh, p))):
+    for prob, mesh, p, _, basis, *_ in _cases(cases):
+        for name, resid in zip(("D", "Dc"), _definition_residuals(prob, mesh, p, *basis)):
             worst = max(worst, float(resid.max()))
             tally.check(resid <= 1e-10, f"{name} residual {resid.max():.2e} (p={p})")
     return tally.result("definition-residuals", f"worst residual {worst:.2e}")
 
 
-def suite_coercivity_solve(cases=None, sigma_override=None, **_) -> SuiteResult:
+def suite_coercivity_solve(cases=None) -> SuiteResult:
     """Penalty condition, the sharp coercivity constant of the assembled
     matrix relative to norm_p against the bound 1/4*min(1, gamma_hat),
     confirmed without the matrix at its eigenfunction, solvability, and
     Galerkin orthogonality of the solution to every basis function."""
     tally = _Tally()
     lowest, least_bound = np.inf, np.inf
-    for prob, mesh, p in _cases(cases):
-        sigmas = _sigmas(prob, mesh, p, sigma_override)
+    for prob, mesh, p, sigmas, basis, system, (gram_p, _) in _cases(cases):
         required = prob.eps1 * p**2 / mesh.widths
         ok = bool(np.all(required <= sigmas * (1 + 1e-12)))
         tally.check(ok, f"penalty condition eps1*p^2/h <= sigma violated (p={p})")
-        basis = _basis(mesh, p)
-        rows = gram_rows(mesh, *basis, prob, sigmas)[0]
-        system = assemble(prob, mesh, p, sigmas=sigmas)
-        lam, vecs = _pencil(rows @ rows.T, (system.matrix + system.matrix.T) / 2)
+        lam, vecs = _pencil(gram_p, (system.matrix + system.matrix.T) / 2)
         bound = 0.25 * min(1.0, prob.gamma_hat)
         lowest, least_bound = np.minimum(lowest, lam[0]), min(least_bound, bound)
         tally.check(lam[0] >= bound * (1 - 1e-10), f"constant {lam[0]:.3g} < {bound:.3g} (p={p})")
@@ -214,35 +215,32 @@ def suite_coercivity_solve(cases=None, sigma_override=None, **_) -> SuiteResult:
     return tally.result("coercivity-solve", f"min constant {lowest:.3g}, bound {least_bound:.3g}")
 
 
-def suite_norm_equivalence(cases=None, sigma_override=None, **_) -> SuiteResult:
+def suite_norm_equivalence(cases=None) -> SuiteResult:
     """The exact range of norm_p / norm_broken over the discrete space, the
     square roots of the generalized eigenvalues of the two norms' Gram
     matrices, lies in [1/2, 2]; it is [0.581, 1.72] with default penalties."""
     tally = _Tally()
     lo, hi = np.inf, 0.0
-    for prob, mesh, p in _cases(cases):
-        sigmas = _sigmas(prob, mesh, p, sigma_override)
-        rows_p, rows_broken = gram_rows(mesh, *_basis(mesh, p), prob, sigmas)
-        ratio = np.sqrt(_pencil(rows_broken @ rows_broken.T, rows_p @ rows_p.T)[0])
+    for _, _, p, *_, (gram_p, gram_broken) in _cases(cases):
+        ratio = np.sqrt(_pencil(gram_broken, gram_p)[0])
         lo, hi = np.minimum(lo, ratio[0]), np.maximum(hi, ratio[-1])
         note = f"ratio range [{ratio[0]:.3g}, {ratio[-1]:.3g}] outside [1/2, 2] (p={p})"
         tally.check(0.5 <= ratio[0] and ratio[-1] <= 2.0, note)
     return tally.result("norm-equivalence", f"ratio range [{lo:.3g}, {hi:.3g}]")
 
 
-def suite_error_equation(cases=None, **_) -> SuiteResult:
+def suite_error_equation(cases=None) -> SuiteResult:
     """A(Iu - u_p, v) equals the three consistency-error terms for every
-    basis function v, relative to the largest sum of their sizes."""
+    basis function v, relative to the largest sum of their sizes; the terms
+    and A share one interpolant Iu."""
     tally = _Tally()
     worst = 0.0
-    for case, mesh, p in _cases(cases, "sin(3.141592653589793*x)"):
+    for case, mesh, p, _, basis, *_ in _cases(cases, "sin(3.141592653589793*x)"):
         prob = case.problem
         nq = quad_order(p)
-        u_p = solve(assemble(prob, mesh, p, nquad=nq))
-        diff = interpolant_weakfunction(case, mesh, p, nquad=nq) - u_p
-        basis = _basis(mesh, p)
+        terms, iu = error_equation_values(case, mesh, *basis, nquad=nq)
+        diff = iu - solve(assemble(prob, mesh, p, nquad=nq))
         lhs = bilinear_values(mesh, (diff.coeffs[None], diff.vb[None]), basis, prob, nquad=nq)
-        terms = error_equation_values(case, mesh, *basis, nquad=nq)
         scale = max(float(np.abs(terms).sum(axis=0).max()), 1e-30)
         resid = np.abs(lhs - terms.sum(axis=0)) / scale
         worst = max(worst, float(resid.max()))
@@ -250,10 +248,10 @@ def suite_error_equation(cases=None, **_) -> SuiteResult:
     return tally.result("error-equation", f"worst residual {worst:.2e}")
 
 
-def suite_polynomial_reproduction(cases=None, **_) -> SuiteResult:
+def suite_polynomial_reproduction(cases=None) -> SuiteResult:
     """The method reproduces a polynomial exact solution to roundoff."""
     tally = _Tally()
-    for case, mesh, p in _cases(cases, "x*(1-x)"):
+    for case, mesh, p, *_ in _cases(cases, "x*(1-x)"):
         u_p = solve(assemble(case.problem, mesh, p))
         u_star = exact_weakfunction(case, mesh, p)
         _, rel = energy_error(u_star, u_p, case.problem)
@@ -261,21 +259,18 @@ def suite_polynomial_reproduction(cases=None, **_) -> SuiteResult:
     return tally.result("polynomial-reproduction")
 
 
-def suite_quadrature_stability(cases=None, sigma_override=None, **_) -> SuiteResult:
+def suite_quadrature_stability(cases=None) -> SuiteResult:
     """Assembled matrices, load vectors and B(v, v) of every basis function
     are unchanged (to 1e-10) under a doubled quadrature order."""
     tally = _Tally()
     worst = 0.0
-    for prob, mesh, p in _cases(cases):
-        sigmas = _sigmas(prob, mesh, p, sigma_override)
+    for prob, mesh, p, sigmas, basis, sys1, _ in _cases(cases):
         nq = quad_order(p)
-        sys1 = assemble(prob, mesh, p, sigmas=sigmas, nquad=nq)
         sys2 = assemble(prob, mesh, p, sigmas=sigmas, nquad=2 * nq)
         scale = max(float(np.max(np.abs(sys1.matrix))), 1e-30)
         dmat = float(np.max(np.abs(sys1.matrix - sys2.matrix))) / scale
         rscale = max(float(np.max(np.abs(sys1.rhs))), 1e-30)
         drhs = float(np.max(np.abs(sys1.rhs - sys2.rhs))) / rscale
-        basis = _basis(mesh, p)
         a1 = bilinear_values(mesh, basis, basis, prob, sigmas, nq)
         a2 = bilinear_values(mesh, basis, basis, prob, sigmas, 2 * nq)
         dval = float(np.max(np.abs(a1 - a2))) / max(float(np.max(np.abs(a1))), 1e-30)
@@ -301,10 +296,10 @@ def run_check(quad_double: bool = False, sigma_override: float | None = None) ->
     sigma_override replaces the default per-element penalties with a
     constant (0.0 deliberately violates the penalty condition, and with it
     the coercivity-solve and norm-equivalence suites fail).  quad_double
-    adds the doubled quadrature stability suite.  The cases, problems and
-    meshes, are built once and shared by every suite, so each problem is
-    validated and set up once per run and each mesh built once.
+    adds the doubled quadrature stability suite.  The cases are built once
+    and shared by every suite: each problem is validated and set up once per
+    run, and each mesh, basis, system and Gram matrix built once per case.
     """
-    cases = _case_list()
+    cases = _case_list(sigma_override)
     suites = SUITES + (suite_quadrature_stability,) if quad_double else SUITES
-    return [fn(cases=cases, sigma_override=sigma_override) for fn in suites]
+    return [fn(cases) for fn in suites]

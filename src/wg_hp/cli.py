@@ -124,6 +124,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    """A finite number >= 0, such as check's --sigma."""
+    if not 0 <= float(text) < np.inf:
+        raise ValueError(f"expected a finite non-negative number, got {text!r}")
+    return float(text)
+
+
 _PROBLEM = ("solve", "convergence")
 # every option once: its add_argument keywords and the subcommands that read it
 _OPTIONS = (
@@ -141,7 +148,7 @@ _OPTIONS = (
     ("eps-grid", {}, ("convergence",)),
     ("quad-double", dict(action="store_true"), ("solve", "convergence", "check")),
     ("seed", dict(type=non_negative_int, default=0, help="accepted; has no effect"), ("check",)),
-    ("sigma", dict(type=float, help="constant penalty override"), ("check",)),
+    ("sigma", dict(type=non_negative_float, help="constant penalty override"), ("check",)),
 )
 
 

@@ -87,13 +87,13 @@ def error_equation_terms(
 ) -> tuple[float, float, float]:
     """The three consistency-error terms of the discrete error equation by
     quadrature from their definitions; error_equation_values with k = 1."""
-    terms = error_equation_values(case, v.mesh, v.coeffs[None], v.vb[None], nquad)
+    terms, _ = error_equation_values(case, v.mesh, v.coeffs[None], v.vb[None], nquad)
     return tuple(terms[:, 0].tolist())
 
 
-def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=None) -> np.ndarray:
-    """The terms (3, k) of error_equation_terms for k test functions stacked
-    as for energy_norms; each function's terms are reduced as for k = 1."""
+def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=None) -> tuple:
+    """(terms, iu): the terms (3, k) of error_equation_terms for k test functions
+    stacked as for energy_norms, reduced as for k = 1, and the interpolant iu they use."""
     p = coeffs.shape[2] - 1
     prob = case.problem
     nq = quad_order(p, nquad)
@@ -125,7 +125,7 @@ def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=
     for j in range(mesh.n_elements):
         ends = (up[j + 1] - d_right[j]) * jr[:, j] - (up[j] - d_left[j]) * jl[:, j]
         terms += [prob.eps1 * ends, prob.eps2 * e2_rows[:, j], e3_rows[:, j]]
-    return terms
+    return terms, iu
 
 
 def reference_solution(

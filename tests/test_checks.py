@@ -14,6 +14,7 @@ from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
 from wg_hp.slmesh import user_mesh
 from wg_hp.weakspace import (
     WeakFunction,
+    default_penalties,
     energy_norms,
     gram_rows,
     norms_p,
@@ -58,6 +59,12 @@ def test_weak_penalties_fail_norm_equivalence(sigma):
     assert result.name == "norm-equivalence" and not result.passed, result.line()
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_case_list_rejects_a_negative_or_non_finite_penalty(sigma):
+    with pytest.raises(ValueError, match="sigma_override"):
+        checks._case_list(sigma)
+
+
 def test_the_printed_constants_are_the_sharp_ones():
     # the least coercivity constant is convection-diffusion's at p = 6
     by_name = {r.name: r.detail for r in run_check()}
@@ -75,8 +82,7 @@ def test_gram_rows_square_to_the_squared_norms():
             n = mesh.n_elements
             for p in range(1, 13):
                 stack = rng.standard_normal((4, n, p + 1)), rng.standard_normal((4, n + 1))
-                for sigma in (None, 0.0):
-                    sigmas = checks._sigmas(prob, mesh, p, sigma)
+                for sigmas in (default_penalties(mesh, p, prob.eps1), np.zeros(n)):
                     rows_p, rows_broken = gram_rows(mesh, *stack, prob, sigmas)
                     expect_p = norms_p(mesh, *stack, prob, sigmas) ** 2
                     expect_b = energy_norms(mesh, *stack, prob, sigmas) ** 2
@@ -159,7 +165,7 @@ def _definition_residuals_per_degree(prob, mesh, p, v):
 def test_definition_residuals_match_the_per_degree_loops_bit_for_bit():
     # each function of a stack gets the bits of the per-degree loops
     rng = np.random.default_rng(37)
-    cases = [(prob, mesh, p) for prob, mesh, p in checks._cases()]
+    cases = [(prob, mesh, p) for prob, mesh, p, *_ in checks._cases()]
     cases += [(prob, mesh, p) for prob in checks._problems() for mesh in MESHES for p in range(1, 13)]
     for prob, mesh, p in cases:
         n = mesh.n_elements
@@ -188,6 +194,8 @@ def test_definition_residuals_evaluate_each_derivative_once_per_case(monkeypatch
 
 
 def test_one_run_builds_each_mesh_once(monkeypatch):
+    # and, per case, one basis, one pair of Gram matrices, one interpolant,
+    # and one system shared by coercivity-solve and quadrature-stability
     import wg_hp.verify as verify
 
     built = []
@@ -197,9 +205,26 @@ def test_one_run_builds_each_mesh_once(monkeypatch):
         built.append((regime, p))
         return real(regime, kappa, p, **kw)
 
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+
     monkeypatch.setattr(verify, "build_sbl_mesh", counting_build_sbl_mesh)
+    for module, name in ((checks, "assemble"), (checks, "gram_rows"), (checks, "_basis"),
+                         (verify, "interpolant_coefficients")):
+        counting(module, name)
     expect = run_check(quad_double=True)
-    assert len(built) == len(checks.EPS_PAIRS) * len(checks.DEGREES)
+    n_cases = len(checks.EPS_PAIRS) * len(checks.DEGREES)
+    assert len(built) == n_cases
+    assert calls == {"assemble": 4 * n_cases, "gram_rows": n_cases, "_basis": n_cases,
+                     "interpolant_coefficients": n_cases}
     # the same results as suites that build their own cases when called alone
     alone = [fn() for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
     assert alone == expect

@@ -248,20 +248,31 @@ def test_seed_is_a_check_option_only(command):
     assert exc.value.code == EXIT_USAGE
 
 
-def test_negative_seed_is_usage_error(capsys):
+BAD_CHECK_VALUES = [
+    pytest.param("seed", "-1", id="seed-negative"),
+    pytest.param("sigma", "-1", id="sigma-negative"),
+    pytest.param("sigma", "nan", id="sigma-nan"),
+    pytest.param("sigma", "inf", id="sigma-inf"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_CHECK_VALUES)
+def test_negative_seed_is_usage_error(capsys, key, value):
+    # a negative seed, or a negative or non-finite penalty
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--seed", "-1"])
+        main(["check", f"--{key}", value])
     assert exc.value.code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "--seed" in err and "-1" in err
+    out, err = capsys.readouterr()
+    assert f"--{key}" in err and value in err and out == ""
 
 
-def test_config_negative_seed_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", BAD_CHECK_VALUES)
+def test_config_negative_seed_is_usage_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=-1\n")
+    cfg.write_text(f"{key}={value}\n")
     assert main(["check", "--config", str(cfg)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"{cfg}:1:" in err and "seed" in err and "-1" in err
+    out, err = capsys.readouterr()
+    assert f"{cfg}:1:" in err and key in err and value in err and out == ""
 
 
 def test_bad_config_file(tmp_path, capsys):
