@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp.coeffexpr import evaluate
-from wg_hp.polybasis import basis_tables, gauss_rule, quad_order
+from wg_hp.polybasis import basis_tables, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh
 from wg_hp.weakspace import (
@@ -30,7 +30,11 @@ from wg_hp.weakspace import (
     _derivative_operator,
     _jumps,
     default_penalties,
+    element_quadrature,
 )
+
+
+RESIDUAL_TOL = 1e-10  # the largest relative residual solve accepts
 
 
 class SingularSystemError(Exception):
@@ -105,18 +109,17 @@ def assemble(
     if sigmas is None:
         sigmas = default_penalties(mesh, p, problem.eps1)
     sigmas = np.asarray(sigmas, dtype=float)
-    rule, vander, _ = basis_tables(p, quad_order(p, nquad))
+    nq = quad_order(p, nquad)
+    _, vander, _ = basis_tables(p, nq)
     N = mesh.n_elements
     n = DofMap(N, p).total
     dof_index, t_left, t_right = _local_dofs(N, p)
 
-    # quadrature points of every element, one row each, and the
-    # coefficients evaluated once per call
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    bv = evaluate(problem.b, x)
-    bpv = evaluate(problem.b_prime, x)
-    rv = evaluate(problem.r, x)
-    fv = evaluate(problem.f, x)
+    # the coefficients on every element's quadrature points, one row each,
+    # evaluated once per call
+    _, w, bv, bpv, rv, fv = element_quadrature(
+        mesh, nq, problem.b, problem.b_prime, problem.r, problem.f
+    )
     b_nodes = evaluate(problem.b, mesh.nodes)
 
     # the weak derivatives of every element, and the diagonal mass
@@ -165,17 +168,20 @@ def weakfunction_to_vector(system: AssembledSystem, v: WeakFunction) -> np.ndarr
     return np.concatenate([v.coeffs.ravel(), v.vb[1:-1]])
 
 
-def solve(system: AssembledSystem, residual_tol: float = 1e-10) -> WeakFunction:
-    """Direct dense solve; checks the relative residual."""
+def solve(system: AssembledSystem) -> WeakFunction:
+    """Direct dense solve; the solution must be finite and its relative
+    residual at most RESIDUAL_TOL."""
     try:
         x = np.linalg.solve(system.matrix, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+    if not np.isfinite(x).all():
+        raise SingularSystemError("the solution is not finite; the data may overflow")
     scale = np.linalg.norm(system.rhs)
     resid = np.linalg.norm(system.matrix @ x - system.rhs)
-    if scale > 0 and resid / scale > residual_tol:
+    if scale > 0 and not resid / scale <= RESIDUAL_TOL:
         raise SingularSystemError(
-            f"relative residual {resid / scale:.3g} exceeds {residual_tol:g}; "
+            f"relative residual {resid / scale:.3g} exceeds {RESIDUAL_TOL:g}; "
             "the system is numerically singular"
         )
     return vector_to_weakfunction(system, x)
@@ -193,9 +199,9 @@ def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=N
     if p < 1:
         raise ValueError("weak derivative needs degree p >= 1")
     sig = default_penalties(mesh, p, problem.eps1) if sigmas is None else np.asarray(sigmas, float)
-    rule, _, _ = basis_tables(p, quad_order(p, nquad))
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    bv, bpv, rv = (evaluate(e, x) for e in (problem.b, problem.b_prime, problem.r))
+    t, w, bv, bpv, rv = element_quadrature(
+        mesh, quad_order(p, nquad), problem.b, problem.b_prime, problem.r
+    )
     b_nodes = evaluate(problem.b, mesh.nodes)
     D = _derivative_operator(mesh, p)
     du = _apply(D, uc, ub)
@@ -205,8 +211,8 @@ def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=N
     term1 = problem.eps1 * (du * dv * mass_hi[:, :p]).reshape(len(vc), -1).sum(axis=1)
     term2 = problem.eps2 * (dcu * vc * mass_hi).reshape(len(vc), -1).sum(axis=1)
     # (r v0, u0) element by element, the rows added in element order
-    u0 = npleg.legval(rule.nodes, np.moveaxis(uc, 2, 0))
-    v0 = u0 if v is u else npleg.legval(rule.nodes, np.moveaxis(vc, 2, 0))
+    u0 = npleg.legval(t, np.moveaxis(uc, 2, 0))
+    v0 = u0 if v is u else npleg.legval(t, np.moveaxis(vc, 2, 0))
     rows = (w * rv * u0 * v0).sum(axis=2)
     term3 = np.zeros(len(rows))
     for j in range(rows.shape[1]):
@@ -237,11 +243,8 @@ def bilinear_apply(
 
 def load_apply(v: WeakFunction, problem: ProblemSpec, nquad: int | None = None) -> float:
     """(f, v0) by quadrature; companion to bilinear_apply."""
-    rule = gauss_rule(quad_order(v.degree, nquad))
-    nodes = v.mesh.nodes
-    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
-    fv = evaluate(problem.f, x)
+    t, w, fv = element_quadrature(v.mesh, quad_order(v.degree, nquad), problem.f)
     total = 0.0
-    for row in (w * fv * npleg.legval(rule.nodes, v.coeffs.T)).sum(axis=1).tolist():
+    for row in (w * fv * npleg.legval(t, v.coeffs.T)).sum(axis=1).tolist():
         total += row
     return total

@@ -33,6 +33,7 @@ from wg_hp.weakspace import (
     _convection_apply,
     _derivative_operator,
     default_penalties,
+    element_quadrature,
     gram_rows,
     norms_p,
 )
@@ -150,12 +151,9 @@ def _definition_residuals(prob, mesh, p, coeffs, vb) -> tuple:
     energy_norms, relative to each v's size on each element; each a row sum."""
     d = _apply(_derivative_operator(mesh, p), coeffs, vb)
     dc = _convection_apply(mesh, coeffs, vb, prob.b, prob.b_prime)
-    rule = gauss_rule(quad_order(p) + p)
-    t = rule.nodes
     # b and b' on all elements' quadrature points, and vb * b at the nodes
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    bv = evaluate(prob.b, x)[:, None, :]
-    bpv = evaluate(prob.b_prime, x)[:, None, :]
+    t, w, bv, bpv = element_quadrature(mesh, quad_order(p) + p, prob.b, prob.b_prime)
+    bv, bpv = bv[:, None, :], bpv[:, None, :]
     vbn = vb[..., None]
     vbb = vbn * evaluate(prob.b, mesh.nodes)[:, None]
     # the test polynomials P_k and, on each element, their derivatives in x

@@ -7,8 +7,8 @@ with 17-significant-digit floats and LF line endings; the wall-clock
 column is written as 0 so identical invocations produce byte-identical
 files.  Exit codes: 0 success, 1 check-suite failure, 2 usage or config
 error, 3 expression syntax error, 4 assumption or validation failure
-(including a layer too thin for the mesh to resolve), 5 partial
-completion of a parameter sweep.
+(including a layer too thin for the mesh to resolve and a solution that
+is not finite), 5 partial completion of a parameter sweep.
 """
 
 from __future__ import annotations
@@ -131,13 +131,20 @@ def non_negative_float(text: str) -> float:
     return float(text)
 
 
+def positive_float(text: str) -> float:
+    """A finite number > 0, such as --kappa."""
+    if not 0 < float(text) < np.inf:
+        raise ValueError(f"expected a finite positive number, got {text!r}")
+    return float(text)
+
+
 _PROBLEM = ("solve", "convergence")
 # every option once: its add_argument keywords and the subcommands that read it
 _OPTIONS = (
     ("eps1", dict(type=float, default=1e-5), _PROBLEM),
     ("eps2", dict(type=float, default=1e-2), _PROBLEM),
     ("p", dict(type=int, default=4), _PROBLEM),
-    ("kappa", dict(type=float, default=1.0), _PROBLEM),
+    ("kappa", dict(type=positive_float, default=1.0), _PROBLEM),
     ("b", dict(default="cos(x)"), _PROBLEM),
     ("r", dict(default="1+x"), _PROBLEM),
     ("f", dict(default="exp(x)"), _PROBLEM),

@@ -84,16 +84,14 @@ def _sample_grid(samples: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, samples)
 
 
-def validate(spec: ProblemSpec, samples: int = 257) -> float:
-    """Check b > 0, r >= 0 and r - eps2*b'/2 > 0 on a sample grid.
+def validate(spec: ProblemSpec) -> float:
+    """Check b > 0, r >= 0 and r - eps2*b'/2 > 0 on a 257-point grid.
 
     Returns gamma_hat, the sampled minimum of r - eps2*b'/2.  Sampled, not
     proved: a hard error on violation, a warning when gamma_hat is barely
     positive.
     """
-    if samples < 2:
-        raise ValueError("need at least two sample points")
-    x = _sample_grid(samples)
+    x = _sample_grid(257)
     bv = evaluate(spec.b, x)
     rv = evaluate(spec.r, x)
     gv = rv - spec.eps2 * evaluate(spec.b_prime, x) / 2.0

@@ -92,8 +92,8 @@ def build_sbl_mesh(
     """
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
     if regime is Regime.CONVECTION_DIFFUSION:
         if eps1 is None:
             raise ValueError("eps1 is required in the convection-diffusion regime")

@@ -8,7 +8,6 @@ one discrete space.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,17 @@ from numpy.polynomial import legendre as npleg
 from wg_hp import coeffexpr as ce
 from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.polybasis import gauss_rule, interpolant_coefficients, quad_order
+from wg_hp.polybasis import interpolant_coefficients, l2_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
-from wg_hp.weakspace import WeakFunction, _jumps, check_same_mesh, default_penalties, energy_norms
+from wg_hp.weakspace import (
+    WeakFunction,
+    _jumps,
+    check_same_mesh,
+    default_penalties,
+    element_quadrature,
+    energy_norms,
+)
 
 
 class BoundaryValueError(Exception):
@@ -61,8 +67,8 @@ def manufacture(u_text: str | Expr, problem: ProblemSpec) -> ManufacturedCase:
 def exact_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
     """Conforming representation of the exact solution (elementwise L2
     projection plus nodal values)."""
-    y = ce.as_callable(case.u_exact)
-    return WeakFunction.from_callable(mesh, p, y, nquad)
+    _, _, uv = element_quadrature(mesh, quad_order(p, nquad), case.u_exact)
+    return WeakFunction(mesh, l2_coefficients(uv, p, nquad), evaluate(case.u_exact, mesh.nodes))
 
 
 def _interpolant(mesh: Mesh, p: int, g, vb, nquad=None) -> WeakFunction:
@@ -75,11 +81,8 @@ def _interpolant(mesh: Mesh, p: int, g, vb, nquad=None) -> WeakFunction:
 def interpolant_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
     """The derivative-orthogonality interpolant of the exact solution as a
     conforming weak function."""
-    rule = gauss_rule(quad_order(p, nquad))
-    x, _ = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    return _interpolant(
-        mesh, p, evaluate(case.u_exact, x), evaluate(case.u_exact, mesh.nodes), nquad
-    )
+    _, _, uv = element_quadrature(mesh, quad_order(p, nquad), case.u_exact)
+    return _interpolant(mesh, p, uv, evaluate(case.u_exact, mesh.nodes), nquad)
 
 
 def error_equation_terms(
@@ -97,11 +100,11 @@ def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=
     p = coeffs.shape[2] - 1
     prob = case.problem
     nq = quad_order(p, nquad)
-    rule = gauss_rule(nq)
-    # u on all elements' quadrature points, once for the interpolant and
-    # for its error
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    uv = evaluate(case.u_exact, x)
+    # u and the coefficients on all elements' quadrature points, u once for
+    # the interpolant and for its error
+    t, w, uv, bv, bpv, rv = element_quadrature(
+        mesh, nq, case.u_exact, prob.b, prob.b_prime, prob.r
+    )
     iu = _interpolant(mesh, p, uv, evaluate(case.u_exact, mesh.nodes), nq)
     up = evaluate(case.u_prime, mesh.nodes).tolist()
 
@@ -113,12 +116,11 @@ def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=
     d_right = npleg.legval(1.0, diu.T).tolist()
     jl, jr = _jumps(coeffs, vb)
 
-    # the coefficients, the interpolant's error, v0 and v0' on all
-    # elements' quadrature points at once
-    bv, bpv, rv = (evaluate(e, x) for e in (prob.b, prob.b_prime, prob.r))
-    uerr = uv - npleg.legval(rule.nodes, iu.coeffs.T)
-    v0 = npleg.legval(rule.nodes, np.moveaxis(coeffs, 2, 0))
-    dv0 = npleg.legval(rule.nodes, np.moveaxis(npleg.legder(coeffs, axis=2), 2, 0)) * scale[:, None]
+    # the interpolant's error, v0 and v0' on all elements' quadrature
+    # points at once
+    uerr = uv - npleg.legval(t, iu.coeffs.T)
+    v0 = npleg.legval(t, np.moveaxis(coeffs, 2, 0))
+    dv0 = npleg.legval(t, np.moveaxis(npleg.legder(coeffs, axis=2), 2, 0)) * scale[:, None]
     e2_rows = (w * uerr * (bpv * v0 + bv * dv0)).sum(axis=2)
     e3_rows = (w * rv * (-uerr) * v0).sum(axis=2)
     terms = np.zeros((3, len(coeffs)))
@@ -170,7 +172,6 @@ class ConvergenceRecord:
     err_rel: float  # fraction, not percent
     err_abs: float
     ref_degree: int
-    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,11 @@ def convergence_study(
     except Exception as exc:  # noqa: BLE001 - sweep must not abort
         return records, [CaseFailure(eps1, eps2, p, str(exc)) for p in p_range]
     for p in p_range:
-        start = time.perf_counter()
         try:
             nquad = 2 * quad_order(p) if quad_double else None
-            mesh = sbl_mesh(problem, p, kappa)
-            u_p = solve(assemble(problem, mesh, p, nquad=nquad))
+            _, mesh, u_p = solve_on_sbl_mesh(problem, p, kappa, nquad)
             u_ref = reference_solution(problem, mesh, p, nquad=nquad)
             err_abs, err_rel = energy_error(u_ref, u_p, problem)
-            wall_ms = (time.perf_counter() - start) * 1e3
             records.append(
                 ConvergenceRecord(
                     regime=problem.regime.value,
@@ -237,7 +235,6 @@ def convergence_study(
                     err_rel=err_rel,
                     err_abs=err_abs,
                     ref_degree=2 * p,
-                    wall_ms=wall_ms,
                 )
             )
         except Exception as exc:  # noqa: BLE001 - sweep must not abort

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from wg_hp.coeffexpr import Expr, evaluate
-from wg_hp.polybasis import ElementPoly, basis_tables, gauss_rule, l2_coefficients, quad_order
+from wg_hp.polybasis import ElementPoly, basis_tables, gauss_rule, quad_order
 from wg_hp.slmesh import Mesh
 
 
@@ -36,6 +36,16 @@ def _degree_tables(n: int) -> tuple:
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def element_quadrature(mesh: Mesh, nq: int, *exprs: Expr) -> tuple:
+    """(t, w, *values): the nq-point Gauss nodes t on [-1, 1], the weights
+    w mapped onto every element, shape (N, nq), and each expression
+    evaluated once on all elements' mapped points, in the order given.
+    This is the one place where the quadrature rule meets the mesh."""
+    rule = gauss_rule(nq)
+    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    return (rule.nodes, w, *(evaluate(e, x) for e in exprs))
 
 
 def _jumps(coeffs, vb) -> tuple[np.ndarray, np.ndarray]:
@@ -71,9 +81,6 @@ class BrokenPoly:
         odd = _degree_tables(self.coeffs.shape[1])[2]
         return float(np.sum(self.coeffs**2 * (self.mesh.widths[:, None] / odd)))
 
-    def l2_norm(self) -> float:
-        return np.sqrt(self.l2_norm_sq())
-
 
 @dataclass(frozen=True)
 class WeakFunction:
@@ -102,16 +109,6 @@ class WeakFunction:
     @classmethod
     def zeros(cls, mesh: Mesh, p: int) -> "WeakFunction":
         return cls(mesh, np.zeros((mesh.n_elements, p + 1)), np.zeros(mesh.n_elements + 1))
-
-    @classmethod
-    def from_callable(cls, mesh: Mesh, p: int, y, nquad: int | None = None) -> "WeakFunction":
-        """Conforming weak function: v0 = elementwise L2 projection of y,
-        vb = nodal values of y.  y is called twice: on all elements'
-        quadrature points at once, as an (N, nq) array, and on the nodes."""
-        rule = gauss_rule(quad_order(p, nquad))
-        x, _ = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-        coeffs = l2_coefficients(np.broadcast_to(y(x), x.shape), p, nquad)
-        return cls(mesh, coeffs, np.broadcast_to(y(mesh.nodes), mesh.nodes.shape))
 
     def element_poly(self, j: int) -> ElementPoly:
         a, b = self.mesh.element(j)
@@ -237,9 +234,8 @@ def _convection_apply(mesh: Mesh, coeffs, vb, b: Expr, b_prime: Expr, nquad=None
     """The weak convection derivatives (k, N, p+1) of k weak functions
     stacked as for energy_norms, from one operator for all k."""
     p = coeffs.shape[2] - 1
-    rule, _, _ = basis_tables(p, quad_order(p, nquad))
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    bv, bpv, b_nodes = evaluate(b, x), evaluate(b_prime, x), evaluate(b, mesh.nodes)
+    _, w, bv, bpv = element_quadrature(mesh, quad_order(p, nquad), b, b_prime)
+    b_nodes = evaluate(b, mesh.nodes)
     return _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), coeffs, vb)
 
 

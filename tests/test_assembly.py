@@ -7,7 +7,9 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from wg_hp.assembly import (
+    AssembledSystem,
     DofMap,
+    SingularSystemError,
     _local_dofs,
     assemble,
     bilinear_apply,
@@ -33,6 +35,14 @@ from wg_hp.weakspace import (
 )
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
+
+
+def test_solve_rejects_a_non_finite_solution():
+    system = assemble(UNIT, user_mesh([0.0, 0.5, 1.0]), 2)
+    rhs = system.rhs.copy()
+    rhs[0] = np.inf
+    with pytest.raises(SingularSystemError, match="not finite"):
+        solve(AssembledSystem(system.matrix, rhs, system.mesh, system.degree))
 
 
 def test_dofmap_counts():
@@ -217,6 +227,7 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     import wg_hp.assembly as assembly
     import wg_hp.checks as checks
     import wg_hp.verify as verify
+    import wg_hp.weakspace as weakspace
 
     calls = []
     real = assembly.evaluate
@@ -225,7 +236,7 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
         calls.append((expr, np.shape(x)))
         return real(expr, x)
 
-    for module in (assembly, checks, verify):
+    for module in (assembly, checks, verify, weakspace):
         monkeypatch.setattr(module, "evaluate", counting_evaluate)
     prob = model_problem(1e-4, 1e-2)
     mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
@@ -241,26 +252,27 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     load_apply(v, prob)
     assert calls == [(prob.f, pts)]
 
-    # the error-equation terms: u on the quadrature points (shared by the
-    # interpolant and its error) and the nodes, u' on the nodes, then b, b'
-    # and r on the points
+    # the error-equation terms: u (shared by the interpolant and its error),
+    # b, b' and r on the quadrature points, then u and u' on the nodes
     case = manufacture("sin(3.141592653589793*x)", prob)
     calls.clear()
     verify.error_equation_terms(case, v)
     assert calls == [
-        (case.u_exact, pts), (case.u_exact, nodes), (case.u_prime, nodes),
-        (prob.b, pts), (prob.b_prime, pts), (prob.r, pts),
+        (case.u_exact, pts), (prob.b, pts), (prob.b_prime, pts), (prob.r, pts),
+        (case.u_exact, nodes), (case.u_prime, nodes),
     ]
 
     # the definition residuals: per case, b and b' on all elements'
-    # quadrature points and b on the nodes, hoisted out of the degree loop
+    # quadrature points and b on the nodes for the convection derivative,
+    # then the same on the finer rule of the residuals
     cases = checks._case_list()
     calls.clear()
     checks.suite_definition_residuals(cases)
     expect = []
     for c, m, p, *_ in cases:
-        pts = (m.n_elements, quad_order(p) + p)
-        expect += [(c.b, pts), (c.b_prime, pts), (c.b, (m.n_elements + 1,))]
+        nodes = (m.n_elements + 1,)
+        for nq in (quad_order(p), quad_order(p) + p):
+            expect += [(c.b, (m.n_elements, nq)), (c.b_prime, (m.n_elements, nq)), (c.b, nodes)]
     assert calls == expect
 
 

@@ -6,6 +6,7 @@ import pytest
 from wg_hp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    EXIT_PARTIAL,
     EXIT_SYNTAX,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -86,6 +87,42 @@ def test_layer_too_thin_to_resolve_exit_code(capsys):
         "wg-hp: convection-diffusion mesh: layer element width 8e-13 is below 1e-12, "
         "too thin to resolve the layer\n"
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_solve_non_finite_solution_exit_code(capsys):
+    # f overflows to inf on the last element, so the solution is NaN
+    assert main(["solve", "--f", "exp(1000*x)", "--p", "4"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and "the solution is not finite" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_convergence_non_finite_solutions_are_failed_rows(tmp_path):
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--r", "exp(800*x)", "--p-range", "2..3", "--out", str(out)]
+    assert main(argv) == EXIT_PARTIAL
+    header, *rows = out.read_text().splitlines()
+    assert header == CSV_HEADER and len(rows) == 2
+    for p, row in zip((2, 3), rows):
+        assert row.startswith(f"# failed eps1=1.0000000000000001e-05 eps2=0.01 p={p}: ")
+        assert "the solution is not finite" in row
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_kappa_is_usage_error(tmp_path, capsys, command, value):
+    # as a flag and as a config line, before anything is solved
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--kappa={value}", "--p", "2"])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "--kappa" in err and value in err and out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kappa={value}\n")
+    assert main([command, "--config", str(cfg), "--p", "2"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert f"{cfg}:1:" in err and "kappa" in err and value in err and out == ""
 
 
 def test_usage_error_exit_code(capsys):

@@ -70,9 +70,11 @@ def test_missing_parameters_raise():
         build_sbl_mesh(CD, kappa=1.0, p=4)
 
 
-def test_bad_kappa_and_degree():
-    with pytest.raises(ValueError):
-        build_sbl_mesh(RD, kappa=0.0, p=4, eps1=1e-4)
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+def test_bad_kappa_and_degree(kappa):
+    for regime in Regime:
+        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+            build_sbl_mesh(regime, kappa=kappa, p=4, mu=MuPair(1e3, 1e3), eps1=1e-4)
     with pytest.raises(ValueError):
         build_sbl_mesh(RD, kappa=1.0, p=0, eps1=1e-4)
 

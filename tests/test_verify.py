@@ -236,6 +236,7 @@ def test_projections_evaluate_the_exact_solution_twice(monkeypatch):
     # per-element projections reproduce l2_project and interpolate exactly
     import wg_hp.coeffexpr as coeffexpr
     import wg_hp.verify as verify
+    import wg_hp.weakspace as weakspace
 
     calls = []
     real = coeffexpr.evaluate
@@ -255,7 +256,7 @@ def test_projections_evaluate_the_exact_solution_twice(monkeypatch):
         ):
             calls.clear()
             with monkeypatch.context() as m:
-                for module in (coeffexpr, verify):
+                for module in (coeffexpr, verify, weakspace):
                     m.setattr(module, "evaluate", counting_evaluate)
                 w = project(case, mesh, p, nquad)
             assert calls == [(case.u_exact, (3, nq)), (case.u_exact, (4,))]

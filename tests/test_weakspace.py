@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from wg_hp.coeffexpr import evaluate, parse
 from wg_hp.polybasis import gauss_rule, l2_project
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import user_mesh
@@ -17,6 +18,7 @@ from wg_hp.weakspace import (
     _legder_rows,
     default_penalties,
     deriv_pairing_matrix,
+    element_quadrature,
     energy_norms,
     jump_seminorm,
     norm_broken,
@@ -368,3 +370,22 @@ def test_pad_to_degree():
     np.testing.assert_allclose(w.element_poly(0)(xs), v.element_poly(0)(xs))
     with pytest.raises(ValueError):
         w.pad_to_degree(2)
+
+
+@pytest.mark.parametrize("nodes", [[0.0, 1e-3, 0.9, 1.0], [0.0, 1.0]])
+def test_element_quadrature_maps_the_rule_onto_each_element(nodes):
+    # w and the values equal the rule mapped onto each element on its own
+    # and evaluated there, bit for bit
+    mesh = user_mesh(nodes)
+    exprs = [parse("exp(-x/1e-3) + cos(x)"), parse("1+x"), parse("2")]
+    for nq in (1, 7, 24):
+        t, w, *values = element_quadrature(mesh, nq, *exprs)
+        rule = gauss_rule(nq)
+        assert t is rule.nodes and w.shape == (mesh.n_elements, nq)
+        assert len(values) == len(exprs)
+        for j in range(mesh.n_elements):
+            x, wj = rule.mapped(*mesh.element(j))
+            assert w[j].tobytes() == wj.tobytes()
+            for e, vals in zip(exprs, values):
+                assert vals.shape == w.shape
+                assert vals[j].tobytes() == evaluate(e, x).tobytes()
