@@ -55,6 +55,7 @@ from wg_hp.verify import (
     ConvergenceRecord,
     ManufacturedCase,
     convergence_study,
+    convergence_sweep,
     energy_error,
     manufacture,
     reference_solution,
@@ -81,6 +82,7 @@ __all__ = [
     "classify_regime",
     "compute_mu",
     "convergence_study",
+    "convergence_sweep",
     "default_penalties",
     "differentiate",
     "energy_error",

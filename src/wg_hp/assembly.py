@@ -162,12 +162,6 @@ def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunc
     return WeakFunction(system.mesh, coeffs, vb)
 
 
-def weakfunction_to_vector(system: AssembledSystem, v: WeakFunction) -> np.ndarray:
-    if abs(v.vb[0]) > 0 or abs(v.vb[-1]) > 0:
-        raise ValueError("free vector requires vanishing boundary node values")
-    return np.concatenate([v.coeffs.ravel(), v.vb[1:-1]])
-
-
 def solve(system: AssembledSystem) -> WeakFunction:
     """Direct dense solve; the solution must be finite and its relative
     residual at most RESIDUAL_TOL."""

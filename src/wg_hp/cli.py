@@ -22,10 +22,15 @@ from wg_hp import svgplot
 from wg_hp.assembly import SingularSystemError
 from wg_hp.checks import run_check
 from wg_hp.coeffexpr import ExprSyntaxError, parse
-from wg_hp.polybasis import quad_order
 from wg_hp.problem import AssumptionError, ProblemSpec
 from wg_hp.slmesh import MeshDegeneracyError
-from wg_hp.verify import BoundaryValueError, convergence_study, manufacture, solve_on_sbl_mesh
+from wg_hp.verify import (
+    BoundaryValueError,
+    case_nquad,
+    convergence_sweep,
+    manufacture,
+    solve_on_sbl_mesh,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -203,7 +208,7 @@ def _write_out(args, text: str):
 
 def run_solve(args) -> int:
     p = args.p
-    nquad = 2 * quad_order(p) if args.quad_double else None
+    nquad = case_nquad(p, args.quad_double)
     case, prob = _problem(args, args.eps1, args.eps2)
     regime, mesh, u_p = solve_on_sbl_mesh(prob, p, args.kappa, nquad=nquad)
 
@@ -238,15 +243,11 @@ def run_convergence(args) -> int:
         eps_grid = [(args.eps1, args.eps2)]
     p_range = parse_p_range(args.p_range if args.p_range is not None else str(args.p))
 
-    records, failures = [], []
-    for eps1, eps2 in eps_grid:
-        # the problem is rebuilt per pair: a manufactured f depends on eps
-        _, prob = _problem(args, eps1, eps2)
-        recs, fails = convergence_study(
-            prob, p_range, kappa=args.kappa, quad_double=args.quad_double
-        )
-        records.extend(recs)
-        failures.extend(fails)
+    # the problem is built per pair: a manufactured f depends on eps
+    problems = [_problem(args, eps1, eps2)[1] for eps1, eps2 in eps_grid]
+    records, failures = convergence_sweep(
+        problems, p_range, kappa=args.kappa, quad_double=args.quad_double
+    )
     records.sort(key=lambda rec: (rec.eps1, rec.eps2, rec.p))
     failures.sort(key=lambda rec: (rec.eps1, rec.eps2, rec.p))
 

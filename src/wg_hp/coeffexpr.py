@@ -363,11 +363,6 @@ def evaluate(e: Expr, x):
     return np.broadcast_to(np.asarray(out, dtype=float), xv.shape).copy()
 
 
-def as_callable(e: Expr):
-    """Wrap an Expr as y(x) for the quadrature-driven routines."""
-    return lambda x: evaluate(e, x)
-
-
 # ---------------------------------------------------------------------------
 # Constant-folding constructors (used by differentiate and manufacture)
 

@@ -148,11 +148,24 @@ def l2_coefficients(fx, p: int, nquad: int | None = None) -> np.ndarray:
     same matrix-vector product."""
     if p < 0:
         raise ValueError("degree must be >= 0")
-    rule, vander, _ = basis_tables(p, quad_order(p, nquad))
+    scale, projector = _l2_projector(p, quad_order(p, nquad))
     fx = np.asarray(fx, dtype=float)
-    fx = np.broadcast_to(fx, fx.shape[:-1] + rule.nodes.shape)
+    fx = np.broadcast_to(fx, fx.shape[:-1] + projector.shape[1:])
+    return scale * (projector @ fx[..., None])[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _l2_projector(p: int, nq: int):
+    """(scale, projector) of l2_coefficients for the nq-point Gauss rule:
+    scale[k] = (2k+1)/2 and projector[k] = P_k(nodes) * weights, k = 0..p.
+    The arrays are shared and read-only."""
+    rule, vander, _ = basis_tables(p, nq)
     k = np.arange(p + 1)
-    return (2 * k + 1) / 2.0 * ((vander.T * rule.weights) @ fx[..., None])[..., 0]
+    scale = (2 * k + 1) / 2.0
+    projector = vander.T * rule.weights
+    scale.setflags(write=False)
+    projector.setflags(write=False)
+    return scale, projector
 
 
 def interpolate(y, p: int, interval, nquad: int | None = None) -> ElementPoly:

@@ -85,16 +85,27 @@ def _sample_grid(samples: int) -> np.ndarray:
 
 
 def validate(spec: ProblemSpec) -> float:
-    """Check b > 0, r >= 0 and r - eps2*b'/2 > 0 on a 257-point grid.
+    """Check that b, b' and r are finite, and b > 0, r >= 0 and
+    r - eps2*b'/2 > 0, on a 257-point grid.
 
     Returns gamma_hat, the sampled minimum of r - eps2*b'/2.  Sampled, not
     proved: a hard error on violation, a warning when gamma_hat is barely
     positive.
     """
     x = _sample_grid(257)
-    bv = evaluate(spec.b, x)
-    rv = evaluate(spec.r, x)
-    gv = rv - spec.eps2 * evaluate(spec.b_prime, x) / 2.0
+    # a coefficient that overflows is rejected below, by name, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bv = evaluate(spec.b, x)
+        rv = evaluate(spec.r, x)
+        bpv = evaluate(spec.b_prime, x)
+        gv = rv - spec.eps2 * bpv / 2.0
+    for name, vals in (("b", bv), ("b'", bpv), ("r", rv)):
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise AssumptionError(
+                f"coefficient {name}(x) is not finite at x = {x[i]:.6g} (value {vals[i]:.6g})"
+            )
     for name, vals, ok in (
         ("b(x) > 0", bv, bv > 0),
         ("r(x) >= 0", rv, rv >= 0),

@@ -1,13 +1,22 @@
-"""Manufactured solutions, reference solutions, energy-norm errors and the
-p-convergence study.
+"""Manufactured solutions, reference solutions, energy-norm errors, the
+p-convergence study and the sweep that runs it over many problems.
 
 The reference solution is the weak Galerkin solve at degree 2p on the same
 mesh (penalties rescaled to the higher degree), so the difference lives in
 one discrete space.
+
+convergence_sweep spreads its (problem, p) cases over the usable CPUs: on
+Linux it deals the degrees into shares and runs all but one share in forked
+children.  Each case does the same arithmetic in whichever process runs it,
+so the records are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +25,7 @@ from numpy.polynomial import legendre as npleg
 from wg_hp import coeffexpr as ce
 from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.polybasis import interpolant_coefficients, l2_coefficients, quad_order
+from wg_hp.polybasis import basis_tables, interpolant_coefficients, l2_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.weakspace import (
@@ -198,6 +207,13 @@ def solve_on_sbl_mesh(problem: ProblemSpec, p: int, kappa: float = 1.0, nquad=No
     return problem.regime, mesh, u_p
 
 
+def case_nquad(p: int, quad_double: bool = False) -> int | None:
+    """The nquad of both solves of a convergence case at degree p:
+    2*quad_order(p) Gauss points with quad_double, else None (each solve's
+    default)."""
+    return 2 * quad_order(p) if quad_double else None
+
+
 def convergence_study(
     problem: ProblemSpec,
     p_range,
@@ -220,7 +236,7 @@ def convergence_study(
         return records, [CaseFailure(eps1, eps2, p, str(exc)) for p in p_range]
     for p in p_range:
         try:
-            nquad = 2 * quad_order(p) if quad_double else None
+            nquad = case_nquad(p, quad_double)
             _, mesh, u_p = solve_on_sbl_mesh(problem, p, kappa, nquad)
             u_ref = reference_solution(problem, mesh, p, nquad=nquad)
             err_abs, err_rel = energy_error(u_ref, u_p, problem)
@@ -239,4 +255,133 @@ def convergence_study(
             )
         except Exception as exc:  # noqa: BLE001 - sweep must not abort
             failures.append(CaseFailure(eps1, eps2, p, str(exc)))
+    return records, failures
+
+
+def _workers(n_cases: int, workers: int | None = None) -> int:
+    """The number of shares convergence_sweep deals n_cases degrees into:
+    workers, or None for every CPU this process may run on, capped at
+    n_cases.  It is 1, and nothing forks, off Linux, without os.fork, or
+    while a second thread is alive."""
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    if (
+        not sys.platform.startswith("linux")
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+    ):
+        return 1
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    return max(1, min(workers, n_cases))
+
+
+def _run_share(problems, share, kappa, quad_double) -> list:
+    """[(records, failures)] of convergence_study for each problem at the
+    degrees of one share."""
+    return [convergence_study(problem, share, kappa, quad_double) for problem in problems]
+
+
+def _fork_share(*args) -> tuple[int, int]:
+    """Run _run_share(*args) in a forked child that pickles its result
+    down a pipe; returns (pid, read end).  The child leaves through
+    os._exit, so no inherited atexit handler or stdio buffer runs twice."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(_run_share(*args), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, read_fd: int) -> list:
+    """A forked share's result: read its pipe to the end and wait for the
+    child.  A child that exits non-zero or sends a short payload raises
+    RuntimeError."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"convergence_sweep worker {pid} exited with status {code}")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise RuntimeError(
+            f"convergence_sweep worker {pid} exited with status {code} but sent a "
+            f"short payload of {len(payload)} bytes"
+        ) from exc
+
+
+def convergence_sweep(
+    problems,
+    p_range,
+    kappa: float = 1.0,
+    quad_double: bool = False,
+    workers: int | None = None,
+) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
+    """convergence_study of every problem at every p of p_range, with the
+    cases spread over _workers(len(p_range), workers) processes.
+
+    The parent validates and sets up each problem and builds every basis
+    table the cases read, so that forked children inherit them.  It deals
+    p_range round-robin, from the highest p down, into the shares, runs
+    share 0 itself and each other share in a forked child, and waits for
+    every child before it returns or raises.  A child that fails raises
+    RuntimeError; its share is not rerun.  Records and failures come in
+    problem order, then p_range order, the same for any worker count.
+    p_range must not repeat a degree.
+    """
+    problems = list(problems)
+    p_range = list(p_range)
+    if len(set(p_range)) != len(p_range):
+        raise ValueError("p_range must not repeat a degree")
+    for problem in problems:
+        try:
+            problem.gamma_hat, problem.mu
+        except Exception:  # noqa: BLE001 - convergence_study records it for every p
+            pass
+    for p in p_range:
+        if p >= 1:
+            nquad = case_nquad(p, quad_double)
+            for degree in (p, 2 * p):
+                basis_tables(degree, quad_order(degree, nquad))
+
+    n_shares = _workers(len(p_range), workers)
+    shares = [[] for _ in range(n_shares)]
+    for i, p in enumerate(sorted(p_range, reverse=True)):
+        shares[i % n_shares].append(p)
+
+    children = {}  # pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            pid, read_fd = _fork_share(problems, share, kappa, quad_double)
+            children[pid] = read_fd
+        results = [_run_share(problems, shares[0], kappa, quad_double)]
+        for pid in list(children):
+            results.append(_collect(pid, children.pop(pid)))
+    finally:
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+
+    rank = {p: i for i, p in enumerate(p_range)}
+    records, failures = [], []
+    for outcomes in zip(*results):  # one problem's (records, failures) from every share
+        records += sorted((rec for recs, _ in outcomes for rec in recs), key=lambda r: rank[r.p])
+        failures += sorted((f for _, fails in outcomes for f in fails), key=lambda f: rank[f.p])
     return records, failures

@@ -99,14 +99,39 @@ def test_solve_non_finite_solution_exit_code(capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_convergence_non_finite_solutions_are_failed_rows(tmp_path):
+    # f is not validated, so its overflow reaches the solve
     out = tmp_path / "conv.csv"
-    argv = ["convergence", "--r", "exp(800*x)", "--p-range", "2..3", "--out", str(out)]
+    argv = ["convergence", "--f", "exp(1000*x)", "--p-range", "2..3", "--out", str(out)]
     assert main(argv) == EXIT_PARTIAL
     header, *rows = out.read_text().splitlines()
     assert header == CSV_HEADER and len(rows) == 2
     for p, row in zip((2, 3), rows):
         assert row.startswith(f"# failed eps1=1.0000000000000001e-05 eps2=0.01 p={p}: ")
         assert "the solution is not finite" in row
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_rejects_an_overflowing_coefficient_by_name(capsys):
+    # r = exp(800*x) is inf from x = 0.888; validation names r, with no
+    # numpy warning
+    assert main(["solve", "--r", "exp(800*x)", "--p", "4"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "wg-hp: coefficient r(x) is not finite at x = 0.890625 (value inf)\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_fails_every_p_of_an_overflowing_coefficient_by_name(tmp_path):
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--r", "exp(800*x)", "--p-range", "2..3", "--out", str(out)]
+    assert main(argv) == EXIT_PARTIAL
+    header, *rows = out.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert rows == [
+        f"# failed eps1=1.0000000000000001e-05 eps2=0.01 p={p}: "
+        "coefficient r(x) is not finite at x = 0.890625 (value inf)"
+        for p in (2, 3)
+    ]
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence"])

@@ -1,5 +1,6 @@
 """Problem validation, layer-strength parameters and regime classification."""
 
+import re
 import warnings
 
 import numpy as np
@@ -25,6 +26,18 @@ def test_model_problem_is_valid_with_gamma_at_least_one():
 def test_negative_convection_rejected():
     spec = ProblemSpec.from_strings(1e-3, 1e-3, "-1", "1", "1")
     with pytest.raises(AssumptionError, match="b"):
+        validate(spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "b, r, name",
+    # b' = 1e-300*(exp(709*x)*709) overflows where b is still finite
+    [("1", "exp(800*x)", "r"), ("exp(800*x)", "1", "b"), ("1 + 1e-300*exp(709*x)", "1", "b'")],
+)
+def test_non_finite_coefficient_rejected_by_name(b, r, name):
+    spec = ProblemSpec.from_strings(1e-3, 1e-3, b, r, "1")
+    with pytest.raises(AssumptionError, match=rf"^coefficient {re.escape(name)}\(x\) is not finite at x = "):
         validate(spec)
 
 

@@ -1,6 +1,9 @@
 """Manufactured solutions, reference solutions and the convergence study."""
 
+import os
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,7 +16,10 @@ from wg_hp.problem import ProblemSpec, Regime, model_problem
 from wg_hp.slmesh import MeshDegeneracyError, build_sbl_mesh, user_mesh
 from wg_hp.verify import (
     BoundaryValueError,
+    CaseFailure,
+    _workers,
     convergence_study,
+    convergence_sweep,
     energy_error,
     error_equation_terms,
     exact_weakfunction,
@@ -247,7 +253,10 @@ def test_projections_evaluate_the_exact_solution_twice(monkeypatch):
 
     case = manufacture("x*(1-x)*exp(x) + sin(3.141592653589793*x)", model_problem(1e-6, 1e-2))
     mesh = user_mesh([0.0, 1e-3, 0.7, 1.0])
-    y = coeffexpr.as_callable(case.u_exact)
+
+    def y(x):
+        return real(case.u_exact, x)
+
     for p, nquad in ((1, None), (6, None), (6, 19)):
         nq = p + 6 if nquad is None else nquad
         for project, per_element in (
@@ -334,6 +343,91 @@ def test_study_sets_up_each_eps_pair_once(monkeypatch):
     assert validations == grid
     # only the reaction-convection-diffusion pair's mesh reads mu
     assert mu_calls == [(1e-5, 1e-2)]
+
+
+CRITERION_6_GRID = [(1e-8, 1.0), (1e-8, 1e-3), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5)]
+forks = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "fork")),
+    reason="convergence_sweep forks on Linux only",
+)
+
+
+@forks
+@pytest.mark.parametrize("quad_double", [False, True])
+def test_sweep_gives_the_same_records_for_any_worker_count(quad_double):
+    p_range = range(1, 9)
+    serial_records, serial_failures = [], []
+    for eps1, eps2 in CRITERION_6_GRID:
+        recs, fails = convergence_study(model_problem(eps1, eps2), p_range, quad_double=quad_double)
+        serial_records += recs
+        serial_failures += fails
+    assert len(serial_records) == 40 and serial_failures == []
+    for workers in (1, 2, 3):
+        assert _workers(len(p_range), workers) == workers  # 2 and 3 really fork
+        problems = [model_problem(eps1, eps2) for eps1, eps2 in CRITERION_6_GRID]
+        records, failures = convergence_sweep(
+            problems, p_range, quad_double=quad_double, workers=workers
+        )
+        assert records == serial_records and failures == []
+
+
+def test_sweep_keeps_p_range_order_and_rejects_a_repeated_degree():
+    prob = model_problem(1e-5, 1e-2)
+    records, failures = convergence_sweep([prob], [3, 1, 4, 2], workers=2)
+    assert [r.p for r in records] == [3, 1, 4, 2] and failures == []
+    assert records == convergence_study(prob, [3, 1, 4, 2])[0]
+    with pytest.raises(ValueError, match="repeat"):
+        convergence_sweep([prob], [2, 3, 2])
+
+
+@forks
+def test_sweep_fails_an_invalid_problem_at_every_p_in_every_share():
+    bad = ProblemSpec.from_strings(1e-4, 1e-3, "-1", "1", "1")  # violates b > 0
+    message = convergence_study(bad, [1])[1][0].message
+    expected_records = convergence_study(model_problem(1e-6, 1e-2), range(1, 6))[0]
+    for workers in (1, 2, 3):
+        problems = [model_problem(1e-6, 1e-2), bad]
+        records, failures = convergence_sweep(problems, range(1, 6), workers=workers)
+        assert records == expected_records
+        assert failures == [CaseFailure(1e-4, 1e-3, p, message) for p in range(1, 6)]
+
+
+@forks
+def test_sweep_raises_when_a_worker_dies_and_leaves_no_child(monkeypatch):
+    import wg_hp.verify as verify
+
+    parent = os.getpid()
+    real_study = verify.convergence_study
+
+    def study_that_kills_the_children(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_study(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "convergence_study", study_that_kills_the_children)
+    with pytest.raises(RuntimeError, match="exited with status 3$"):
+        convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 7), workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_runs_in_one_process_while_a_second_thread_is_alive(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    expected = convergence_study(model_problem(1e-6, 1e-2), range(1, 5))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _workers(4) == 1 and _workers(4, 2) == 1
+        got = convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 5))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got == expected
 
 
 @pytest.mark.parametrize(
