@@ -6,9 +6,10 @@ mesh (penalties rescaled to the higher degree), so the difference lives in
 one discrete space.
 
 convergence_sweep spreads its (problem, p) cases over the usable CPUs: on
-Linux it deals the degrees into shares and runs all but one share in forked
-children.  Each case does the same arithmetic in whichever process runs it,
-so the records are identical for any worker count.
+Linux, when there are at least MIN_SHARE_CASES cases per share, it deals the
+degrees into shares and runs all but one share in forked children.  Each
+case does the same arithmetic in whichever process runs it, so the records
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -258,22 +259,25 @@ def convergence_study(
     return records, failures
 
 
-def _workers(n_cases: int, workers: int | None = None) -> int:
-    """The number of shares convergence_sweep deals n_cases degrees into:
-    workers, or None for every CPU this process may run on, capped at
-    n_cases.  It is 1, and nothing forks, off Linux, without os.fork, or
-    while a second thread is alive."""
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
+# Forking a worker costs about 10 ms (copying the page tables and the pages
+# both processes then write), and a low-p case about 1 ms: on a 2-CPU host
+# the forked sweep broke even at 20 to 40 cases and lost below 20.
+MIN_SHARE_CASES = 20
+
+
+def _workers(n_degrees: int, n_cases: int) -> int:
+    """The number of shares convergence_sweep deals n_degrees degrees
+    (n_cases cases over all problems) into: one per CPU this process may
+    run on, capped at n_degrees and at one per MIN_SHARE_CASES cases.  It
+    is 1, and nothing forks, off Linux, without os.fork, or while a second
+    thread is alive."""
     if (
         not sys.platform.startswith("linux")
         or not hasattr(os, "fork")
         or threading.active_count() > 1
     ):
         return 1
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    return max(1, min(workers, n_cases))
+    return max(1, min(len(os.sched_getaffinity(0)), n_degrees, n_cases // MIN_SHARE_CASES))
 
 
 def _run_share(problems, share, kappa, quad_double) -> list:
@@ -332,10 +336,10 @@ def convergence_sweep(
     p_range,
     kappa: float = 1.0,
     quad_double: bool = False,
-    workers: int | None = None,
 ) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
     """convergence_study of every problem at every p of p_range, with the
-    cases spread over _workers(len(p_range), workers) processes.
+    cases spread over _workers(len(p_range), len(problems) * len(p_range))
+    processes.
 
     The parent validates and sets up each problem and builds every basis
     table the cases read, so that forked children inherit them.  It deals
@@ -361,7 +365,7 @@ def convergence_sweep(
             for degree in (p, 2 * p):
                 basis_tables(degree, quad_order(degree, nquad))
 
-    n_shares = _workers(len(p_range), workers)
+    n_shares = _workers(len(p_range), len(problems) * len(p_range))
     shares = [[] for _ in range(n_shares)]
     for i, p in enumerate(sorted(p_range, reverse=True)):
         shares[i % n_shares].append(p)
@@ -375,8 +379,11 @@ def convergence_sweep(
         for pid in list(children):
             results.append(_collect(pid, children.pop(pid)))
     finally:
-        for pid, read_fd in children.items():
+        # close every read end before waiting: a child inherits the read ends
+        # forked before it, so a pipe breaks only once all are closed
+        for read_fd in children.values():
             os.close(read_fd)
+        for pid in children:
             os.waitpid(pid, 0)
 
     rank = {p: i for i, p in enumerate(p_range)}

@@ -2,6 +2,7 @@
 
 import os
 import re
+import signal
 import sys
 import threading
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+import wg_hp.verify as verify
 from wg_hp.coeffexpr import evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolant_coefficients, interpolate, l2_project, quad_order
 from wg_hp.problem import ProblemSpec, Regime, model_problem
@@ -352,9 +354,27 @@ forks = pytest.mark.skipif(
 )
 
 
+def use_cpus(monkeypatch, n):
+    """Let convergence_sweep see n usable CPUs and fork for any number of
+    cases."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(verify, "MIN_SHARE_CASES", 1)
+
+
+@forks
+def test_sweep_forks_one_share_per_cpu_and_per_min_share_cases(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert verify.MIN_SHARE_CASES == 20
+    assert _workers(20, 100) == 5  # the criterion-6 sweep, capped by its cases
+    assert _workers(3, 100) == 3  # capped by its degrees
+    assert _workers(20, 20) == 1 and _workers(2, 10) == 1  # too few cases to fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _workers(20, 100) == 1  # taskset -c 0
+
+
 @forks
 @pytest.mark.parametrize("quad_double", [False, True])
-def test_sweep_gives_the_same_records_for_any_worker_count(quad_double):
+def test_sweep_gives_the_same_records_for_any_worker_count(monkeypatch, quad_double):
     p_range = range(1, 9)
     serial_records, serial_failures = [], []
     for eps1, eps2 in CRITERION_6_GRID:
@@ -363,17 +383,17 @@ def test_sweep_gives_the_same_records_for_any_worker_count(quad_double):
         serial_failures += fails
     assert len(serial_records) == 40 and serial_failures == []
     for workers in (1, 2, 3):
-        assert _workers(len(p_range), workers) == workers  # 2 and 3 really fork
+        use_cpus(monkeypatch, workers)
+        assert _workers(len(p_range), 40) == workers  # 2 and 3 really fork
         problems = [model_problem(eps1, eps2) for eps1, eps2 in CRITERION_6_GRID]
-        records, failures = convergence_sweep(
-            problems, p_range, quad_double=quad_double, workers=workers
-        )
+        records, failures = convergence_sweep(problems, p_range, quad_double=quad_double)
         assert records == serial_records and failures == []
 
 
-def test_sweep_keeps_p_range_order_and_rejects_a_repeated_degree():
+def test_sweep_keeps_p_range_order_and_rejects_a_repeated_degree(monkeypatch):
+    use_cpus(monkeypatch, 2)
     prob = model_problem(1e-5, 1e-2)
-    records, failures = convergence_sweep([prob], [3, 1, 4, 2], workers=2)
+    records, failures = convergence_sweep([prob], [3, 1, 4, 2])
     assert [r.p for r in records] == [3, 1, 4, 2] and failures == []
     assert records == convergence_study(prob, [3, 1, 4, 2])[0]
     with pytest.raises(ValueError, match="repeat"):
@@ -381,21 +401,20 @@ def test_sweep_keeps_p_range_order_and_rejects_a_repeated_degree():
 
 
 @forks
-def test_sweep_fails_an_invalid_problem_at_every_p_in_every_share():
+def test_sweep_fails_an_invalid_problem_at_every_p_in_every_share(monkeypatch):
     bad = ProblemSpec.from_strings(1e-4, 1e-3, "-1", "1", "1")  # violates b > 0
     message = convergence_study(bad, [1])[1][0].message
     expected_records = convergence_study(model_problem(1e-6, 1e-2), range(1, 6))[0]
     for workers in (1, 2, 3):
+        use_cpus(monkeypatch, workers)
         problems = [model_problem(1e-6, 1e-2), bad]
-        records, failures = convergence_sweep(problems, range(1, 6), workers=workers)
+        records, failures = convergence_sweep(problems, range(1, 6))
         assert records == expected_records
         assert failures == [CaseFailure(1e-4, 1e-3, p, message) for p in range(1, 6)]
 
 
 @forks
 def test_sweep_raises_when_a_worker_dies_and_leaves_no_child(monkeypatch):
-    import wg_hp.verify as verify
-
     parent = os.getpid()
     real_study = verify.convergence_study
 
@@ -405,8 +424,41 @@ def test_sweep_raises_when_a_worker_dies_and_leaves_no_child(monkeypatch):
         return real_study(*args, **kwargs)
 
     monkeypatch.setattr(verify, "convergence_study", study_that_kills_the_children)
+    use_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="exited with status 3$"):
-        convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 7), workers=3)
+        convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 7))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_sweep_reaps_workers_blocked_on_a_full_pipe_after_a_failure(monkeypatch):
+    # shares [4], [3], [2], [1]: the first child dies while the two after it
+    # block writing more than a pipe buffer holds, so the parent must break
+    # both pipes before it waits for either child
+    parent = os.getpid()
+    real_run_share = verify._run_share
+
+    def run_share(problems, share, kappa, quad_double):
+        if os.getpid() == parent:
+            return real_run_share(problems, share, kappa, quad_double)
+        if share == [3]:
+            os._exit(3)
+        return [(["x" * (1 << 20)], [])]
+
+    def timed_out(signum, frame):
+        raise TimeoutError("convergence_sweep hung reaping its workers")
+
+    monkeypatch.setattr(verify, "_run_share", run_share)
+    use_cpus(monkeypatch, 4)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="exited with status 3$"):
+            convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 5))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -416,12 +468,13 @@ def test_sweep_runs_in_one_process_while_a_second_thread_is_alive(monkeypatch):
         raise AssertionError("forked with a second thread alive")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    use_cpus(monkeypatch, 4)
     expected = convergence_study(model_problem(1e-6, 1e-2), range(1, 5))
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert _workers(4) == 1 and _workers(4, 2) == 1
+        assert _workers(4, 4) == 1
         got = convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 5))
     finally:
         stop.set()
