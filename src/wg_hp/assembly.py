@@ -78,22 +78,29 @@ class AssembledSystem:
 
 @lru_cache(maxsize=None)
 def _local_dofs(N: int, p: int):
-    """(dof_index, t_left, t_right) for N elements of degree p, shared and
-    read-only.  Row j of dof_index holds the global index of element j's
-    local dofs [c_0..c_p, vb_left, vb_right]; the eliminated boundary node
-    values get indices n and n+1 (n the number of unknowns), whose rows and
-    columns assemble drops.  t_left and t_right are the jump row vectors
-    (v0 - vb) at each end of an element, with P_k(-1) = (-1)^k."""
+    """(flat, jump_right, jump_both) for N elements of degree p, shared and
+    read-only.  flat (N, p+3, p+3) holds, for each entry of each element
+    matrix, its index in the row-major n x n global matrix (n the number of
+    unknowns); the local dofs are [c_0..c_p, vb_left, vb_right], and every
+    entry in a row or column of an eliminated boundary node value goes to
+    the one spare index n*n, which assemble drops.  jump_right and
+    jump_both are the jump blocks t_right t_right^T and that plus
+    t_left t_left^T, with t the jump row vectors (v0 - vb) at each end of
+    an element and P_k(-1) = (-1)^k."""
     n = DofMap(N, p).total
-    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
+    node_index = np.concatenate([[-1], N * (p + 1) + np.arange(N - 1), [-1]])
     dof_index = np.column_stack(
         [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
     )
+    rows, cols = dof_index[:, :, None], dof_index[:, None, :]
+    flat = np.where((rows < 0) | (cols < 0), n * n, rows * n + cols)
     t_left = np.concatenate([(-1.0) ** np.arange(p + 1), [-1.0, 0.0]])
     t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
-    for table in (dof_index, t_left, t_right):
+    jump_right = t_right[:, None] * t_right
+    jump_both = jump_right + t_left[:, None] * t_left
+    for table in (flat, jump_right, jump_both):
         table.setflags(write=False)
-    return dof_index, t_left, t_right
+    return flat, jump_right, jump_both
 
 
 def assemble(
@@ -113,7 +120,7 @@ def assemble(
     _, vander, _ = basis_tables(p, nq)
     N = mesh.n_elements
     n = DofMap(N, p).total
-    dof_index, t_left, t_right = _local_dofs(N, p)
+    flat, jump_right, jump_both = _local_dofs(N, p)
 
     # the coefficients on every element's quadrature points, one row each,
     # evaluated once per call
@@ -128,8 +135,6 @@ def assemble(
     Dc = _convection_operator(mesh, p, w, bv, bpv, b_nodes)
     mass_hi = mesh.widths[:, None] / _degree_tables(p + 1)[2]
     mass_lo = mass_hi[:, :p]
-    jump_right = t_right[:, None] * t_right
-    jump_both = jump_right + t_left[:, None] * t_left
 
     # the element matrices of all elements, one (p+3, p+3) block each; the
     # mass matrices are diagonal, so their products are row scalings, and a
@@ -143,14 +148,12 @@ def assemble(
 
     # one scatter: bincount adds the blocks in element order, so an entry
     # shared by two elements is summed as an element-by-element scatter sums it
-    flat = dof_index[:, :, None] * (n + 2) + dof_index[:, None, :]
-    A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=(n + 2) ** 2)
-    A = A.reshape(n + 2, n + 2)
+    A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=n * n + 1)[: n * n].reshape(n, n)
     # added to zeros, not assigned, so a -0.0 load entry becomes 0.0
     rhs = np.zeros(n)
     rhs[: N * (p + 1)] += load.ravel()
 
-    return AssembledSystem(A[:n, :n].copy(), rhs, mesh, p)
+    return AssembledSystem(A, rhs, mesh, p)
 
 
 def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:

@@ -19,6 +19,7 @@ from numpy.polynomial import legendre as npleg
 
 from wg_hp.assembly import assemble, bilinear_values, solve
 from wg_hp.coeffexpr import evaluate
+from wg_hp.forking import run_shares, usable_cpus
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
 from wg_hp.problem import model_problem
 from wg_hp.verify import (
@@ -287,9 +288,16 @@ SUITES = (
     suite_polynomial_reproduction,
 )
 
+# The suites run_check runs in a forked child when two CPUs are usable: warm,
+# on one CPU, they take about 13 ms, against 15 ms for the suites the parent
+# keeps with quad_double (coercivity-solve, polynomial-reproduction and
+# quadrature-stability).  The cases are built before the fork.
+FORKED_SUITES = (suite_error_equation, suite_definition_residuals, suite_norm_equivalence)
+
 
 def run_check(quad_double: bool = False, sigma_override: float | None = None) -> list[SuiteResult]:
-    """Run every property suite; returns one SuiteResult per suite.
+    """Run every property suite; returns one SuiteResult per suite, in
+    SUITES order, then quadrature-stability.
 
     sigma_override replaces the default per-element penalties with a
     constant (0.0 deliberately violates the penalty condition, and with it
@@ -297,7 +305,14 @@ def run_check(quad_double: bool = False, sigma_override: float | None = None) ->
     adds the doubled quadrature stability suite.  The cases are built once
     and shared by every suite: each problem is validated and set up once per
     run, and each mesh, basis, system and Gram matrix built once per case.
+    When forking.usable_cpus() is 2 or more, the FORKED_SUITES run in a
+    forked child that inherits the cases; the results are the same.
     """
     cases = _case_list(sigma_override)
     suites = SUITES + (suite_quadrature_stability,) if quad_double else SUITES
-    return [fn(cases) for fn in suites]
+    if usable_cpus() < 2:
+        return [fn(cases) for fn in suites]
+    own = tuple(fn for fn in suites if fn not in FORKED_SUITES)
+    mine, forked = run_shares(lambda group: [fn(cases) for fn in group], [own, FORKED_SUITES])
+    by_suite = dict(zip(own + FORKED_SUITES, mine + forked))
+    return [by_suite[fn] for fn in suites]

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
+from wg_hp.coeffexpr import EvalDomainError, Expr, differentiate, evaluate, parse
 
 
 class AssumptionError(Exception):
@@ -84,9 +84,17 @@ def _sample_grid(samples: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, samples)
 
 
+def _sample(name: str, expr: Expr, x: np.ndarray) -> np.ndarray:
+    """expr on the grid x; a domain error names the coefficient."""
+    try:
+        return evaluate(expr, x)
+    except EvalDomainError as exc:
+        raise AssumptionError(f"coefficient {name}(x) cannot be evaluated on [0, 1]: {exc}") from exc
+
+
 def validate(spec: ProblemSpec) -> float:
-    """Check that b, b' and r are finite, and b > 0, r >= 0 and
-    r - eps2*b'/2 > 0, on a 257-point grid.
+    """Check that b, b', r and f are defined and finite, and b > 0, r >= 0
+    and r - eps2*b'/2 > 0, on a 257-point grid that includes both ends.
 
     Returns gamma_hat, the sampled minimum of r - eps2*b'/2.  Sampled, not
     proved: a hard error on violation, a warning when gamma_hat is barely
@@ -95,11 +103,12 @@ def validate(spec: ProblemSpec) -> float:
     x = _sample_grid(257)
     # a coefficient that overflows is rejected below, by name, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bv = evaluate(spec.b, x)
-        rv = evaluate(spec.r, x)
-        bpv = evaluate(spec.b_prime, x)
+        bv = _sample("b", spec.b, x)
+        rv = _sample("r", spec.r, x)
+        bpv = _sample("b'", spec.b_prime, x)
+        fv = _sample("f", spec.f, x)
         gv = rv - spec.eps2 * bpv / 2.0
-    for name, vals in (("b", bv), ("b'", bpv), ("r", rv)):
+    for name, vals in (("b", bv), ("b'", bpv), ("r", rv), ("f", fv)):
         finite = np.isfinite(vals)
         if not np.all(finite):
             i = int(np.argmin(finite))

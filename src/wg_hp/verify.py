@@ -5,19 +5,15 @@ The reference solution is the weak Galerkin solve at degree 2p on the same
 mesh (penalties rescaled to the higher degree), so the difference lives in
 one discrete space.
 
-convergence_sweep spreads its (problem, p) cases over the usable CPUs: on
-Linux, when there are at least MIN_SHARE_CASES cases per share, it deals the
-degrees into shares and runs all but one share in forked children.  Each
-case does the same arithmetic in whichever process runs it, so the records
-are identical for any worker count.
+convergence_sweep spreads its (problem, p) cases over the usable CPUs: when
+there are at least MIN_SHARE_CASES cases per share, it deals the degrees
+into shares and runs all but one share in forked children (wg_hp.forking).
+Each case does the same arithmetic in whichever process runs it, so the
+records are identical for any worker count.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +22,7 @@ from numpy.polynomial import legendre as npleg
 from wg_hp import coeffexpr as ce
 from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
+from wg_hp.forking import run_shares, usable_cpus
 from wg_hp.polybasis import basis_tables, interpolant_coefficients, l2_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
@@ -267,68 +264,15 @@ MIN_SHARE_CASES = 20
 
 def _workers(n_degrees: int, n_cases: int) -> int:
     """The number of shares convergence_sweep deals n_degrees degrees
-    (n_cases cases over all problems) into: one per CPU this process may
-    run on, capped at n_degrees and at one per MIN_SHARE_CASES cases.  It
-    is 1, and nothing forks, off Linux, without os.fork, or while a second
-    thread is alive."""
-    if (
-        not sys.platform.startswith("linux")
-        or not hasattr(os, "fork")
-        or threading.active_count() > 1
-    ):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_degrees, n_cases // MIN_SHARE_CASES))
+    (n_cases cases over all problems) into: forking.usable_cpus(), capped
+    at n_degrees and at one per MIN_SHARE_CASES cases."""
+    return max(1, min(usable_cpus(), n_degrees, n_cases // MIN_SHARE_CASES))
 
 
 def _run_share(problems, share, kappa, quad_double) -> list:
     """[(records, failures)] of convergence_study for each problem at the
     degrees of one share."""
     return [convergence_study(problem, share, kappa, quad_double) for problem in problems]
-
-
-def _fork_share(*args) -> tuple[int, int]:
-    """Run _run_share(*args) in a forked child that pickles its result
-    down a pipe; returns (pid, read end).  The child leaves through
-    os._exit, so no inherited atexit handler or stdio buffer runs twice."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(_run_share(*args), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect(pid: int, read_fd: int) -> list:
-    """A forked share's result: read its pipe to the end and wait for the
-    child.  A child that exits non-zero or sends a short payload raises
-    RuntimeError."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"convergence_sweep worker {pid} exited with status {code}")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise RuntimeError(
-            f"convergence_sweep worker {pid} exited with status {code} but sent a "
-            f"short payload of {len(payload)} bytes"
-        ) from exc
 
 
 def convergence_sweep(
@@ -343,12 +287,11 @@ def convergence_sweep(
 
     The parent validates and sets up each problem and builds every basis
     table the cases read, so that forked children inherit them.  It deals
-    p_range round-robin, from the highest p down, into the shares, runs
-    share 0 itself and each other share in a forked child, and waits for
-    every child before it returns or raises.  A child that fails raises
-    RuntimeError; its share is not rerun.  Records and failures come in
-    problem order, then p_range order, the same for any worker count.
-    p_range must not repeat a degree.
+    p_range round-robin, from the highest p down, into the shares, and runs
+    them through forking.run_shares: share 0 itself, each other share in a
+    forked child.  A child that fails raises RuntimeError; its share is not
+    rerun.  Records and failures come in problem order, then p_range order,
+    the same for any worker count.  p_range must not repeat a degree.
     """
     problems = list(problems)
     p_range = list(p_range)
@@ -370,21 +313,7 @@ def convergence_sweep(
     for i, p in enumerate(sorted(p_range, reverse=True)):
         shares[i % n_shares].append(p)
 
-    children = {}  # pid -> read end of its pipe
-    try:
-        for share in shares[1:]:
-            pid, read_fd = _fork_share(problems, share, kappa, quad_double)
-            children[pid] = read_fd
-        results = [_run_share(problems, shares[0], kappa, quad_double)]
-        for pid in list(children):
-            results.append(_collect(pid, children.pop(pid)))
-    finally:
-        # close every read end before waiting: a child inherits the read ends
-        # forked before it, so a pipe breaks only once all are closed
-        for read_fd in children.values():
-            os.close(read_fd)
-        for pid in children:
-            os.waitpid(pid, 0)
+    results = run_shares(lambda share: _run_share(problems, share, kappa, quad_double), shares)
 
     rank = {p: i for i, p in enumerate(p_range)}
     records, failures = [], []

@@ -220,14 +220,60 @@ def test_local_dof_tables_are_shared_and_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
-    dof_index, t_left, t_right = tables
+    flat, jump_right, jump_both = tables
     dof = DofMap(3, 4)
-    # element 1: its coefficients, then the two interior node values
-    assert dof_index[1].tolist() == list(range(5, 10)) + [dof.node_index(1), dof.node_index(2)]
-    # the boundary node values get the two indices past the unknowns
-    assert dof_index[0, -2] == dof.total and dof_index[2, -1] == dof.total + 1
-    np.testing.assert_array_equal(t_left, [1, -1, 1, -1, 1, -1, 0])
-    np.testing.assert_array_equal(t_right, [1, 1, 1, 1, 1, 0, -1])
+    n = dof.total
+    assert flat.shape == (3, 7, 7)
+    # element 1: its coefficients, then the two interior node values, each
+    # pair of them at its row-major index of the n x n matrix
+    dofs = np.array(list(range(5, 10)) + [dof.node_index(1), dof.node_index(2)])
+    np.testing.assert_array_equal(flat[1], dofs[:, None] * n + dofs)
+    # the eliminated boundary node values' rows and columns go to the spare bin
+    assert (flat[0, 5] == n * n).all() and (flat[0, :, 5] == n * n).all()
+    assert (flat[2, 6] == n * n).all() and (flat[2, :, 6] == n * n).all()
+    assert np.count_nonzero(flat == n * n) == 2 * (2 * 7 - 1)
+    t_left = np.array([1, -1, 1, -1, 1, -1, 0.0])
+    t_right = np.array([1, 1, 1, 1, 1, 0, -1.0])
+    np.testing.assert_array_equal(jump_right, np.outer(t_right, t_right))
+    np.testing.assert_array_equal(jump_both, np.outer(t_right, t_right) + np.outer(t_left, t_left))
+
+
+def _padded_scatter(blocks, N, p):
+    # the scatter into an (n+2) x (n+2) matrix that assemble used before it
+    # indexed the n x n matrix directly: the eliminated boundary node values
+    # get indices n and n+1, whose rows and columns are dropped
+    n = DofMap(N, p).total
+    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
+    dof_index = np.column_stack(
+        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
+    )
+    flat = dof_index[:, :, None] * (n + 2) + dof_index[:, None, :]
+    A = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=(n + 2) ** 2)
+    return A.reshape(n + 2, n + 2)[:n, :n]
+
+
+@pytest.mark.parametrize("p", [1, 2, 40, 64])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_assemble_scatters_as_the_padded_scatter_bit_for_bit(monkeypatch, N, p):
+    # the element blocks assemble hands to bincount, scattered by the oracle
+    blocks = []
+    real_bincount = np.bincount
+
+    def recording_bincount(x, weights=None, minlength=0):
+        blocks.append(weights.reshape(N, p + 3, p + 3))
+        return real_bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", recording_bincount)
+    nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
+    mesh = user_mesh(nodes[N])
+    for prob in (UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)):
+        for sigmas in (None, np.zeros(N)):
+            blocks.clear()
+            system = assemble(prob, mesh, p, sigmas=sigmas)
+            (element_blocks,) = blocks
+            expect = _padded_scatter(element_blocks, N, p)
+            assert system.matrix.shape == expect.shape
+            assert system.matrix.tobytes() == expect.tobytes(), (N, p, prob.eps1, sigmas)
 
 
 def test_oracle_paths_evaluate_coefficients_once(monkeypatch):

@@ -1,6 +1,8 @@
 """The property suites behind the check command."""
 
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -195,8 +197,11 @@ def test_definition_residuals_evaluate_each_derivative_once_per_case(monkeypatch
 
 def test_one_run_builds_each_mesh_once(monkeypatch):
     # and, per case, one basis, one pair of Gram matrices, one interpolant,
-    # and one system shared by coercivity-solve and quadrature-stability
+    # and one system shared by coercivity-solve and quadrature-stability;
+    # on one usable CPU, so that every call is counted in this process
     import wg_hp.verify as verify
+
+    use_cpus(monkeypatch, 1)
 
     built = []
     real = verify.build_sbl_mesh
@@ -228,3 +233,56 @@ def test_one_run_builds_each_mesh_once(monkeypatch):
     # the same results as suites that build their own cases when called alone
     alone = [fn() for fn in checks.SUITES + (checks.suite_quadrature_stability,)]
     assert alone == expect
+
+
+forks = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(os, "fork")),
+    reason="run_check forks on Linux only",
+)
+
+
+def use_cpus(monkeypatch, n):
+    """Let run_check see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@forks
+@pytest.mark.parametrize("quad_double, sigma", [(False, None), (True, None), (False, 0.0)])
+def test_forked_run_check_gives_the_serial_results(monkeypatch, quad_double, sigma):
+    cases = checks._case_list(sigma)
+    suites = checks.SUITES + ((checks.suite_quadrature_stability,) if quad_double else ())
+    serial = [fn(cases) for fn in suites]
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forked.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for n in (1, 2, 3):
+        use_cpus(monkeypatch, n)
+        forked.clear()
+        results = run_check(quad_double=quad_double, sigma_override=sigma)
+        assert len(forked) == (n > 1)  # one child, at any number of CPUs above one
+        assert results == serial
+        assert [r.line() for r in results] == [r.line() for r in serial]
+
+
+@forks
+def test_run_check_raises_when_its_child_dies_and_leaves_no_child(monkeypatch):
+    # definition-residuals runs in the child, which exits with status 3
+    parent = os.getpid()
+    real_residuals = checks._definition_residuals
+
+    def residuals_that_kill_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_residuals(*args)
+
+    monkeypatch.setattr(checks, "_definition_residuals", residuals_that_kill_the_child)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with status 3$"):
+        run_check()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

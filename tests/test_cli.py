@@ -89,25 +89,28 @@ def test_layer_too_thin_to_resolve_exit_code(capsys):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_solve_non_finite_solution_exit_code(capsys):
-    # f overflows to inf on the last element, so the solution is NaN
+    # f = exp(1000*x) is inf beyond x = 0.7098, which would make the
+    # solution NaN; validation names f first, with no numpy warning
     assert main(["solve", "--f", "exp(1000*x)", "--p", "4"]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
-    assert out == "" and "the solution is not finite" in err
+    assert out == ""
+    assert err == "wg-hp: coefficient f(x) is not finite at x = 0.710938 (value inf)\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_convergence_non_finite_solutions_are_failed_rows(tmp_path):
-    # f is not validated, so its overflow reaches the solve
     out = tmp_path / "conv.csv"
     argv = ["convergence", "--f", "exp(1000*x)", "--p-range", "2..3", "--out", str(out)]
     assert main(argv) == EXIT_PARTIAL
     header, *rows = out.read_text().splitlines()
-    assert header == CSV_HEADER and len(rows) == 2
-    for p, row in zip((2, 3), rows):
-        assert row.startswith(f"# failed eps1=1.0000000000000001e-05 eps2=0.01 p={p}: ")
-        assert "the solution is not finite" in row
+    assert header == CSV_HEADER
+    assert rows == [
+        f"# failed eps1=1.0000000000000001e-05 eps2=0.01 p={p}: "
+        "coefficient f(x) is not finite at x = 0.710938 (value inf)"
+        for p in (2, 3)
+    ]
 
 
 @pytest.mark.filterwarnings("error")

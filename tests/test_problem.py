@@ -41,6 +41,18 @@ def test_non_finite_coefficient_rejected_by_name(b, r, name):
         validate(spec)
 
 
+@pytest.mark.parametrize(
+    "b, r, f, name",
+    [("1", "1", "log(x)", "f"), ("1", "2 - log(x)", "1", "r"), ("1 + sqrt(x - 0.5)", "1", "1", "b")],
+)
+def test_coefficient_undefined_on_the_grid_rejected_by_name(b, r, f, name):
+    # log and sqrt raise a domain error where they are undefined; it names
+    # the coefficient, as an AssumptionError, not a bare expression error
+    spec = ProblemSpec.from_strings(1e-3, 1e-3, b, r, f)
+    with pytest.raises(AssumptionError, match=rf"^coefficient {name}\(x\) cannot be evaluated on \[0, 1\]: "):
+        validate(spec)
+
+
 def test_vanishing_gamma_rejected():
     # r = 0, b = 1, eps2 = 1: r - eps2*b'/2 = 0, not strictly positive
     spec = ProblemSpec.from_strings(1e-3, 1.0, "1", "0", "1")
