@@ -113,6 +113,44 @@ def test_convergence_non_finite_solutions_are_failed_rows(tmp_path):
     ]
 
 
+def _nan_solve(monkeypatch):
+    # data that pass validation, with a linear solve that returns NaN, reach
+    # the solve's own finiteness check
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+
+
+def test_solve_non_finite_solve_result_exit_code(monkeypatch, capsys):
+    _nan_solve(monkeypatch)
+    assert main(["solve", "--p", "4"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "wg-hp: the solution is not finite; the data may overflow\n"
+
+
+def test_convergence_non_finite_solve_results_are_failed_rows(monkeypatch, tmp_path):
+    _nan_solve(monkeypatch)
+    out = tmp_path / "conv.csv"
+    argv = ["convergence", "--p-range", "2..3", "--out", str(out)]
+    assert main(argv) == EXIT_PARTIAL
+    header, *rows = out.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert rows == [
+        f"# failed eps1=1.0000000000000001e-05 eps2=0.01 p={p}: "
+        "the solution is not finite; the data may overflow"
+        for p in (2, 3)
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u", ["x*(1-x)*sqrt(x)", "x^1.5*(1-x)"])
+def test_solve_accepts_an_f_singular_only_at_an_end_point(u, tmp_path, capsys):
+    # u'' ~ x^-1/2 makes f undefined at x = 0, which no Gauss point reaches
+    out = tmp_path / "sol.csv"
+    assert main(["solve", "--manufactured-u", u, "--p", "4", "--out", str(out)]) == EXIT_OK
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("# exact relative energy error: ")
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_rejects_an_overflowing_coefficient_by_name(capsys):
     # r = exp(800*x) is inf from x = 0.888; validation names r, with no

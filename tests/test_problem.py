@@ -43,7 +43,7 @@ def test_non_finite_coefficient_rejected_by_name(b, r, name):
 
 @pytest.mark.parametrize(
     "b, r, f, name",
-    [("1", "1", "log(x)", "f"), ("1", "2 - log(x)", "1", "r"), ("1 + sqrt(x - 0.5)", "1", "1", "b")],
+    [("1", "1", "log(x - 0.5)", "f"), ("1", "2 - log(x)", "1", "r"), ("1 + sqrt(x - 0.5)", "1", "1", "b")],
 )
 def test_coefficient_undefined_on_the_grid_rejected_by_name(b, r, f, name):
     # log and sqrt raise a domain error where they are undefined; it names
