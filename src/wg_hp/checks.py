@@ -12,7 +12,7 @@ confirms integral values are quadrature-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -288,11 +288,18 @@ SUITES = (
     suite_polynomial_reproduction,
 )
 
-# The suites run_check runs in a forked child when two CPUs are usable: warm,
-# on one CPU, they take about 13 ms, against 15 ms for the suites the parent
-# keeps with quad_double (coercivity-solve, polynomial-reproduction and
-# quadrature-stability).  The cases are built before the fork.
+# The suites run_check runs in a forked worker when two CPUs are usable: warm,
+# on one CPU, they take about 15 ms, against 17.5 ms for the suites the
+# parent keeps with quad_double (coercivity-solve, polynomial-reproduction
+# and quadrature-stability) and 12 ms without it; each process first builds
+# the cases, in about 3.8 ms.
 FORKED_SUITES = (suite_error_equation, suite_definition_residuals, suite_norm_equivalence)
+
+
+def _run_suites(sigma_override, suites) -> list[SuiteResult]:
+    """Each of suites run on the cases of _case_list(sigma_override)."""
+    cases = _case_list(sigma_override)
+    return [fn(cases) for fn in suites]
 
 
 def run_check(quad_double: bool = False, sigma_override: float | None = None) -> list[SuiteResult]:
@@ -303,16 +310,18 @@ def run_check(quad_double: bool = False, sigma_override: float | None = None) ->
     constant (0.0 deliberately violates the penalty condition, and with it
     the coercivity-solve and norm-equivalence suites fail).  quad_double
     adds the doubled quadrature stability suite.  The cases are built once
-    and shared by every suite: each problem is validated and set up once per
-    run, and each mesh, basis, system and Gram matrix built once per case.
-    When forking.usable_cpus() is 2 or more, the FORKED_SUITES run in a
-    forked child that inherits the cases; the results are the same.
+    per process and shared by every suite it runs: each problem is validated
+    and set up once, and each mesh, basis, system and Gram matrix built once
+    per case.  When forking.usable_cpus() is 2 or more, the FORKED_SUITES
+    run in a persistent forked worker (forking.run_shares), which receives
+    only sigma_override and builds the same cases itself, in parallel with
+    the caller (sending the 80 KB of pickled cases was slower); the results
+    are the same.
     """
-    cases = _case_list(sigma_override)
     suites = SUITES + (suite_quadrature_stability,) if quad_double else SUITES
     if usable_cpus() < 2:
-        return [fn(cases) for fn in suites]
+        return _run_suites(sigma_override, suites)
     own = tuple(fn for fn in suites if fn not in FORKED_SUITES)
-    mine, forked = run_shares(lambda group: [fn(cases) for fn in group], [own, FORKED_SUITES])
+    mine, forked = run_shares(partial(_run_suites, sigma_override), [own, FORKED_SUITES])
     by_suite = dict(zip(own + FORKED_SUITES, mine + forked))
     return [by_suite[fn] for fn in suites]

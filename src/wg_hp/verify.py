@@ -7,7 +7,7 @@ one discrete space.
 
 convergence_sweep spreads its (problem, p) cases over the usable CPUs: when
 there are at least MIN_SHARE_CASES cases per share, it deals the degrees
-into shares and runs all but one share in forked children (wg_hp.forking).
+into shares and runs all but one share in forked workers (wg_hp.forking).
 Each case does the same arithmetic in whichever process runs it, so the
 records are identical for any worker count.
 """
@@ -15,6 +15,7 @@ records are identical for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -23,7 +24,7 @@ from wg_hp import coeffexpr as ce
 from wg_hp.assembly import DofMap, assemble, solve
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.forking import run_shares, usable_cpus
-from wg_hp.polybasis import basis_tables, interpolant_coefficients, l2_coefficients, quad_order
+from wg_hp.polybasis import interpolant_coefficients, l2_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.weakspace import (
@@ -37,7 +38,8 @@ from wg_hp.weakspace import (
 
 
 class BoundaryValueError(Exception):
-    """A manufactured solution does not vanish at both endpoints."""
+    """A manufactured solution does not vanish, or cannot be evaluated, at
+    an endpoint."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,12 @@ def manufacture(u_text: str | Expr, problem: ProblemSpec) -> ManufacturedCase:
     """Attach f = -eps1*u'' + eps2*b*u' + r*u to the given coefficients."""
     u = parse(u_text) if isinstance(u_text, str) else u_text
     for endpoint in (0.0, 1.0):
-        val = evaluate(u, endpoint)
+        try:
+            val = evaluate(u, endpoint)
+        except ce.EvalDomainError as exc:
+            raise BoundaryValueError(
+                f"manufactured solution u cannot be evaluated at x={endpoint:g}: {exc}"
+            ) from exc
         if abs(val) > 1e-13:
             raise BoundaryValueError(
                 f"manufactured solution must vanish at x={endpoint:g}, got {val:.3g}"
@@ -256,9 +263,13 @@ def convergence_study(
     return records, failures
 
 
-# Forking a worker costs about 10 ms (copying the page tables and the pages
-# both processes then write), and a low-p case about 1 ms: on a 2-CPU host
-# the forked sweep broke even at 20 to 40 cases and lost below 20.
+# A fresh process forks its workers on its first call, at about 10 ms
+# (copying the page tables and the pages both processes then write), and a
+# low-p case takes about 1 ms: on a 2-CPU host a sweep that forked broke
+# even at 20 to 40 cases and lost below 20.  Later calls reuse the workers
+# at about 0.15 ms a call: warm, one problem at p = 1..8 took 2.9 ms on 2
+# CPUs against 4.0 ms on one, and p = 1..2 lost 0.1 to 0.3 ms.  The value
+# stays until a small-sweep workload times both in one benchmark.
 MIN_SHARE_CASES = 20
 
 
@@ -285,13 +296,15 @@ def convergence_sweep(
     cases spread over _workers(len(p_range), len(problems) * len(p_range))
     processes.
 
-    The parent validates and sets up each problem and builds every basis
-    table the cases read, so that forked children inherit them.  It deals
-    p_range round-robin, from the highest p down, into the shares, and runs
-    them through forking.run_shares: share 0 itself, each other share in a
-    forked child.  A child that fails raises RuntimeError; its share is not
-    rerun.  Records and failures come in problem order, then p_range order,
-    the same for any worker count.  p_range must not repeat a degree.
+    The parent validates and sets up each problem, so that the workers
+    receive them set up and warn about none again.  It deals p_range
+    round-robin, from the highest p down, into the shares, and runs them
+    through forking.run_shares: share 0 itself, each other share in a
+    persistent forked worker, which receives the problems pickled and
+    builds its own basis tables.  A worker that fails raises RuntimeError;
+    its share is not rerun.  Records and failures come in problem order,
+    then p_range order, the same for any worker count.  p_range must not
+    repeat a degree.
     """
     problems = list(problems)
     p_range = list(p_range)
@@ -302,18 +315,13 @@ def convergence_sweep(
             problem.gamma_hat, problem.mu
         except Exception:  # noqa: BLE001 - convergence_study records it for every p
             pass
-    for p in p_range:
-        if p >= 1:
-            nquad = case_nquad(p, quad_double)
-            for degree in (p, 2 * p):
-                basis_tables(degree, quad_order(degree, nquad))
 
     n_shares = _workers(len(p_range), len(problems) * len(p_range))
     shares = [[] for _ in range(n_shares)]
     for i, p in enumerate(sorted(p_range, reverse=True)):
         shares[i % n_shares].append(p)
 
-    results = run_shares(lambda share: _run_share(problems, share, kappa, quad_double), shares)
+    results = run_shares(partial(_run_share, problems, kappa=kappa, quad_double=quad_double), shares)
 
     rank = {p: i for i, p in enumerate(p_range)}
     records, failures = [], []

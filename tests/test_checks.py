@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 import wg_hp.checks as checks
+import wg_hp.forking as forking
 import wg_hp.problem as problem
 from wg_hp.checks import run_check
 from wg_hp.coeffexpr import evaluate
@@ -262,11 +263,16 @@ def test_forked_run_check_gives_the_serial_results(monkeypatch, quad_double, sig
     monkeypatch.setattr(os, "fork", counting_fork)
     for n in (1, 2, 3):
         use_cpus(monkeypatch, n)
+        forking.shutdown()
         forked.clear()
         results = run_check(quad_double=quad_double, sigma_override=sigma)
         assert len(forked) == (n > 1)  # one child, at any number of CPUs above one
         assert results == serial
         assert [r.line() for r in results] == [r.line() for r in serial]
+    # a second call in the same process is served by the worker of the first
+    forked.clear()
+    assert run_check(quad_double=quad_double, sigma_override=sigma) == serial
+    assert forked == []
 
 
 @forks

@@ -151,6 +151,19 @@ def test_solve_accepts_an_f_singular_only_at_an_end_point(u, tmp_path, capsys):
     assert line.startswith("# exact relative energy error: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_manufactured_u_undefined_at_an_end_point_is_a_validation_error(command, capsys):
+    # log(x) is undefined at x = 0, where u must vanish
+    argv = [command, "--manufactured-u", "x*(1-x)*log(x)", "--p", "4"]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "wg-hp: manufactured solution u cannot be evaluated at x=0: "
+        "log of non-positive value in subexpression log(x)\n"
+    )
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_rejects_an_overflowing_coefficient_by_name(capsys):
     # r = exp(800*x) is inf from x = 0.888; validation names r, with no

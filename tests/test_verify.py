@@ -436,20 +436,22 @@ def test_sweep_reaps_workers_blocked_on_a_full_pipe_after_a_failure(monkeypatch)
     # shares [4], [3], [2], [1]: the first child dies while the two after it
     # block writing more than a pipe buffer holds, so the parent must break
     # both pipes before it waits for either child
+    # (the workers receive _run_share pickled by name, so the test patches
+    # the convergence_study it calls, which each worker reads as forked)
     parent = os.getpid()
-    real_run_share = verify._run_share
+    real_study = verify.convergence_study
 
-    def run_share(problems, share, kappa, quad_double):
+    def study(problem, share, kappa, quad_double):
         if os.getpid() == parent:
-            return real_run_share(problems, share, kappa, quad_double)
+            return real_study(problem, share, kappa, quad_double)
         if share == [3]:
             os._exit(3)
-        return [(["x" * (1 << 20)], [])]
+        return ["x" * (1 << 20)], []
 
     def timed_out(signum, frame):
         raise TimeoutError("convergence_sweep hung reaping its workers")
 
-    monkeypatch.setattr(verify, "_run_share", run_share)
+    monkeypatch.setattr(verify, "convergence_study", study)
     use_cpus(monkeypatch, 4)
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(30)
