@@ -6,7 +6,9 @@ interior node values; the boundary node values are eliminated exactly
 (v_b at 0 and 1 is constrained to zero, not penalized).  Meshes have at
 most three elements, so a dense factorization is all that is warranted.
 The element matrices of the two weak derivatives come from weakspace;
-assemble adds the mass products, the reaction mass and the stabilizers.
+assemble_stack adds the mass products, the reaction mass and the
+stabilizers, for k problems at one degree at once, and solve_stack solves
+them with one LAPACK call.  assemble and solve are their one-problem calls.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from wg_hp.weakspace import (
     _convection_operator,
     _degree_tables,
     _derivative_operator,
+    _evaluate_stack,
     _jumps,
     default_penalties,
     element_quadrature,
@@ -103,6 +106,84 @@ def _local_dofs(N: int, p: int):
     return flat, jump_right, jump_both
 
 
+def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) -> tuple:
+    """(matrices, loads) of the five-term bilinear forms on meshes with
+    nodes (..., N+1) and widths (..., N), for eps1 and eps2 of shape (...),
+    coefficients (b, b', r, f), each one Expr or one per mesh (see
+    weakspace._evaluate_stack), and penalties (..., N).  The leading axis,
+    if any, stacks k systems; each numpy operation runs once on all of
+    them, with the per-element shapes and operand orders of one system."""
+    if p < 1:
+        raise ValueError("polynomial degree must be >= 1")
+    lead, k, N = eps1.shape, eps1.size, widths.shape[-1]
+    nq = quad_order(p, nquad)
+    _, vander, _ = basis_tables(p, nq)
+    n = DofMap(N, p).total
+    flat, jump_right, jump_both = _local_dofs(N, p)
+
+    # the coefficients on every element's quadrature points, one row each,
+    # evaluated once per call
+    _, w, bv, bpv, rv, fv = element_quadrature(nodes, nq, *coefficients)
+    b_nodes = _evaluate_stack(coefficients[0], nodes)
+
+    # the weak derivatives of every element, and the diagonal mass
+    # matrices h/(2k+1)
+    D = _derivative_operator(widths, p)
+    Dc = _convection_operator(widths, p, w, bv, bpv, b_nodes)
+    mass_hi = widths[..., None] / _degree_tables(p + 1)[2]
+    mass_lo = mass_hi[..., :p]
+
+    # the element matrices of all elements, one (p+3, p+3) block each; the
+    # mass matrices are diagonal, so their products are row scalings, and a
+    # C-ordered left factor keeps the BLAS rounding of the dense form
+    eps1, eps2 = eps1[..., None, None, None], eps2[..., None]
+    Aloc = np.ascontiguousarray(eps1 * D.swapaxes(-1, -2) * mass_lo[..., None, :]) @ D
+    Aloc[..., : p + 1, :] += (eps2[..., None] * mass_hi)[..., None] * Dc
+    Aloc[..., : p + 1, : p + 1] += (vander.T * (w * rv)[..., None, :]) @ vander
+    Aloc += sigmas[..., None, None] * jump_both
+    Aloc += (eps2 * b_nodes[..., 1:])[..., None, None] * jump_right
+    load = (vander.T * w[..., None, :]) @ fv[..., None]
+
+    # one scatter: bincount adds the blocks in element order, so an entry
+    # shared by two elements is summed as an element-by-element scatter
+    # sums it; system i of a stack takes the n*n + 1 bins from i*(n*n + 1),
+    # the last its spare, so the matrices are views and no index collides
+    if lead:
+        flat = flat + (n * n + 1) * np.arange(k)[:, None, None, None]
+    A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=k * (n * n + 1))
+    # added to zeros, not assigned, so a -0.0 load entry becomes 0.0
+    rhs = np.zeros(lead + (n,))
+    rhs[..., : N * (p + 1)] += load.reshape(lead + (-1,))
+    return A.reshape(k, -1)[:, : n * n].reshape(lead + (n, n)), rhs
+
+
+def assemble_stack(problems, meshes, p: int, sigmas=None, nquad: int | None = None) -> tuple:
+    """(matrices, loads): the five-term bilinear forms (k, n, n) and load
+    vectors (k, n) of k problems, each on its own mesh, at degree p.  Every
+    mesh must have the same number of elements; sigmas, if given, holds one
+    row of penalties per problem.  Each numpy operation runs once on
+    (k, N, ...) arrays, so system i is bit for bit what assemble gives for
+    its problem alone: the same kernel without the stack axis.  A
+    coefficient that is equal (==) across the problems is evaluated once on
+    all their points."""
+    if len({mesh.n_elements for mesh in meshes}) > 1:
+        raise ValueError("the meshes of a stack must have the same number of elements")
+    if sigmas is None:
+        sigmas = [default_penalties(mesh, p, prob.eps1) for prob, mesh in zip(problems, meshes)]
+    eps = np.array([(prob.eps1, prob.eps2) for prob in problems])
+    coefficients = tuple(zip(*((prob.b, prob.b_prime, prob.r, prob.f) for prob in problems)))
+    return _assemble(
+        np.array([mesh.nodes for mesh in meshes]),
+        np.array([mesh.widths for mesh in meshes]),
+        eps[:, 0],
+        eps[:, 1],
+        coefficients,
+        np.asarray(sigmas, dtype=float),
+        p,
+        nquad,
+    )
+
+
 def assemble(
     problem: ProblemSpec,
     mesh: Mesh,
@@ -110,78 +191,67 @@ def assemble(
     sigmas=None,
     nquad: int | None = None,
 ) -> AssembledSystem:
-    """Assemble the five-term bilinear form and the load vector."""
-    if p < 1:
-        raise ValueError("polynomial degree must be >= 1")
+    """Assemble the five-term bilinear form and the load vector: the
+    one-problem form of assemble_stack, by the same kernel."""
     if sigmas is None:
         sigmas = default_penalties(mesh, p, problem.eps1)
-    sigmas = np.asarray(sigmas, dtype=float)
-    nq = quad_order(p, nquad)
-    _, vander, _ = basis_tables(p, nq)
-    N = mesh.n_elements
-    n = DofMap(N, p).total
-    flat, jump_right, jump_both = _local_dofs(N, p)
-
-    # the coefficients on every element's quadrature points, one row each,
-    # evaluated once per call
-    _, w, bv, bpv, rv, fv = element_quadrature(
-        mesh, nq, problem.b, problem.b_prime, problem.r, problem.f
+    A, rhs = _assemble(
+        mesh.nodes,
+        mesh.widths,
+        np.asarray(problem.eps1, dtype=float),
+        np.asarray(problem.eps2, dtype=float),
+        (problem.b, problem.b_prime, problem.r, problem.f),
+        np.asarray(sigmas, dtype=float),
+        p,
+        nquad,
     )
-    b_nodes = evaluate(problem.b, mesh.nodes)
-
-    # the weak derivatives of every element, and the diagonal mass
-    # matrices h/(2k+1)
-    D = _derivative_operator(mesh, p)
-    Dc = _convection_operator(mesh, p, w, bv, bpv, b_nodes)
-    mass_hi = mesh.widths[:, None] / _degree_tables(p + 1)[2]
-    mass_lo = mass_hi[:, :p]
-
-    # the element matrices of all elements, one (p+3, p+3) block each; the
-    # mass matrices are diagonal, so their products are row scalings, and a
-    # C-ordered left factor keeps the BLAS rounding of the dense form
-    Aloc = np.ascontiguousarray(problem.eps1 * D.transpose(0, 2, 1) * mass_lo[:, None, :]) @ D
-    Aloc[:, : p + 1] += (problem.eps2 * mass_hi)[:, :, None] * Dc
-    Aloc[:, : p + 1, : p + 1] += (vander.T * (w * rv)[:, None, :]) @ vander
-    Aloc += sigmas[:, None, None] * jump_both
-    Aloc += (problem.eps2 * b_nodes[1:])[:, None, None] * jump_right
-    load = (vander.T * w[:, None, :]) @ fv[:, :, None]
-
-    # one scatter: bincount adds the blocks in element order, so an entry
-    # shared by two elements is summed as an element-by-element scatter sums it
-    A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=n * n + 1)[: n * n].reshape(n, n)
-    # added to zeros, not assigned, so a -0.0 load entry becomes 0.0
-    rhs = np.zeros(n)
-    rhs[: N * (p + 1)] += load.ravel()
-
     return AssembledSystem(A, rhs, mesh, p)
 
 
-def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:
-    p = system.degree
-    N = system.mesh.n_elements
-    coeffs = vec[: N * (p + 1)].reshape(N, p + 1)
+def weakfunction_of(mesh: Mesh, p: int, vec: np.ndarray) -> WeakFunction:
+    """The weak function of degree p on mesh whose unknowns, numbered as
+    in DofMap, are vec."""
+    N = mesh.n_elements
     vb = np.zeros(N + 1)
     vb[1:N] = vec[N * (p + 1) :]
-    return WeakFunction(system.mesh, coeffs, vb)
+    return WeakFunction(mesh, vec[: N * (p + 1)].reshape(N, p + 1), vb)
 
 
-def solve(system: AssembledSystem) -> WeakFunction:
-    """Direct dense solve; the solution must be finite and its relative
-    residual at most RESIDUAL_TOL."""
+def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:
+    return weakfunction_of(system.mesh, system.degree, vec)
+
+
+def solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solutions (k, n) of k systems stacked (k, n, n) and (k, n), from
+    one np.linalg.solve with the right-hand sides as (k, n, 1); without the
+    stack axis, of one system.  Every solution must be finite and its
+    relative residual at most RESIDUAL_TOL, else SingularSystemError (for
+    a residual, the first too large).  Each solution, residual and norm is
+    bit for bit that of its system solved alone; solve is the one-system
+    call."""
     try:
-        x = np.linalg.solve(system.matrix, system.rhs)
+        x = np.linalg.solve(matrices, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     if not np.isfinite(x).all():
         raise SingularSystemError("the solution is not finite; the data may overflow")
-    scale = np.linalg.norm(system.rhs)
-    resid = np.linalg.norm(system.matrix @ x - system.rhs)
-    if scale > 0 and not resid / scale <= RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"relative residual {resid / scale:.3g} exceeds {RESIDUAL_TOL:g}; "
-            "the system is numerically singular"
-        )
-    return vector_to_weakfunction(system, x)
+    residuals = (matrices @ x[..., None])[..., 0] - rhs
+    # a row times its own column is the dot product np.linalg.norm takes
+    scales = np.sqrt(rhs[..., None, :] @ rhs[..., None]).ravel().tolist()
+    resids = np.sqrt(residuals[..., None, :] @ residuals[..., None]).ravel().tolist()
+    for scale, resid in zip(scales, resids):
+        if scale > 0 and not resid / scale <= RESIDUAL_TOL:
+            raise SingularSystemError(
+                f"relative residual {resid / scale:.3g} exceeds {RESIDUAL_TOL:g}; "
+                "the system is numerically singular"
+            )
+    return x
+
+
+def solve(system: AssembledSystem) -> WeakFunction:
+    """Direct dense solve; the solution must be finite and its relative
+    residual at most RESIDUAL_TOL.  The one-system call of solve_stack."""
+    return vector_to_weakfunction(system, solve_stack(system.matrix, system.rhs))
 
 
 def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=None) -> np.ndarray:
@@ -197,13 +267,13 @@ def bilinear_values(mesh: Mesh, u, v, problem: ProblemSpec, sigmas=None, nquad=N
         raise ValueError("weak derivative needs degree p >= 1")
     sig = default_penalties(mesh, p, problem.eps1) if sigmas is None else np.asarray(sigmas, float)
     t, w, bv, bpv, rv = element_quadrature(
-        mesh, quad_order(p, nquad), problem.b, problem.b_prime, problem.r
+        mesh.nodes, quad_order(p, nquad), problem.b, problem.b_prime, problem.r
     )
     b_nodes = evaluate(problem.b, mesh.nodes)
-    D = _derivative_operator(mesh, p)
+    D = _derivative_operator(mesh.widths, p)
     du = _apply(D, uc, ub)
     dv = du if v is u else _apply(D, vc, vb)
-    dcu = _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), uc, ub)
+    dcu = _apply(_convection_operator(mesh.widths, p, w, bv, bpv, b_nodes), uc, ub)
     mass_hi = mesh.widths[:, None] / _degree_tables(p + 1)[2]
     term1 = problem.eps1 * (du * dv * mass_hi[:, :p]).reshape(len(vc), -1).sum(axis=1)
     term2 = problem.eps2 * (dcu * vc * mass_hi).reshape(len(vc), -1).sum(axis=1)
@@ -240,7 +310,7 @@ def bilinear_apply(
 
 def load_apply(v: WeakFunction, problem: ProblemSpec, nquad: int | None = None) -> float:
     """(f, v0) by quadrature; companion to bilinear_apply."""
-    t, w, fv = element_quadrature(v.mesh, quad_order(v.degree, nquad), problem.f)
+    t, w, fv = element_quadrature(v.mesh.nodes, quad_order(v.degree, nquad), problem.f)
     total = 0.0
     for row in (w * fv * npleg.legval(t, v.coeffs.T)).sum(axis=1).tolist():
         total += row

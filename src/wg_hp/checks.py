@@ -150,10 +150,10 @@ def _definition_residuals(prob, mesh, p, coeffs, vb) -> tuple:
     """The duality residuals (k, N, p) of D v against P_0..P_{p-1} and
     (k, N, p+1) of Dc v against P_0..P_p of k weak functions stacked as for
     energy_norms, relative to each v's size on each element; each a row sum."""
-    d = _apply(_derivative_operator(mesh, p), coeffs, vb)
+    d = _apply(_derivative_operator(mesh.widths, p), coeffs, vb)
     dc = _convection_apply(mesh, coeffs, vb, prob.b, prob.b_prime)
     # b and b' on all elements' quadrature points, and vb * b at the nodes
-    t, w, bv, bpv = element_quadrature(mesh, quad_order(p) + p, prob.b, prob.b_prime)
+    t, w, bv, bpv = element_quadrature(mesh.nodes, quad_order(p) + p, prob.b, prob.b_prime)
     bv, bpv = bv[:, None, :], bpv[:, None, :]
     vbn = vb[..., None]
     vbb = vbn * evaluate(prob.b, mesh.nodes)[:, None]

@@ -42,9 +42,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not 0 < self.eps1 <= 1:
-            raise ValueError("eps1 must lie in (0,1]")
+            raise ValueError(f"eps1 must lie in (0,1], got {self.eps1!r}")
         if not 0 < self.eps2 <= 1:
-            raise ValueError("eps2 must lie in (0,1]")
+            raise ValueError(f"eps2 must lie in (0,1], got {self.eps2!r}")
         if self.b_prime is None:
             object.__setattr__(self, "b_prime", differentiate(self.b))
 
@@ -187,7 +187,7 @@ RCD_RATIO = 10.0
 
 def classify_regime(eps1: float, eps2: float) -> Regime:
     if not (0 < eps1 <= 1 and 0 < eps2 <= 1):
-        raise ValueError("eps1, eps2 must lie in (0,1]")
+        raise ValueError(f"eps1, eps2 must lie in (0,1], got eps1={eps1!r}, eps2={eps2!r}")
     if eps2 > CD_EPS2_THRESHOLD:
         return Regime.CONVECTION_DIFFUSION
     if eps1 <= eps2**2 / RCD_RATIO:

@@ -8,8 +8,12 @@ one discrete space.
 convergence_sweep spreads its (problem, p) cases over the usable CPUs: when
 there are at least MIN_SHARE_CASES cases per share, it deals the degrees
 into shares and runs all but one share in forked workers (wg_hp.forking).
-Each case does the same arithmetic in whichever process runs it, so the
-records are identical for any worker count.
+Each share runs degree by degree: the problems whose meshes have the same
+number of elements are assembled and solved together, in stacks of at most
+STACK_MAX, by assembly.assemble_stack and solve_stack, whose systems are
+bit for bit those of one problem alone.  Each case does the same
+arithmetic in whichever process and stack runs it, so the records are
+identical for any worker count and to convergence_study's.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp import coeffexpr as ce
-from wg_hp.assembly import DofMap, assemble, solve
+from wg_hp.assembly import DofMap, assemble, assemble_stack, solve, solve_stack, weakfunction_of
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
 from wg_hp.forking import run_shares, usable_cpus
 from wg_hp.polybasis import interpolant_coefficients, l2_coefficients, quad_order
@@ -81,7 +85,7 @@ def manufacture(u_text: str | Expr, problem: ProblemSpec) -> ManufacturedCase:
 def exact_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
     """Conforming representation of the exact solution (elementwise L2
     projection plus nodal values)."""
-    _, _, uv = element_quadrature(mesh, quad_order(p, nquad), case.u_exact)
+    _, _, uv = element_quadrature(mesh.nodes, quad_order(p, nquad), case.u_exact)
     return WeakFunction(mesh, l2_coefficients(uv, p, nquad), evaluate(case.u_exact, mesh.nodes))
 
 
@@ -95,7 +99,7 @@ def _interpolant(mesh: Mesh, p: int, g, vb, nquad=None) -> WeakFunction:
 def interpolant_weakfunction(case: ManufacturedCase, mesh: Mesh, p: int, nquad=None) -> WeakFunction:
     """The derivative-orthogonality interpolant of the exact solution as a
     conforming weak function."""
-    _, _, uv = element_quadrature(mesh, quad_order(p, nquad), case.u_exact)
+    _, _, uv = element_quadrature(mesh.nodes, quad_order(p, nquad), case.u_exact)
     return _interpolant(mesh, p, uv, evaluate(case.u_exact, mesh.nodes), nquad)
 
 
@@ -117,7 +121,7 @@ def error_equation_values(case: ManufacturedCase, mesh: Mesh, coeffs, vb, nquad=
     # u and the coefficients on all elements' quadrature points, u once for
     # the interpolant and for its error
     t, w, uv, bv, bpv, rv = element_quadrature(
-        mesh, nq, case.u_exact, prob.b, prob.b_prime, prob.r
+        mesh.nodes, nq, case.u_exact, prob.b, prob.b_prime, prob.r
     )
     iu = _interpolant(mesh, p, uv, evaluate(case.u_exact, mesh.nodes), nq)
     up = evaluate(case.u_prime, mesh.nodes).tolist()
@@ -229,27 +233,78 @@ def convergence_study(
     record relative energy errors in p_range order; per-case failures are
     collected, not raised.  The problem is validated and set up once per
     instance (see ProblemSpec); quad_double uses 2*quad_order(p) Gauss
-    points in both solves at degree p.
+    points in both solves at degree p.  The one-problem call of the
+    degree-by-degree loop that convergence_sweep runs, so a problem's
+    records are bit for bit the same alone or in a sweep.
     """
-    eps1, eps2 = problem.eps1, problem.eps2
-    records: list[ConvergenceRecord] = []
-    failures: list[CaseFailure] = []
+    return _study([problem], p_range, kappa, quad_double)[0]
+
+
+# The most problems of one degree and element count that are assembled and
+# solved as one stack.  Stacking saves the fixed cost of each numpy call,
+# but a large stack's arrays outgrow the caches.  Per problem, one degree
+# (p and 2p) of a three-element stack cost, against k = 1 (2-vCPU Xeon):
+# k = 4 saved 56-60% at p = 4, 21-25% at p = 20 and 0-6% at p = 40,
+# while k = 6 or 8 lost from p = 20 on; at p = 64, k = 4 read from 3%
+# faster to 20% slower across runs.  BENCH_25.json holds the curves.
+STACK_MAX = 4
+
+
+def _solve_stack(problems, meshes, p: int, nquad) -> list[WeakFunction]:
+    """The solutions at degree p of problems stacked on their meshes.  A
+    stack of one is solved by assemble and solve, without the stack axis,
+    whose overhead slowed a one-pair study by about 15%."""
+    if len(problems) == 1:
+        return [solve(assemble(problems[0], meshes[0], p, nquad=nquad))]
+    matrices, rhs = assemble_stack(problems, meshes, p, nquad=nquad)
+    return [weakfunction_of(mesh, p, x) for mesh, x in zip(meshes, solve_stack(matrices, rhs))]
+
+
+def _solution_pairs(problems, meshes, p: int, nquad) -> list:
+    """(u_ref, u_p) of each problem of a stack, from one stacked solve at p
+    and one at 2p, or the exception that its solves raised.  When a stacked
+    step raises, the stack runs again one problem at a time, so each
+    failure is its own problem's, with the message of its own solves."""
     try:
-        # validate and set up once: a failure here fails every p
-        problem.gamma_hat, problem.mu
+        u_p = _solve_stack(problems, meshes, p, nquad)
+        return list(zip(_solve_stack(problems, meshes, 2 * p, nquad), u_p))
     except Exception as exc:  # noqa: BLE001 - sweep must not abort
-        return records, [CaseFailure(eps1, eps2, p, str(exc)) for p in p_range]
-    for p in p_range:
+        if len(problems) == 1:
+            return [exc]
+    return [_solution_pairs([prob], [mesh], p, nquad)[0] for prob, mesh in zip(problems, meshes)]
+
+
+def _degree_outcomes(problems, p: int, kappa: float, quad_double: bool) -> list:
+    """The ConvergenceRecord, or the CaseFailure, of each set-up problem at
+    degree p: every problem's mesh, then one _solution_pairs call per stack
+    of at most STACK_MAX problems with the same element count, in problem
+    order, then each problem's energy_error."""
+    nquad = case_nquad(p, quad_double)
+    solved, meshes, stacks = [None] * len(problems), [None] * len(problems), {}
+    for i, problem in enumerate(problems):
         try:
-            nquad = case_nquad(p, quad_double)
-            _, mesh, u_p = solve_on_sbl_mesh(problem, p, kappa, nquad)
-            u_ref = reference_solution(problem, mesh, p, nquad=nquad)
-            err_abs, err_rel = energy_error(u_ref, u_p, problem)
-            records.append(
+            meshes[i] = sbl_mesh(problem, p, kappa)
+        except Exception as exc:  # noqa: BLE001 - sweep must not abort
+            solved[i] = exc
+            continue
+        stacks.setdefault(meshes[i].n_elements, []).append(i)
+    for members in stacks.values():
+        for start in range(0, len(members), STACK_MAX):
+            stack = members[start : start + STACK_MAX]
+            stacked = [problems[i] for i in stack], [meshes[i] for i in stack]
+            for i, pair in zip(stack, _solution_pairs(*stacked, p, nquad)):
+                solved[i] = pair
+    outcomes = []
+    for problem, mesh, pair in zip(problems, meshes, solved):
+        try:
+            if isinstance(pair, Exception):
+                raise pair
+            err_abs, err_rel = energy_error(*pair, problem)
+            outcomes.append(
                 ConvergenceRecord(
                     regime=problem.regime.value,
-                    eps1=eps1,
-                    eps2=eps2,
+                    eps1=problem.eps1,
+                    eps2=problem.eps2,
                     p=p,
                     n_elements=mesh.n_elements,
                     dof=DofMap(mesh.n_elements, p).total,
@@ -259,17 +314,40 @@ def convergence_study(
                 )
             )
         except Exception as exc:  # noqa: BLE001 - sweep must not abort
-            failures.append(CaseFailure(eps1, eps2, p, str(exc)))
-    return records, failures
+            outcomes.append(CaseFailure(problem.eps1, problem.eps2, p, str(exc)))
+    return outcomes
+
+
+def _study(problems, p_range, kappa: float = 1.0, quad_double: bool = False) -> list:
+    """[(records, failures)] of each problem at the degrees of p_range, in
+    p_range order, from one _degree_outcomes call per degree.  A problem
+    that fails to validate or set up fails at every p, with that message."""
+    results = [([], []) for _ in problems]
+    ready = []
+    for i, problem in enumerate(problems):
+        try:
+            problem.gamma_hat, problem.mu
+        except Exception as exc:  # noqa: BLE001 - sweep must not abort
+            eps1, eps2, message = problem.eps1, problem.eps2, str(exc)
+            results[i][1].extend(CaseFailure(eps1, eps2, p, message) for p in p_range)
+        else:
+            ready.append(i)
+    for p in p_range:
+        outcomes = _degree_outcomes([problems[i] for i in ready], p, kappa, quad_double)
+        for i, outcome in zip(ready, outcomes):
+            results[i][isinstance(outcome, CaseFailure)].append(outcome)
+    return results
 
 
 # A fresh process forks its workers on its first call, at about 10 ms
-# (copying the page tables and the pages both processes then write), and a
-# low-p case takes about 1 ms: on a 2-CPU host a sweep that forked broke
-# even at 20 to 40 cases and lost below 20.  Later calls reuse the workers
-# at about 0.15 ms a call: warm, one problem at p = 1..8 took 2.9 ms on 2
-# CPUs against 4.0 ms on one, and p = 1..2 lost 0.1 to 0.3 ms.  The value
-# stays until a small-sweep workload times both in one benchmark.
+# (copying the page tables and the pages both processes then write).  On
+# the stacked path a low-p case costs about 0.29 ms (five pairs at
+# p = 1..8, one process, 2-vCPU Xeon; 0.51 ms before stacking), so a
+# sweep that forks cold breaks even at roughly 40 cases.  Later calls reuse
+# the workers at about 0.15 ms a call: warm, one pair at p = 1..8 took
+# 2.4 ms on 2 CPUs against 3.3 ms on one, five pairs at p = 1..4 (20
+# cases) 4.6 ms either way, and one pair at p = 1..2 lost 0.3 ms.  The
+# value stays until a small-sweep workload times both in one benchmark.
 MIN_SHARE_CASES = 20
 
 
@@ -278,12 +356,6 @@ def _workers(n_degrees: int, n_cases: int) -> int:
     (n_cases cases over all problems) into: forking.usable_cpus(), capped
     at n_degrees and at one per MIN_SHARE_CASES cases."""
     return max(1, min(usable_cpus(), n_degrees, n_cases // MIN_SHARE_CASES))
-
-
-def _run_share(problems, share, kappa, quad_double) -> list:
-    """[(records, failures)] of convergence_study for each problem at the
-    degrees of one share."""
-    return [convergence_study(problem, share, kappa, quad_double) for problem in problems]
 
 
 def convergence_sweep(
@@ -301,10 +373,15 @@ def convergence_sweep(
     round-robin, from the highest p down, into the shares, and runs them
     through forking.run_shares: share 0 itself, each other share in a
     persistent forked worker, which receives the problems pickled and
-    builds its own basis tables.  A worker that fails raises RuntimeError;
-    its share is not rerun.  Records and failures come in problem order,
-    then p_range order, the same for any worker count.  p_range must not
-    repeat a degree.
+    builds its own basis tables.  A share runs its degrees one by one: at
+    each, the problems whose meshes have the same number of elements are
+    assembled and solved as stacks of at most STACK_MAX, at p and at 2p,
+    and a stack whose step raises runs again one problem at a time, so
+    each failure is recorded for its own case.  A worker that fails raises
+    RuntimeError; its share is not rerun.  Records and failures come in
+    problem order, then p_range order, bit for bit the same as
+    convergence_study's of each problem, for any worker count.  p_range
+    must not repeat a degree.
     """
     problems = list(problems)
     p_range = list(p_range)
@@ -313,7 +390,7 @@ def convergence_sweep(
     for problem in problems:
         try:
             problem.gamma_hat, problem.mu
-        except Exception:  # noqa: BLE001 - convergence_study records it for every p
+        except Exception:  # noqa: BLE001 - _study records it for every p
             pass
 
     n_shares = _workers(len(p_range), len(problems) * len(p_range))
@@ -321,7 +398,7 @@ def convergence_sweep(
     for i, p in enumerate(sorted(p_range, reverse=True)):
         shares[i % n_shares].append(p)
 
-    results = run_shares(partial(_run_share, problems, kappa=kappa, quad_double=quad_double), shares)
+    results = run_shares(partial(_study, problems, kappa=kappa, quad_double=quad_double), shares)
 
     rank = {p: i for i, p in enumerate(p_range)}
     records, failures = [], []

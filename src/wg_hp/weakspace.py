@@ -7,9 +7,10 @@ elementwise by integration-by-parts duality against Legendre test
 polynomials; both reduce to diagonal solves because the mapped Legendre
 mass matrix is diag(h/(2k+1)).  This module is the one place where they
 are defined: _derivative_operator and _convection_operator build them for
-all elements at once as matrices acting on each element's local dofs
-[c_0..c_p, vb_left, vb_right]; weak_derivative, weak_convection_derivative
-and assembly.assemble all apply these matrices.
+all elements at once, of one mesh or of a stack of meshes, as matrices
+acting on each element's local dofs [c_0..c_p, vb_left, vb_right];
+weak_derivative, weak_convection_derivative and assembly.assemble_stack
+all apply these matrices.
 """
 
 from __future__ import annotations
@@ -38,14 +39,30 @@ def _degree_tables(n: int) -> tuple:
     return tables
 
 
-def element_quadrature(mesh: Mesh, nq: int, *exprs: Expr) -> tuple:
+def element_quadrature(nodes, nq: int, *exprs) -> tuple:
     """(t, w, *values): the nq-point Gauss nodes t on [-1, 1], the weights
-    w mapped onto every element, shape (N, nq), and each expression
-    evaluated once on all elements' mapped points, in the order given.
-    This is the one place where the quadrature rule meets the mesh."""
+    w mapped onto every element of the mesh nodes (..., N+1), shape
+    (..., N, nq), and each expression evaluated once on all elements'
+    mapped points, in the order given.  nodes may stack k meshes on a
+    leading axis, and an expression may then be one per mesh (see
+    _evaluate_stack).  This is the one place where the quadrature rule
+    meets the mesh."""
     rule = gauss_rule(nq)
-    x, w = rule.mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    return (rule.nodes, w, *(evaluate(e, x) for e in exprs))
+    x, w = rule.mapped(nodes[..., :-1, None], nodes[..., 1:, None])
+    return (rule.nodes, w, *(_evaluate_stack(e, x) for e in exprs))
+
+
+def _evaluate_stack(expr, x) -> np.ndarray:
+    """expr at the points x.  expr may instead be a sequence of k
+    expressions, one per row of x's leading axis: they are evaluated once
+    on all of x when they are all equal (==), else each on its own row.
+    Each point's value is the same either way."""
+    if isinstance(expr, Expr):
+        return evaluate(expr, x)
+    first, *rest = expr
+    if all(e == first for e in rest):
+        return evaluate(first, x)
+    return np.stack([evaluate(e, row) for e, row in zip(expr, x)])
 
 
 def _jumps(coeffs, vb) -> tuple[np.ndarray, np.ndarray]:
@@ -177,29 +194,30 @@ def _reference_derivative(p: int) -> np.ndarray:
     return D
 
 
-def _derivative_operator(mesh: Mesh, p: int) -> np.ndarray:
-    """D_{p-1} of every element as an (N, p, p+3) map of its local dofs:
-    the reference duality times the inverse mass (2k+1)/h."""
-    return _reference_derivative(p) * (_degree_tables(p)[2] / mesh.widths[:, None])[:, :, None]
+def _derivative_operator(widths, p: int) -> np.ndarray:
+    """D_{p-1} of every element of widths (..., N) as an (..., N, p, p+3)
+    map of its local dofs: the reference duality times the inverse mass
+    (2k+1)/h."""
+    return _reference_derivative(p) * (_degree_tables(p)[2] / widths[..., None])[..., None]
 
 
-def _convection_operator(mesh: Mesh, p: int, w, bv, bpv, b_nodes) -> np.ndarray:
-    """The weak convection derivative of every element as an (N, p+1, p+3)
-    map of its local dofs: the duality against P_0..P_p,
-    int Dc q = -int v0 (b q)' + vb_right b q(1) - vb_left b q(-1), times the
-    inverse mass (2k+1)/h.  w, bv and bpv hold the quadrature weights and
-    b, b' at every element's quadrature points, one row per element, and
-    b_nodes holds b at the mesh nodes."""
-    _, vander, dvander = basis_tables(p, w.shape[1])
-    Dc = np.empty((mesh.n_elements, p + 1, p + 3))
+def _convection_operator(widths, p: int, w, bv, bpv, b_nodes) -> np.ndarray:
+    """The weak convection derivative of every element of widths (..., N)
+    as an (..., N, p+1, p+3) map of its local dofs: the duality against
+    P_0..P_p, int Dc q = -int v0 (b q)' + vb_right b q(1) - vb_left b q(-1),
+    times the inverse mass (2k+1)/h.  w, bv and bpv hold the quadrature
+    weights and b, b' at every element's quadrature points, one row per
+    element, and b_nodes holds b at the mesh nodes."""
+    _, vander, dvander = basis_tables(p, w.shape[-1])
+    Dc = np.empty(w.shape[:-1] + (p + 1, p + 3))
     # int v0 (b q)' dx with q = P_k(t), so q' = P_k'(t) * 2/h
-    Dc[:, :, : p + 1] = -((w * bpv)[:, None, :] * vander.T) @ vander - (
-        (w * bv)[:, None, :] * dvander.T * (2.0 / mesh.widths)[:, None, None]
+    Dc[..., : p + 1] = -((w * bpv)[..., None, :] * vander.T) @ vander - (
+        (w * bv)[..., None, :] * dvander.T * (2.0 / widths)[..., None, None]
     ) @ vander
     alt, _, odd = _degree_tables(p + 1)
-    Dc[:, :, p + 1] = -b_nodes[:-1, None] * alt
-    Dc[:, :, p + 2] = b_nodes[1:, None]
-    Dc *= (odd / mesh.widths[:, None])[:, :, None]
+    Dc[..., p + 1] = -b_nodes[..., :-1, None] * alt
+    Dc[..., p + 2] = b_nodes[..., 1:, None]
+    Dc *= (odd / widths[..., None])[..., None]
     return Dc
 
 
@@ -216,7 +234,7 @@ def weak_derivative(v: WeakFunction) -> BrokenPoly:
     p = v.degree
     if p < 1:
         raise ValueError("weak derivative needs degree p >= 1")
-    d = _apply(_derivative_operator(v.mesh, p), v.coeffs[None], v.vb[None])
+    d = _apply(_derivative_operator(v.mesh.widths, p), v.coeffs[None], v.vb[None])
     return BrokenPoly(v.mesh, d[0])
 
 
@@ -234,9 +252,9 @@ def _convection_apply(mesh: Mesh, coeffs, vb, b: Expr, b_prime: Expr, nquad=None
     """The weak convection derivatives (k, N, p+1) of k weak functions
     stacked as for energy_norms, from one operator for all k."""
     p = coeffs.shape[2] - 1
-    _, w, bv, bpv = element_quadrature(mesh, quad_order(p, nquad), b, b_prime)
+    _, w, bv, bpv = element_quadrature(mesh.nodes, quad_order(p, nquad), b, b_prime)
     b_nodes = evaluate(b, mesh.nodes)
-    return _apply(_convection_operator(mesh, p, w, bv, bpv, b_nodes), coeffs, vb)
+    return _apply(_convection_operator(mesh.widths, p, w, bv, bpv, b_nodes), coeffs, vb)
 
 
 def stabilizer_S(u: WeakFunction, v: WeakFunction, sigmas) -> float:
@@ -328,7 +346,7 @@ def norms_p(mesh: Mesh, coeffs, vb, problem, sigmas) -> np.ndarray:
     k_fns, _, cols = coeffs.shape
     if cols < 2:
         raise ValueError("norm_p needs degree p >= 1")
-    d = _apply(_derivative_operator(mesh, cols - 1), coeffs, vb)
+    d = _apply(_derivative_operator(mesh.widths, cols - 1), coeffs, vb)
     deriv_sq = (d**2 * (mesh.widths[:, None] / _degree_tables(cols - 1)[2])).reshape(k_fns, -1)
     return energy_norms(mesh, coeffs, vb, problem, sigmas, deriv_sq.sum(axis=1))
 
@@ -344,7 +362,7 @@ def gram_rows(mesh: Mesh, coeffs, vb, problem, sigmas) -> tuple[np.ndarray, np.n
     b_out = np.r_[np.full(n - 1, 2.0), 1.5] * problem.eps2 * evaluate(problem.b, mesh.nodes[1:])
     weights = np.sqrt(np.stack([np.asarray(sigmas, dtype=float)] * 2 + [b_out], axis=1))
     rest = [coeffs * root_mass, np.stack([left, right, right], axis=2) * weights]
-    weak = _apply(_derivative_operator(mesh, cols - 1), coeffs, vb)
+    weak = _apply(_derivative_operator(mesh.widths, cols - 1), coeffs, vb)
     broken = _legder_rows(coeffs.reshape(-1, cols)).reshape(weak.shape) * (2 / mesh.widths[:, None])
     return tuple(np.concatenate([np.sqrt(problem.eps1) * d * root_mass[:, :-1]] + rest, axis=2)
                  .reshape(k_fns, -1) for d in (weak, broken))

@@ -12,10 +12,12 @@ from wg_hp.assembly import (
     SingularSystemError,
     _local_dofs,
     assemble,
+    assemble_stack,
     bilinear_apply,
     bilinear_values,
     load_apply,
     solve,
+    solve_stack,
     vector_to_weakfunction,
 )
 from wg_hp.coeffexpr import evaluate
@@ -603,3 +605,99 @@ def test_assemble_matches_pinned_baseline(key, p, nodes):
         np.linalg.norm(system.rhs),
     )
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+
+# five problems for the stacks: four regimes' worth of eps pairs on the
+# stock coefficients, one with its own f and one with its own b, r and f
+STACK_PROBLEMS = (
+    model_problem(1e-8, 1e-3),
+    model_problem(1e-6, 1e-2),
+    manufacture("x*(1-x)*exp(x)", model_problem(1e-4, 1e-5)).problem,
+    ProblemSpec.from_strings(0.5, 0.25, "2+x", "3", "1"),
+    model_problem(1e-6, 1e-6),
+)
+STACK_NODES = {
+    2: ([0.0, 0.4, 1.0], [0.0, 0.9, 1.0], [0.0, 1.0 - 1e-6, 1.0], [0.0, 0.5, 1.0], [0.0, 0.1, 1.0]),
+    3: ([0.0, 0.2, 0.75, 1.0], [0.0, 1e-3, 0.9, 1.0], [0.0, 0.25, 0.75, 1.0],
+        [0.0, 1e-7, 1.0 - 1e-7, 1.0], [0.0, 0.3, 0.35, 1.0]),
+}
+
+
+def test_stacked_assembly_and_solve_match_one_system_at_a_time_bit_for_bit():
+    # stacks of 1 to 5 problems with 2 and 3 elements at every p = 1..40,
+    # with the default and a doubled quadrature and a penalty override
+    systems = 0
+    for p in range(1, 41):
+        for N in (2, 3):
+            k = 1 + (p + N) % 5
+            probs = STACK_PROBLEMS[:k]
+            meshes = [user_mesh(nodes) for nodes in STACK_NODES[N][:k]]
+            nquad = None if p % 2 else 2 * quad_order(p)
+            sigmas = None if p % 3 else np.linspace(0.5, 2.0, k * N).reshape(k, N)
+            matrices, rhs = assemble_stack(probs, meshes, p, sigmas, nquad)
+            solutions = solve_stack(matrices, rhs)
+            assert matrices.shape == (k, DofMap(N, p).total, DofMap(N, p).total)
+            for i, (prob, mesh) in enumerate(zip(probs, meshes)):
+                where = (p, N, k, i)
+                system = assemble(prob, mesh, p, None if sigmas is None else sigmas[i], nquad)
+                assert matrices[i].tobytes() == system.matrix.tobytes(), where
+                assert rhs[i].tobytes() == system.rhs.tobytes(), where
+                u = solve(system)
+                got = vector_to_weakfunction(system, solutions[i])
+                assert got.coeffs.tobytes() == u.coeffs.tobytes(), where
+                assert got.vb.tobytes() == u.vb.tobytes(), where
+                systems += 1
+    assert systems == 240
+
+
+def test_stacked_solve_raises_as_the_first_failing_system_would():
+    probs = STACK_PROBLEMS[:3]
+    meshes = [user_mesh(nodes) for nodes in STACK_NODES[3][:3]]
+    matrices, rhs = assemble_stack(probs, meshes, 4)
+    bad = rhs.copy()
+    bad[1, 0] = np.inf
+    with pytest.raises(SingularSystemError, match="not finite"):
+        solve_stack(matrices, bad)
+    singular = matrices.copy()
+    singular[2] = 0.0
+    with pytest.raises(SingularSystemError, match="Singular matrix"):
+        solve_stack(singular, rhs)
+    # the stack is unchanged by the failed solves
+    assert solve_stack(matrices, rhs).shape == rhs.shape
+
+
+def test_stacked_assembly_evaluates_an_equal_coefficient_once(monkeypatch):
+    import wg_hp.assembly as assembly
+    import wg_hp.weakspace as weakspace
+
+    calls = []
+    real = weakspace.evaluate
+
+    def counting_evaluate(expr, x):
+        calls.append((expr, np.shape(x)))
+        return real(expr, x)
+
+    monkeypatch.setattr(weakspace, "evaluate", counting_evaluate)
+    monkeypatch.setattr(assembly, "evaluate", counting_evaluate)
+    # equal, not identical, coefficients: each problem parsed on its own
+    probs = [model_problem(eps1, 1e-2) for eps1 in (1e-6, 1e-5, 1e-4)]
+    assert probs[0].b is not probs[1].b and probs[0].b == probs[1].b
+    meshes = [user_mesh(nodes) for nodes in STACK_NODES[3][:3]]
+    pts, nodes = (3, 3, 10), (3, 4)
+    assemble_stack(probs, meshes, 4)
+    assert calls == [(probs[0].b, pts), (probs[0].b_prime, pts), (probs[0].r, pts),
+                     (probs[0].f, pts), (probs[0].b, nodes)]
+    # a coefficient that differs within the stack is evaluated problem by problem
+    calls.clear()
+    case = manufacture("x*(1-x)", probs[1])
+    assemble_stack([probs[0], case.problem, probs[2]], meshes, 4)
+    row = (3, 10)
+    assert calls[3:6] == [(probs[0].f, row), (case.problem.f, row), (probs[2].f, row)]
+    assert [c for c in calls if c not in calls[3:6]] == [
+        (probs[0].b, pts), (probs[0].b_prime, pts), (probs[0].r, pts), (probs[0].b, nodes)]
+
+
+def test_stacked_assembly_rejects_meshes_of_different_sizes():
+    meshes = [user_mesh(STACK_NODES[2][0]), user_mesh(STACK_NODES[3][0])]
+    with pytest.raises(ValueError, match="same number of elements"):
+        assemble_stack(STACK_PROBLEMS[:2], meshes, 3)

@@ -209,7 +209,9 @@ def test_usage_error_exit_code(capsys):
     # an eps pair out of range is a usage error wherever it sits in the grid
     for grid in ("2:1e-2,1e-5:1e-2", "1e-5:1e-2,2:1e-2"):
         assert main(["convergence", "--eps-grid", grid, "--out", "/dev/null"]) == EXIT_USAGE
-        assert "eps1 must lie in (0,1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "eps1 must lie in (0,1]" in err
+        assert "got 2.0" in err  # the message names the bad value
     # a non-positive degree is a usage error, given alone as well as in a range
     for args in (["--p-range", "0"], ["--p-range=-3"], ["--p", "0"]):
         assert main(["convergence", *args, "--out", "/dev/null"]) == EXIT_USAGE

@@ -80,9 +80,9 @@ def test_barely_positive_gamma_warns_once_for_each_eps_pair():
 
 
 def test_parameter_range_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps1 must lie in \(0,1\], got 0\.0$"):
         ProblemSpec.from_strings(0.0, 1e-2, "1", "1", "1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps2 must lie in \(0,1\], got 2\.0$"):
         ProblemSpec.from_strings(1e-2, 2.0, "1", "1", "1")
 
 
@@ -129,9 +129,9 @@ def test_regime_classification_table():
 
 
 def test_regime_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got eps1=0\.0, eps2=0\.5$"):
         classify_regime(0.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got eps1=0\.5, eps2=1\.5$"):
         classify_regime(0.5, 1.5)
 
 

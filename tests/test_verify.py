@@ -416,14 +416,14 @@ def test_sweep_fails_an_invalid_problem_at_every_p_in_every_share(monkeypatch):
 @forks
 def test_sweep_raises_when_a_worker_dies_and_leaves_no_child(monkeypatch):
     parent = os.getpid()
-    real_study = verify.convergence_study
+    real_degree = verify._degree_outcomes
 
-    def study_that_kills_the_children(*args, **kwargs):
+    def degree_that_kills_the_children(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return real_study(*args, **kwargs)
+        return real_degree(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "convergence_study", study_that_kills_the_children)
+    monkeypatch.setattr(verify, "_degree_outcomes", degree_that_kills_the_children)
     use_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="exited with status 3$"):
         convergence_sweep([model_problem(1e-6, 1e-2)], range(1, 7))
@@ -436,22 +436,22 @@ def test_sweep_reaps_workers_blocked_on_a_full_pipe_after_a_failure(monkeypatch)
     # shares [4], [3], [2], [1]: the first child dies while the two after it
     # block writing more than a pipe buffer holds, so the parent must break
     # both pipes before it waits for either child
-    # (the workers receive _run_share pickled by name, so the test patches
-    # the convergence_study it calls, which each worker reads as forked)
+    # (the workers receive _study pickled by name, so the test patches the
+    # per-degree function it calls, which each worker reads as forked)
     parent = os.getpid()
-    real_study = verify.convergence_study
+    real_degree = verify._degree_outcomes
 
-    def study(problem, share, kappa, quad_double):
+    def degree(problems, p, kappa, quad_double):
         if os.getpid() == parent:
-            return real_study(problem, share, kappa, quad_double)
-        if share == [3]:
+            return real_degree(problems, p, kappa, quad_double)
+        if p == 3:
             os._exit(3)
-        return ["x" * (1 << 20)], []
+        return ["x" * (1 << 20)]
 
     def timed_out(signum, frame):
         raise TimeoutError("convergence_sweep hung reaping its workers")
 
-    monkeypatch.setattr(verify, "convergence_study", study)
+    monkeypatch.setattr(verify, "_degree_outcomes", degree)
     use_cpus(monkeypatch, 4)
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(30)
@@ -463,6 +463,83 @@ def test_sweep_reaps_workers_blocked_on_a_full_pipe_after_a_failure(monkeypatch)
         signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+MIXED_GRID = [(1e-13, 1.0), (1e-8, 1.0), (1e-8, 1e-3), (1e-6, 1e-6)]
+
+
+@forks
+def test_sweep_of_a_mixed_grid_matches_per_problem_studies(monkeypatch):
+    # the first pair's mesh degenerates at p <= 9, inside the two-problem
+    # stack of the convection-diffusion pairs, and joins it from p = 10 on
+    p_range = range(6, 13)
+    expected_records, expected_failures = [], []
+    for eps1, eps2 in MIXED_GRID:
+        recs, fails = convergence_study(model_problem(eps1, eps2), p_range)
+        expected_records += recs
+        expected_failures += fails
+    assert [(f.eps1, f.p) for f in expected_failures] == [(1e-13, p) for p in range(6, 10)]
+    assert all("too thin to resolve the layer" in f.message for f in expected_failures)
+    assert len(expected_records) == 4 * 7 - 4
+    for workers in (1, 2):
+        use_cpus(monkeypatch, workers)
+        problems = [model_problem(eps1, eps2) for eps1, eps2 in MIXED_GRID]
+        records, failures = convergence_sweep(problems, p_range)
+        assert records == expected_records and failures == expected_failures
+
+
+def test_degree_stacks_problems_by_element_count_up_to_stack_max(monkeypatch):
+    stacks = []
+    real = verify.assemble_stack
+
+    def recording_assemble_stack(problems, meshes, p, sigmas=None, nquad=None):
+        stacks.append((p, [(prob.eps1, prob.eps2) for prob in problems]))
+        return real(problems, meshes, p, sigmas, nquad)
+
+    monkeypatch.setattr(verify, "assemble_stack", recording_assemble_stack)
+    # six three-element pairs and two two-element ones, interleaved
+    grid = [(1e-8, 1e-3), (1e-8, 1.0), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5),
+            (1e-6, 1.0), (1e-5, 1e-2), (1e-4, 1e-4)]
+    assert verify.STACK_MAX == 4
+    problems = [model_problem(eps1, eps2) for eps1, eps2 in grid]
+    outcomes = verify._degree_outcomes(problems, 3, 1.0, False)
+    three = [grid[i] for i in (0, 2, 3, 4, 6, 7)]
+    two = [grid[i] for i in (1, 5)]
+    assert stacks == [(3, three[:4]), (6, three[:4]), (3, three[4:]), (6, three[4:]),
+                      (3, two), (6, two)]
+    # each outcome is the one-problem study's
+    assert outcomes == [convergence_study(prob, [3])[0][0] for prob in problems]
+
+
+def test_a_failed_stacked_solve_is_recorded_for_its_own_case_only(monkeypatch):
+    # a stacked np.linalg.solve raises when any system in it is singular;
+    # the stack then runs one problem at a time, and only the singular
+    # problem's case fails, with the message of its own solve
+    grid = [(1e-8, 1e-3), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5)]
+    p_range = [4, 5, 6]
+    expected = [convergence_study(model_problem(eps1, eps2), p_range) for eps1, eps2 in grid]
+    bad = model_problem(1e-6, 1e-6)
+    bad_matrix = assemble(bad, sbl_mesh(bad, 5), 5).matrix.tobytes()
+    real_solve = np.linalg.solve
+    calls = []
+
+    def solve_failing_on_the_bad_system(a, b):
+        stack = a if a.ndim == 3 else [a]
+        calls.append(len(stack))
+        if any(m.tobytes() == bad_matrix for m in stack):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_on_the_bad_system)
+    use_cpus(monkeypatch, 1)
+    problems = [model_problem(eps1, eps2) for eps1, eps2 in grid]
+    records, failures = convergence_sweep(problems, p_range)
+    assert failures == [CaseFailure(1e-6, 1e-6, 5, "Singular matrix")]
+    kept = [rec for recs, _ in expected for rec in recs if (rec.eps2, rec.p) != (1e-6, 5)]
+    assert records == kept and len(kept) == 11
+    # p = 4 and 6: two stacked solves each; p = 5: the failed stacked solve,
+    # then the four problems one at a time, the bad one failing at degree p
+    assert calls == [4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 4, 4]
 
 
 def test_sweep_runs_in_one_process_while_a_second_thread_is_alive(monkeypatch):

@@ -308,12 +308,12 @@ def test_stacked_norms_match_the_per_call_norms_bit_for_bit():
             assert energy_norms(mesh, coeffs[:k], vb[:k], prob, sig).tolist() == broken[:k], where
         assert [norm_p(v, prob, sig) for v in vs] == weak
         # both weak derivatives equal the one-function operator product
-        D = weakspace._derivative_operator(mesh, p)
+        D = weakspace._derivative_operator(mesh.widths, p)
         for v in vs:
             assert weak_derivative(v).coeffs.tobytes() == _apply_per_function(D, v).tobytes()
         x, w = gauss_rule(p + 6).mapped(mesh.nodes[:-1, None], mesh.nodes[1:, None])
         b = weakspace.evaluate(prob.b, x), weakspace.evaluate(prob.b_prime, x)
-        Dc = weakspace._convection_operator(mesh, p, w, *b, weakspace.evaluate(prob.b, mesh.nodes))
+        Dc = weakspace._convection_operator(mesh.widths, p, w, *b, weakspace.evaluate(prob.b, mesh.nodes))
         got = weak_convection_derivative(vs[0], prob.b, prob.b_prime).coeffs
         assert got.tobytes() == _apply_per_function(Dc, vs[0]).tobytes()
 
@@ -379,7 +379,7 @@ def test_element_quadrature_maps_the_rule_onto_each_element(nodes):
     mesh = user_mesh(nodes)
     exprs = [parse("exp(-x/1e-3) + cos(x)"), parse("1+x"), parse("2")]
     for nq in (1, 7, 24):
-        t, w, *values = element_quadrature(mesh, nq, *exprs)
+        t, w, *values = element_quadrature(mesh.nodes, nq, *exprs)
         rule = gauss_rule(nq)
         assert t is rule.nodes and w.shape == (mesh.n_elements, nq)
         assert len(values) == len(exprs)
