@@ -208,17 +208,13 @@ def assemble(
     return AssembledSystem(A, rhs, mesh, p)
 
 
-def weakfunction_of(mesh: Mesh, p: int, vec: np.ndarray) -> WeakFunction:
-    """The weak function of degree p on mesh whose unknowns, numbered as
-    in DofMap, are vec."""
-    N = mesh.n_elements
+def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:
+    """The weak function of the system's degree on its mesh whose unknowns,
+    numbered as in DofMap, are vec."""
+    N, p = system.mesh.n_elements, system.degree
     vb = np.zeros(N + 1)
     vb[1:N] = vec[N * (p + 1) :]
-    return WeakFunction(mesh, vec[: N * (p + 1)].reshape(N, p + 1), vb)
-
-
-def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:
-    return weakfunction_of(system.mesh, system.degree, vec)
+    return WeakFunction(system.mesh, vec[: N * (p + 1)].reshape(N, p + 1), vb)
 
 
 def solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:

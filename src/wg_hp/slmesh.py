@@ -31,11 +31,14 @@ class Mesh:
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("a mesh needs at least two nodes")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
+        # checked as Python floats: a few nodes, so numpy's per-call cost
+        # would dominate; a < b is b - a > 0 for doubles, NaN failing both
+        values = nodes.tolist()
+        if values[0] != 0.0 or values[-1] != 1.0:
             raise ValueError("mesh must span [0,1]")
-        widths = np.diff(nodes)
-        if not np.all(widths > 0):
+        if not all(a < b for a, b in zip(values, values[1:])):
             raise ValueError("mesh nodes must be strictly increasing")
+        widths = np.diff(nodes)
         nodes.setflags(write=False)
         widths.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -68,13 +71,13 @@ class MeshDegeneracyError(Exception):
 def _guarded(regime: Regime, nodes, width: float) -> Mesh:
     """The mesh on nodes, whose thinnest layer element is width wide;
     raises if an interior node (numerically) hits an endpoint."""
-    interior = np.asarray(nodes[1:-1])
-    if np.any(interior < DEGENERACY_TOL) or np.any(interior > 1.0 - DEGENERACY_TOL):
+    nodes = np.array(nodes, dtype=float)
+    if any(x < DEGENERACY_TOL or x > 1.0 - DEGENERACY_TOL for x in nodes.tolist()[1:-1]):
         raise MeshDegeneracyError(
             f"{regime.value} mesh: layer element width {width:.3g} is below "
             f"{DEGENERACY_TOL:g}, too thin to resolve the layer"
         )
-    return Mesh(np.asarray(nodes, dtype=float))
+    return Mesh(nodes)
 
 
 def build_sbl_mesh(

@@ -298,44 +298,59 @@ def _legder_rows(c: np.ndarray) -> np.ndarray:
     return s[:, 1:] * _degree_tables(c.shape[1] - 1)[2]
 
 
-def energy_norms(mesh: Mesh, coeffs, vb, problem, sigmas, deriv_sq=None) -> np.ndarray:
+def energy_norms(mesh, coeffs, vb, problem, sigmas, deriv_sq=None) -> np.ndarray:
     """The energy norms of k weak functions on one mesh, from their stacked
-    interior coefficients (k, N, P+1) and node values (k, N+1).
+    interior coefficients (k, N, P+1) and node values (k, N+1).  mesh may
+    instead be a sequence of m meshes with the same N, and problem one
+    problem per mesh: the functions are then (m, k, N, P+1) and (m, k, N+1),
+    the penalties (m, N) and the norms (m, k), and the widths, b at the
+    nodes, eps1 and eps2 get the same leading axis, as in
+    assembly._assemble.  Each function's norm is the same either way.
 
-    deriv_sq holds the k squared L2 norms of the derivatives; None takes
-    the broken classical derivative of each v0.  The five terms repeat the
-    arithmetic of eps1 * sum_j ElementPoly.derivative().l2_norm()**2,
+    deriv_sq holds the squared L2 norms of the derivatives, shaped as the
+    norms; None takes the broken classical derivative of each v0.  The five
+    terms repeat the arithmetic of
+    eps1 * sum_j ElementPoly.derivative().l2_norm()**2,
     BrokenPoly.l2_norm_sq(), stabilizer_S(v, v), stabilizer_Sc(v, v) and
     jump_seminorm(v)**2, with the jumps, b at the nodes and the weights
-    computed once, and one differentiation for all k*N elements."""
-    k_fns, n, cols = coeffs.shape
-    widths = mesh.widths[:, None]
+    computed once, and one differentiation for all elements."""
+    if isinstance(mesh, Mesh):
+        nodes, widths, b = mesh.nodes, mesh.widths, problem.b
+        eps1, eps2 = problem.eps1, problem.eps2
+    else:
+        nodes = np.array([one.nodes for one in mesh])
+        widths = np.array([one.widths for one in mesh])
+        b = [prob.b for prob in problem]
+        eps1 = np.array([prob.eps1 for prob in problem])[:, None]
+        eps2 = np.array([prob.eps2 for prob in problem])[:, None, None]
+    *fns, n, cols = coeffs.shape
+    widths = widths[..., None, :, None]
     left, right = _jumps(coeffs, vb)
-    b_out = evaluate(problem.b, mesh.nodes[1:])
+    b_out = _evaluate_stack(b, nodes[..., 1:])[..., None, :]
     weights = np.ones(n)
     weights[-1] = 0.5
-    sig = np.asarray(sigmas, dtype=float)
+    sig = np.asarray(sigmas, dtype=float)[..., None, :]
     odd = _degree_tables(cols)[2]
-    l2_sq = (coeffs**2 * (widths / odd)).reshape(k_fns, -1).sum(axis=1)
+    l2_sq = (coeffs**2 * (widths / odd)).reshape(*fns, -1).sum(axis=-1)
     if deriv_sq is None:
-        dc = _legder_rows(coeffs.reshape(k_fns * n, cols)).reshape(k_fns, n, cols - 1)
+        dc = _legder_rows(coeffs.reshape(-1, cols)).reshape(*fns, n, cols - 1)
         dc *= 2.0 / widths
         # each element's norm is rounded, then squared as a Python float,
         # as ElementPoly.derivative().l2_norm() ** 2 is
-        roots = np.sqrt((dc**2 * widths / odd[:-1]).sum(axis=2)).tolist()
+        roots = np.sqrt((dc**2 * widths / odd[:-1]).sum(axis=-1)).reshape(-1, n).tolist()
         deriv_sq = []
         for fn_roots in roots:
             total = 0.0
             for root in fn_roots:
                 total += root**2
             deriv_sq.append(total)
-    jump_norm = np.sqrt((weights * problem.eps2 * b_out * right**2).sum(axis=1)).tolist()
+    jump_norm = np.sqrt((weights * eps2 * b_out * right**2).sum(axis=-1)).ravel().tolist()
     sq = (
-        problem.eps1 * np.array(deriv_sq)
+        eps1 * np.array(deriv_sq).reshape(fns)
         + l2_sq
-        + (sig * (right * right + left * left)).sum(axis=1)
-        + (problem.eps2 * b_out * right * right).sum(axis=1)
-        + np.array([j**2 for j in jump_norm])
+        + (sig * (right * right + left * left)).sum(axis=-1)
+        + (eps2 * b_out * right * right).sum(axis=-1)
+        + np.array([j**2 for j in jump_norm]).reshape(fns)
     )
     return np.sqrt(np.maximum(sq, 0.0))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wg_hp.problem import MuPair, Regime
-from wg_hp.slmesh import Mesh, MeshDegeneracyError, build_sbl_mesh, user_mesh
+from wg_hp.slmesh import Mesh, MeshDegeneracyError, _guarded, build_sbl_mesh, user_mesh
 
 RCD = Regime.REACTION_CONVECTION_DIFFUSION
 RD = Regime.REACTION_DIFFUSION
@@ -95,6 +95,39 @@ def test_user_mesh_invalid():
         user_mesh([0.1, 0.5, 1.0])  # does not start at 0
     with pytest.raises(ValueError):
         user_mesh([0.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([NAN, 1.0], "mesh must span"),
+    ([0.0, NAN], "mesh must span"),
+    ([-INF, 1.0], "mesh must span"),
+    ([0.0, INF], "mesh must span"),
+    ([0.0, NAN, 1.0], "strictly increasing"),
+    ([0.0, INF, 1.0], "strictly increasing"),
+    ([0.0, -INF, 1.0], "strictly increasing"),
+    ([0.0, 0.7, 0.3, 1.0], "strictly increasing"),
+    ([[0.0, 1.0]], "at least two nodes"),
+    ([1.0], "at least two nodes"),
+])
+def test_user_mesh_rejects_nan_inf_and_disorder(nodes, message):
+    with pytest.raises(ValueError, match=message):
+        user_mesh(nodes)
+
+
+@pytest.mark.parametrize("nodes, error", [
+    ([0.0, 1e-13, 0.5, 1.0], MeshDegeneracyError),
+    ([0.0, 0.5, 1.0 - 1e-13, 1.0], MeshDegeneracyError),
+    ([0.0, INF, 1.0], MeshDegeneracyError),
+    ([0.0, -INF, 1.0], MeshDegeneracyError),
+    # NaN passes the degeneracy test, and the mesh itself rejects it
+    ([0.0, NAN, 0.5, 1.0], ValueError),
+])
+def test_guarded_nodes_degenerate_or_invalid(nodes, error):
+    with pytest.raises(error):
+        _guarded(RD, nodes, 1e-13)
 
 
 def test_mesh_nodes_immutable():

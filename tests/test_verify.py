@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+import wg_hp.assembly as assembly
 import wg_hp.verify as verify
 from wg_hp.coeffexpr import evaluate, parse
 from wg_hp.polybasis import gauss_rule, interpolant_coefficients, interpolate, l2_project, quad_order
@@ -33,6 +34,8 @@ from wg_hp.verify import (
 )
 from wg_hp.assembly import assemble, bilinear_apply, solve
 from wg_hp.weakspace import MeshMismatchError, WeakFunction, default_penalties, norm_broken
+
+from cases import TWO_LAYER_PAIRS, true_energy_error, two_layer_case
 
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
 
@@ -116,6 +119,34 @@ def test_reference_error_tracks_true_error_on_layer_solutions(eps1, eps2, u_text
         estimate, _ = energy_error(reference_solution(prob, mesh, p), u_p, prob)
         true, _ = energy_error(exact_weakfunction(case, mesh, 2 * p), u_p, prob)
         assert 0.8 <= estimate / true <= 1.25, (p, estimate, true)
+
+
+def test_two_layer_case_vanishes_at_both_ends_and_its_true_error_is_relative():
+    for eps1, eps2 in TWO_LAYER_PAIRS:
+        case = two_layer_case(eps1, eps2)
+        assert abs(case.u(0.0, 1.0)) <= 1e-15 and abs(case.u(1.0, 0.0)) <= 1e-15
+        # u0 = 0 leaves all of u: a relative error of 1
+        mesh = sbl_mesh(case.problem, 4)
+        zero = np.zeros((mesh.n_elements, 5))
+        assert true_energy_error(case, mesh, zero) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("eps1, eps2", TWO_LAYER_PAIRS)
+def test_energy_error_bounds_the_true_error_of_the_two_layer_case(eps1, eps2):
+    """The degree-2p estimate against the closed-form two-layer solution,
+    in the true error of true_energy_error: it overestimates by a narrow
+    factor that does not depend on eps (1.15 to 1.59 measured) and never
+    underestimates, wherever the true error is above the 1e-13 floor."""
+    case = two_layer_case(eps1, eps2)
+    prob = case.problem
+    assert prob.mu is None or (prob.mu.mu0, prob.mu.mu1) == pytest.approx((case.mu0, case.mu1))
+    for p in (4, 8, 16, 24):
+        _, mesh, u_p = solve_on_sbl_mesh(prob, p)
+        true = true_energy_error(case, mesh, u_p.coeffs)
+        if true <= 1e-13:
+            continue
+        _, estimate = energy_error(reference_solution(prob, mesh, p), u_p, prob)
+        assert 1.0 <= estimate / true <= 2.0, (p, estimate, true)
 
 
 def test_energy_error_zero_and_homogeneity():
@@ -488,6 +519,12 @@ def test_sweep_of_a_mixed_grid_matches_per_problem_studies(monkeypatch):
         assert records == expected_records and failures == expected_failures
 
 
+# six three-element pairs (a stack of STACK_MAX and one of two) and two
+# two-element ones, interleaved
+STACKED_GRID = [(1e-8, 1e-3), (1e-8, 1.0), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5),
+                (1e-6, 1.0), (1e-5, 1e-2), (1e-4, 1e-4)]
+
+
 def test_degree_stacks_problems_by_element_count_up_to_stack_max(monkeypatch):
     stacks = []
     real = verify.assemble_stack
@@ -497,9 +534,7 @@ def test_degree_stacks_problems_by_element_count_up_to_stack_max(monkeypatch):
         return real(problems, meshes, p, sigmas, nquad)
 
     monkeypatch.setattr(verify, "assemble_stack", recording_assemble_stack)
-    # six three-element pairs and two two-element ones, interleaved
-    grid = [(1e-8, 1e-3), (1e-8, 1.0), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5),
-            (1e-6, 1.0), (1e-5, 1e-2), (1e-4, 1e-4)]
+    grid = STACKED_GRID
     assert verify.STACK_MAX == 4
     problems = [model_problem(eps1, eps2) for eps1, eps2 in grid]
     outcomes = verify._degree_outcomes(problems, 3, 1.0, False)
@@ -509,6 +544,39 @@ def test_degree_stacks_problems_by_element_count_up_to_stack_max(monkeypatch):
                       (3, two), (6, two)]
     # each outcome is the one-problem study's
     assert outcomes == [convergence_study(prob, [3])[0][0] for prob in problems]
+
+
+@forks
+@pytest.mark.parametrize("quad_double", [False, True], ids=["plain", "quad-double"])
+def test_sweep_errors_are_energy_error_of_one_problem_solves(monkeypatch, quad_double):
+    # the oracle is each case alone, through the public one-problem calls:
+    # solve(assemble(...)) at p and 2p and energy_error on their weak
+    # functions, none of which the stacked error step runs
+    problems = [model_problem(eps1, eps2) for eps1, eps2 in STACKED_GRID]
+    p_range = [1, 4, 7]
+    expected = []
+    for prob in problems:
+        for p in p_range:
+            mesh = sbl_mesh(prob, p)
+            nquad = 2 * quad_order(p) if quad_double else None
+            u_hi = solve(assemble(prob, mesh, 2 * p, nquad=nquad))
+            u_lo = solve(assemble(prob, mesh, p, nquad=nquad))
+            err_abs, err_rel = energy_error(u_hi, u_lo, prob)
+            expected.append((prob.eps1, prob.eps2, p, mesh.n_elements, err_abs, err_rel))
+    assert verify.STACK_MAX == 4
+    assert sorted(n for _, _, p, n, _, _ in expected if p == 4) == [2, 2] + [3] * 6
+
+    def per_case(*args, **kwargs):
+        raise AssertionError("the sweep built a per-case weak function or error")
+
+    monkeypatch.setattr(verify, "energy_error", per_case)
+    monkeypatch.setattr(assembly, "vector_to_weakfunction", per_case)
+    for workers in (1, 2):
+        use_cpus(monkeypatch, workers)
+        records, failures = convergence_sweep(problems, p_range, quad_double=quad_double)
+        assert failures == []
+        got = [(r.eps1, r.eps2, r.p, r.n_elements, r.err_abs, r.err_rel) for r in records]
+        assert got == expected
 
 
 def test_a_failed_stacked_solve_is_recorded_for_its_own_case_only(monkeypatch):

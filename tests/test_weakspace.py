@@ -285,6 +285,32 @@ def _apply_per_function(op, v):
     return (op @ local[:, :, None])[:, :, 0]
 
 
+@pytest.mark.parametrize("bs", [("cos(x)",) * 3, ("cos(x)", "1+x", "2")], ids=["same-b", "own-b"])
+def test_norms_on_a_stack_of_meshes_match_the_one_mesh_norms_bit_for_bit(bs):
+    # m meshes with the same N and one problem each: each function's norm,
+    # with or without deriv_sq, is its one-mesh norm
+    rng = np.random.default_rng(41)
+    problems = [ProblemSpec.from_strings(eps1, eps2, b, "1+x", "exp(x)")
+                for (eps1, eps2), b in zip(((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0)), bs)]
+    for nodes, p in itertools.product(
+        (([0.0, 1.0],) * 3, ([0.0, 1e-3, 0.9, 1.0], [0.0, 0.2, 0.7, 1.0], [0.0, 0.25, 0.75, 1.0])),
+        (1, 4, 17),
+    ):
+        meshes = [user_mesh(one) for one in nodes]
+        n = meshes[0].n_elements
+        coeffs = rng.standard_normal((3, 4, n, p + 1))
+        vb = rng.standard_normal((3, 4, n + 1))
+        deriv_sq = rng.random((3, 4))
+        sig = np.array([default_penalties(mesh, p, q.eps1) for q, mesh in zip(problems, meshes)])
+        for given in (None, deriv_sq):
+            stacked = energy_norms(meshes, coeffs, vb, problems, sig, given)
+            assert stacked.shape == (3, 4)
+            for i, (prob, mesh) in enumerate(zip(problems, meshes)):
+                one_sq = None if given is None else given[i]
+                one = energy_norms(mesh, coeffs[i], vb[i], prob, sig[i], one_sq)
+                assert stacked[i].tolist() == one.tolist(), (n, p, i)
+
+
 def test_stacked_norms_match_the_per_call_norms_bit_for_bit():
     import wg_hp.weakspace as weakspace
 
