@@ -1,13 +1,15 @@
-"""Test cases whose exact solutions are known in closed form, and the true
-error against them.
+"""The named test cases that more than one test reads: the unit problem,
+the criterion-6 eps pairs, the manufactured layer and oscillation cases,
+and the closed-form two-layer case with the true error against it.
 
-A case's solution is a function of points held as (x, 1 - x) pairs, so a
-layer at x = 1 is evaluated in its distance to x = 1 and not through the
-rounding of 1 - x, which near 1 is 1.1e-16 apart.
+A closed-form case's solution is a function of points held as (x, 1 - x)
+pairs, so a layer at x = 1 is evaluated in its distance to x = 1 and not
+through the rounding of 1 - x, which near 1 is 1.1e-16 apart.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,10 +18,44 @@ from numpy.polynomial import legendre as npleg
 
 from wg_hp.problem import ProblemSpec
 
+# eps1 = eps2 = 1 with b = r = f = 1
+UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
+
+# the (eps1, eps2) grid of acceptance criterion 6: one convection-diffusion,
+# two reaction-convection-diffusion and two reaction-diffusion pairs
+CRITERION_6_PAIRS = [(1e-8, 1.0), (1e-8, 1e-3), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5)]
+
+
+def outflow_layer(d: float) -> str:
+    """x with a layer of width d at the outflow end x = 1."""
+    return f"x - (exp(-(1-x)/{d!r}) - exp(-1/{d!r}))/(1 - exp(-1/{d!r}))"
+
+
+def two_sided_layer(s: float) -> str:
+    """1 with a layer of width s at both ends."""
+    return f"1 - (exp(-x/{s!r}) + exp(-(1-x)/{s!r}))/(1 + exp(-1/{s!r}))"
+
+
+# (name, eps1, eps2, exact solution) on the stock b = cos(x), r = 1 + x:
+# five layers of the width each regime predicts, then two oscillations
+LAYER_CASES = (
+    ("cd-layer", 1e-6, 1.0, outflow_layer(1e-6)),
+    ("rd-layer", 1e-8, 1e-4, two_sided_layer(1e-4)),
+    ("rcd-layer-a", 1e-8, 1e-3, outflow_layer(1e-5)),
+    ("rcd-layer-b", 1e-6, 1e-2, outflow_layer(1e-4)),
+    ("rcd-layer-c", 1e-5, 1e-2, outflow_layer(1e-3)),
+    ("rd-osc", 1e-8, 1e-4, "sin(20*3.141592653589793*x)"),
+    ("cd-osc", 1e-6, 1.0, "sin(20*3.141592653589793*x)"),
+)
+
 # (eps1, eps2) pairs of the two-layer family in all three regimes:
 # convection-diffusion, reaction-convection-diffusion and reaction-diffusion
 TWO_LAYER_PAIRS = [(1e-8, 1.0), (1e-6, 1e-2), (1e-9, 0.1), (1e-8, 1e-8),
                    (1e-4, 1e-5), (1e-6, 1e-6), (1e-8, 1e-3)]
+
+# the rate grid of the two-layer family, 25 pairs: eps1 and eps2 each on
+# np.logspace(-10, 0, 5), that is 1e-10, 3.2e-8, 1e-5, 3.2e-3 and 1
+RATE_PAIRS = list(itertools.product(np.logspace(-10, 0, 5).tolist(), repeat=2))
 
 # the true-error quadrature: a grading of ratio 1/4 toward both ends, down
 # to GRADING_MIN from either end, and p + EXTRA_POINTS Gauss points on each

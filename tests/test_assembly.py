@@ -35,7 +35,7 @@ from wg_hp.weakspace import (
     weak_derivative,
 )
 
-UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
+from cases import UNIT
 
 
 def test_solve_rejects_a_non_finite_solution():
@@ -333,7 +333,8 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
 
 def _bilinear_apply_per_element(u, v, problem, sigmas=None, nquad=None):
     # bilinear_apply with one legval per element and function, as it was
-    # before its element loop was batched: the oracle for its bits
+    # before its element loop was batched: the oracle for the bits of
+    # bilinear_apply and of the stacked bilinear_values
     p = u.degree
     if sigmas is None:
         sigmas = default_penalties(u.mesh, p, problem.eps1)
@@ -358,43 +359,6 @@ def _bilinear_apply_per_element(u, v, problem, sigmas=None, nquad=None):
         u0 = npleg.legval(rule.nodes, u.coeffs[j])
         v0 = npleg.legval(rule.nodes, v.coeffs[j])
         term3 += float(np.sum(w[j] * rv[j] * u0 * v0))
-    return (
-        term1
-        + term2
-        + term3
-        + stabilizer_S(u, v, sigmas)
-        + stabilizer_Sc(u, v, problem.b, problem.eps2)
-    )
-
-
-def _bilinear_apply_per_call(u, v, problem, sigmas=None, nquad=None):
-    # bilinear_apply as it was before it became a wrapper of the stacked
-    # kernel, with one weak derivative, convection derivative and stabilizer
-    # call per function: the oracle for the bits of bilinear_values
-    p = u.degree
-    if sigmas is None:
-        sigmas = default_penalties(u.mesh, p, problem.eps1)
-    du = weak_derivative(u)
-    dv = du if v is u else weak_derivative(v)
-    dcu = weak_convection_derivative(u, problem.b, problem.b_prime, nquad)
-    k_lo = np.arange(p)
-    k_hi = np.arange(p + 1)
-    widths = u.mesh.widths
-    term1 = problem.eps1 * float(
-        np.sum(du.coeffs * dv.coeffs * (widths[:, None] / (2 * k_lo + 1)))
-    )
-    term2 = problem.eps2 * float(
-        np.sum(dcu.coeffs * v.coeffs * (widths[:, None] / (2 * k_hi + 1)))
-    )
-    rule = gauss_rule(quad_order(p, nquad))
-    nodes = u.mesh.nodes
-    x, w = rule.mapped(nodes[:-1, None], nodes[1:, None])
-    rv = evaluate(problem.r, x)
-    u0 = npleg.legval(rule.nodes, u.coeffs.T)
-    v0 = u0 if v is u else npleg.legval(rule.nodes, v.coeffs.T)
-    term3 = 0.0
-    for row in (w * rv * u0 * v0).sum(axis=1).tolist():
-        term3 += row
     return (
         term1
         + term2
@@ -447,7 +411,8 @@ def test_batched_oracle_paths_match_the_per_element_loops_bit_for_bit():
 
 def test_stacked_bilinear_values_match_the_per_call_form_bit_for_bit():
     # B(u_i, v_i) from one stacked call equals, bit for bit, the old
-    # one-function-at-a-time bilinear_apply, for any k and either operand form
+    # one-function-at-a-time bilinear_apply in its per-element form, for any
+    # k and either operand form
     rng = np.random.default_rng(89)
     for (eps1, eps2), mesh, p in itertools.product(
         ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0)), ORACLE_MESHES, range(1, 13)
@@ -462,8 +427,8 @@ def test_stacked_bilinear_values_match_the_per_call_form_bit_for_bit():
         u_all = (np.stack([w.coeffs for w in us]), np.stack([w.vb for w in us]))
         v_all = (np.stack([w.coeffs for w in vs]), np.stack([w.vb for w in vs]))
         for nquad in (None, 2 * quad_order(p)):
-            uv = [_bilinear_apply_per_call(a, b, prob, nquad=nquad) for a, b in zip(us, vs)]
-            vv = [_bilinear_apply_per_call(b, b, prob, nquad=nquad) for b in vs]
+            uv = [_bilinear_apply_per_element(a, b, prob, nquad=nquad) for a, b in zip(us, vs)]
+            vv = [_bilinear_apply_per_element(b, b, prob, nquad=nquad) for b in vs]
             for k in range(1, 6):
                 where = (eps1, n, p, k, nquad)
                 u, v = (u_all[0][:k], u_all[1][:k]), (v_all[0][:k], v_all[1][:k])

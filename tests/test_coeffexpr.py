@@ -24,6 +24,8 @@ from wg_hp.polybasis import gauss_rule, quad_order
 from wg_hp.problem import model_problem
 from wg_hp.verify import manufacture, sbl_mesh
 
+from cases import LAYER_CASES
+
 
 def test_parse_model_convection_coefficient():
     e = parse("cos(x)")
@@ -280,27 +282,7 @@ def test_random_expressions_match_the_tree_walk_bit_for_bit():
     assert 40 <= raised <= 360
 
 
-def _outflow_layer(d):
-    return f"x - (exp(-(1-x)/{d!r}) - exp(-1/{d!r}))/(1 - exp(-1/{d!r}))"
-
-
-def _two_sided_layer(s):
-    return f"1 - (exp(-x/{s!r}) + exp(-(1-x)/{s!r}))/(1 + exp(-1/{s!r}))"
-
-
-# the seven manufactured layer and oscillation cases on the stock b and r
-LAYER_CASES = (
-    (1e-6, 1.0, _outflow_layer(1e-6)),
-    (1e-8, 1e-4, _two_sided_layer(1e-4)),
-    (1e-8, 1e-3, _outflow_layer(1e-5)),
-    (1e-6, 1e-2, _outflow_layer(1e-4)),
-    (1e-5, 1e-2, _outflow_layer(1e-3)),
-    (1e-8, 1e-4, "sin(20*3.141592653589793*x)"),
-    (1e-6, 1.0, "sin(20*3.141592653589793*x)"),
-)
-
-
-@pytest.mark.parametrize("eps1, eps2, u_text", LAYER_CASES)
+@pytest.mark.parametrize("eps1, eps2, u_text", [case[1:] for case in LAYER_CASES])
 def test_manufactured_layer_cases_match_the_tree_walk_bit_for_bit(eps1, eps2, u_text):
     case = manufacture(u_text, model_problem(eps1, eps2))
     points = list(_POINTS)

@@ -30,7 +30,8 @@ from wg_hp.weakspace import (
     weak_derivative,
 )
 
-UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
+from cases import UNIT
+
 MODEL = ProblemSpec.from_strings(1e-5, 1e-2, "cos(x)", "1+x", "exp(x)")
 DEGREES = (1, 3, 8, 16, 32, 64)
 MESHES = (user_mesh([0.0, 1.0]), user_mesh([0.0, 0.6, 1.0]), user_mesh([0.0, 0.3, 0.85, 1.0]))
