@@ -3,8 +3,8 @@
 -eps1*u'' + eps2*b(x)*u'(x) + r(x)*u(x) = f(x) on (0,1), u(0) = u(1) = 0,
 with 0 < eps1, eps2 <= 1, b > 0, r >= 0 and r - eps2*b'/2 >= gamma > 0.
 Characteristic roots give the layer-strength parameters mu0 <= mu1, and
-(eps1, eps2) selects one of three asymptotic regimes that only the mesh
-builder dispatches on.
+(eps1, eps2) selects one of three asymptotic regimes, of which the mesh
+builder tells only convection-diffusion apart.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ class ProblemSpec:
 
     @cached_property
     def mu(self) -> MuPair | None:
-        """compute_mu(self) where the mesh reads it (reaction-convection-
-        diffusion), else None."""
-        if self.regime is Regime.REACTION_CONVECTION_DIFFUSION:
-            return compute_mu(self)
-        return None
+        """compute_mu(self) where the mesh reads it (every regime but
+        convection-diffusion), else None."""
+        if self.regime is Regime.CONVECTION_DIFFUSION:
+            return None
+        return compute_mu(self)
 
 
 def model_problem(eps1: float, eps2: float) -> ProblemSpec:
@@ -180,7 +180,8 @@ def compute_mu(spec: ProblemSpec, samples: int = 2049) -> MuPair:
 
 
 # Thresholds are declared conventions; the continuous relations between
-# eps1 and eps2 are asymptotic and carry no crisp numeric boundary.
+# eps1 and eps2 are asymptotic and carry no crisp numeric boundary.  Only
+# CD_EPS2_THRESHOLD picks a mesh; RCD_RATIO just labels the regime.
 CD_EPS2_THRESHOLD = 0.9
 RCD_RATIO = 10.0
 

@@ -1,10 +1,10 @@
 """Spectral boundary-layer meshes.
 
-The mesh is minimal: at most three elements, with layer elements of width
-kappa*p times the layer scale of the active regime.  A layer width is
-capped at 1/4 on the three-element meshes and at 1/2 on the two-element
-convection-diffusion mesh, so a layer that is no longer thin gets a wide
-element while the other layer keeps its own.
+The mesh is minimal.  Convection-diffusion gets [0, 1 - w, 1] with
+w = kappa*p*eps1 capped at 1/2.  Every other pair gets [0, w0, 1 - w1, 1]
+with w0 = kappa*p/mu0 and w1 = kappa*p/mu1 capped at 1/4: the characteristic
+roots tend to sqrt(r/eps1) as eps2 -> 0, so they give the reaction-diffusion
+widths too.  A capped layer gets a wide element; the other keeps its own.
 A layer element thinner than DEGENERACY_TOL raises MeshDegeneracyError:
 the mesh could not resolve that layer, and collapsing it to one element
 would return an answer that silently ignores it.
@@ -89,9 +89,9 @@ def build_sbl_mesh(
 ) -> Mesh:
     """Spectral boundary-layer mesh for the given regime.
 
-    mu is required for the reaction-convection-diffusion regime, eps1 for
-    the other two.  Raises MeshDegeneracyError when a layer element would
-    be thinner than DEGENERACY_TOL.
+    eps1 is required for the convection-diffusion regime, mu for the other
+    two.  Raises MeshDegeneracyError when a layer element would be thinner
+    than DEGENERACY_TOL.
     """
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
@@ -102,15 +102,8 @@ def build_sbl_mesh(
             raise ValueError("eps1 is required in the convection-diffusion regime")
         w = min(kappa * p * eps1, 0.5)
         return _guarded(regime, [0.0, 1.0 - w, 1.0], w)
-    if regime is Regime.REACTION_CONVECTION_DIFFUSION:
-        if mu is None:
-            raise ValueError("mu is required in the reaction-convection-diffusion regime")
-        w0 = min(kappa * p / mu.mu0, 0.25)
-        w1 = min(kappa * p / mu.mu1, 0.25)
-    elif regime is Regime.REACTION_DIFFUSION:
-        if eps1 is None:
-            raise ValueError("eps1 is required in the reaction-diffusion regime")
-        w0 = w1 = min(kappa * p * np.sqrt(eps1), 0.25)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    if mu is None:
+        raise ValueError("mu is required outside the convection-diffusion regime")
+    w0 = min(kappa * p / mu.mu0, 0.25)
+    w1 = min(kappa * p / mu.mu1, 0.25)
     return _guarded(regime, [0.0, w0, 1.0 - w1, 1.0], min(w0, w1))

@@ -86,7 +86,9 @@ def test_criterion_2_weak_derivative_of_polynomials():
     meshes = [
         user_mesh([0.0, 1.0]),
         user_mesh([0.0, 0.3, 0.85, 1.0]),
-        build_sbl_mesh(classify_regime(1e-4, 1e-4), 1.0, 4, eps1=1e-4),
+        build_sbl_mesh(
+            classify_regime(1e-4, 1e-4), 1.0, 4, mu=compute_mu(model_problem(1e-4, 1e-4))
+        ),
     ]
     worst = 0.0
     for trial in range(100):
@@ -251,15 +253,14 @@ def test_criterion_9_uniform_exponential_rate():
     RATE_PAIRS.  log err = log C - b p is fitted by least squares over
     p = 4, 8, ..., 28, on the points above 1e-12, for each pair with at
     least three of them (20 pairs: the eps1 = 1 row is below 1e-12 by
-    p = 8).  Measured: the least b is 0.577 at (1e-5, 3.2e-3) and 0.579 at
-    (1e-10, 1e-5), both reaction-diffusion pairs near the regime
-    threshold, then 0.834; the median b is 0.845; the largest C is 18.9,
-    at (3.2e-3, 3.2e-8); the worst error at p = 28 is 6.8e-9.  The bounds
-    leave a margin of 0.077 in b, about 2x in C and 7x in the error, and
-    fail at kappa = 3 (least b 0.205, worst error 1.6e-4) and kappa = 0.5
-    (0.310, 6.2e-7).  A single layer rule for the reaction regimes (ROADMAP
-    item 13) lifts the least b to the convection-diffusion 0.834, and its
-    change raises the b bound."""
+    p = 8).  Measured: the least b is 0.834 at (3.2e-3, 1), a
+    convection-diffusion pair, and every reaction pair, whose mesh takes
+    its widths from mu0 and mu1, is at least as fast; the median b is
+    0.845; the largest C is 18.9, at (3.2e-3, 3.2e-8); the worst error at
+    p = 28 is 5.2e-11.  The bounds leave a margin of 0.084 in b, about 2x
+    in C and 10x in the error, and fail at kappa = 3 (least b 0.322, worst
+    error 1.0e-4) and kappa = 0.5 (0.500, 6.1e-7), and with the former
+    reaction-diffusion width kappa*p*sqrt(eps1) (0.577, 6.8e-9)."""
     degrees = np.arange(4, 29, 4)
     rates, constants, finals = [], [], []
     for eps1, eps2 in RATE_PAIRS:
@@ -277,6 +278,6 @@ def test_criterion_9_uniform_exponential_rate():
         rates.append(rate)
         constants.append(math.exp(log_c))
     least, largest, worst = min(rates), max(constants), max(finals)
-    ok = least >= 0.5 and largest <= 40.0 and worst <= 5e-8
+    ok = least >= 0.75 and largest <= 40.0 and worst <= 5e-10
     detail = f"least rate {least:.3f}, largest C {largest:.1f}, worst error at p = 28 {worst:.1e}"
     assert _verdict(9, "uniform exponential rate", ok, detail)

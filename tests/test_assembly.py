@@ -138,7 +138,7 @@ def test_stabilizer_block_scales_with_eps1():
 
 def test_zero_load_gives_zero_solution():
     prob = ProblemSpec.from_strings(1e-5, 1e-2, "cos(x)", "1+x", "0")
-    mesh = build_sbl_mesh(Regime.REACTION_DIFFUSION, 1.0, 3, eps1=prob.eps1)
+    mesh = build_sbl_mesh(Regime.REACTION_DIFFUSION, 1.0, 3, mu=compute_mu(prob))
     u_p = solve(assemble(prob, mesh, 3))
     np.testing.assert_allclose(u_p.coeffs, 0.0, atol=1e-14)
     np.testing.assert_allclose(u_p.vb, 0.0, atol=1e-14)
@@ -504,7 +504,10 @@ LAYER_U = "1 - (exp(-x/1e-4) + exp(-(1-x)/1e-4))/(1 + exp(-1/1e-4))"
 # (trace(A), |A @ 1|, |A.T @ 1|, |rhs|) on the layer-adapted mesh, pinned
 # from the dense-product form of the element matrices (C.T @ X @ C, with
 # the diagonal mass matrices as dense factors); the row-scaled form must
-# reproduce it
+# reproduce it.  The reaction-diffusion keys whose widths are not capped
+# (all but 0.0001:1e-05 at p = 40) are pinned from assemble on the mesh of
+# widths kappa*p/mu0 and kappa*p/mu1; the matrix that bilinear_apply
+# builds entry by entry gives the same fingerprint to 3e-16
 ASSEMBLED_BASELINE = {
     ((1e-08, 1.0, None), 1): (11.46505816588984, 5.340206156804353, 5.301611850121533, 1.741222981908518),
     ((1e-08, 1.0, None), 4): (80.1792972016238, 62.78918361227473, 62.29429238312405, 1.741448716037673),
@@ -518,18 +521,18 @@ ASSEMBLED_BASELINE = {
     ((1e-06, 0.01, None), 4): (3.2257390214027675, 1.905869162422842, 1.8805612677156407, 1.6964871446353746),
     ((1e-06, 0.01, None), 16): (9.397690436515438, 9.803365497427533, 9.744693149487311, 1.5598564178504688),
     ((1e-06, 0.01, None), 40): (37.99038956156411, 90.80726709344013, 90.68816200558, 1.4542695234420913),
-    ((1e-06, 1e-06, None), 1): (2.0120144836277554, 1.7910431032492937, 1.7910420179670639, 1.7373704191231385),
-    ((1e-06, 1e-06, None), 4): (2.8212804156628035, 1.883894504299927, 1.8838920306862115, 1.7260723195403462),
-    ((1e-06, 1e-06, None), 16): (5.449394673782046, 2.9757222922843756, 2.9757051846789366, 1.6806357632077826),
-    ((1e-06, 1e-06, None), 40): (15.488276258723715, 22.132492896669632, 22.13246004844352, 1.5929867481225273),
-    ((0.0001, 1e-05, None), 1): (2.1208812287593974, 1.7559110995801428, 1.7559000264467606, 1.7030188797568973),
-    ((0.0001, 1e-05, None), 4): (4.115002363932082, 1.9611725014429582, 1.961134914426293, 1.5929867481196405),
-    ((0.0001, 1e-05, None), 16): (24.193378967784817, 23.50274975860773, 23.502617799696853, 1.2306484124804271),
+    ((1e-06, 1e-06, None), 1): (2.012014485126493, 1.7910436302545216, 1.7910425449740046, 1.7373712854905305),
+    ((1e-06, 1e-06, None), 4): (2.821280433152984, 1.8838967077998328, 1.8838942342551683, 1.7260757402488682),
+    ((1e-06, 1e-06, None), 16): (5.4493949032246265, 2.9757494676580514, 2.9757323630177512, 1.680648719503115),
+    ((1e-06, 1e-06, None), 40): (15.488277634136, 22.132626096484906, 22.13259325587402, 1.5930154659455837),
+    ((0.0001, 1e-05, None), 1): (2.1208812436343805, 1.7559164963700422, 1.7559054234100293, 1.7030272038501713),
+    ((0.0001, 1e-05, None), 4): (4.115002538268459, 1.9611961751238922, 1.9611585947933712, 1.5930154659426972),
+    ((0.0001, 1e-05, None), 16): (24.193381381253637, 23.503039606084776, 23.502907685471975, 1.230687016670163),
     ((0.0001, 1e-05, None), 40): (224.65886668063507, 373.21776406180766, 373.21742173659874, 1.0684633886893011),
-    ((1e-08, 0.0001, LAYER_U), 1): (2.0018466112239586, 1.7947475190184763, 1.794639214813012, 1.50892534267117),
-    ((1e-08, 0.0001, LAYER_U), 4): (2.69630554069881, 1.8975968043136242, 1.8973653123673286, 1.508008990444441),
-    ((1e-08, 0.0001, LAYER_U), 16): (3.7855416323398723, 1.9472352949861789, 1.9458211673149604, 1.5043467622264932),
-    ((1e-08, 0.0001, LAYER_U), 40): (5.368582959584389, 2.9451039512735613, 2.940277148716515, 1.4970377106948105),
+    ((1e-08, 0.0001, LAYER_U), 1): (2.0019882423623936, 1.7947526891748087, 1.7946443991199301, 1.508938971611931),
+    ((1e-08, 0.0001, LAYER_U), 4): (2.697957939592169, 1.89761737345337, 1.897386356175385, 1.5080633499568201),
+    ((1e-08, 0.0001, LAYER_U), 16): (3.8072118015760608, 1.954289137923365, 1.952907397338211, 1.5045615985937428),
+    ((1e-08, 0.0001, LAYER_U), 40): (5.498275404210186, 3.3392115168300958, 3.335221325734902, 1.497561869485341),
 }
 
 

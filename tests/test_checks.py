@@ -108,7 +108,7 @@ def test_result_line_format():
 
 def test_one_run_sets_up_each_problem_once(monkeypatch):
     # the three problems are built once per run and shared by every suite,
-    # so mu of the one reaction-convection-diffusion pair is computed once
+    # so mu of each pair that is not convection-diffusion is computed once
     built, mu_calls = [], []
     real_model_problem, real_compute_mu = problem.model_problem, problem.compute_mu
 
@@ -125,7 +125,7 @@ def test_one_run_sets_up_each_problem_once(monkeypatch):
     results = run_check(quad_double=True)
     assert all(r.passed for r in results)
     assert built == list(checks.EPS_PAIRS)
-    assert mu_calls == [(1e-5, 1e-2)]
+    assert mu_calls == [(1e-5, 1e-2), (1e-4, 1e-4)]
 
 
 def _definition_residuals_per_degree(prob, mesh, p, v):

@@ -1,5 +1,7 @@
 """Command-line interface: CSV schema, determinism, exit codes, SVG output."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from wg_hp.cli import (
     parse_eps_grid,
     parse_p_range,
 )
+
+from cases import CRITERION_6_PAIRS
 
 CSV_HEADER = "regime,eps1,eps2,p,N,dof,err_rel_percent,err_abs,ref_degree,wall_ms"
 
@@ -241,6 +245,16 @@ def test_convergence_csv_schema_and_determinism(tmp_path):
         assert int(row[8]) == 2 * int(row[3])
     keys = [(float(row[1]), float(row[2]), int(row[3])) for row in rows]
     assert keys == sorted(keys)
+
+
+def test_criterion_6_sweep_matches_the_pinned_csv(tmp_path):
+    # the criterion-6 sweep at p = 1..20, byte for byte as committed
+    out = tmp_path / "sweep.csv"
+    grid = ",".join(f"{eps1!r}:{eps2!r}" for eps1, eps2 in CRITERION_6_PAIRS)
+    argv = ["convergence", "--eps-grid", grid, "--p-range", "1..20", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    pinned = Path(__file__).parent / "data" / "criterion6_sweep.csv"
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 OUTFLOW_LAYER = "x - (exp(-(1-x)/0.001) - exp(-1/0.001))/(1 - exp(-1/0.001))"

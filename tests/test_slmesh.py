@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wg_hp.problem import MuPair, Regime
+from wg_hp.problem import MuPair, Regime, compute_mu, model_problem
 from wg_hp.slmesh import Mesh, MeshDegeneracyError, _guarded, build_sbl_mesh, user_mesh
 
 RCD = Regime.REACTION_CONVECTION_DIFFUSION
@@ -17,8 +17,13 @@ def test_rcd_node_formula():
 
 
 def test_rd_node_formula():
-    mesh = build_sbl_mesh(RD, kappa=1.0, p=2, eps1=1e-4)
-    np.testing.assert_allclose(mesh.nodes, [0.0, 0.02, 0.98, 1.0], atol=1e-15)
+    # reaction-diffusion takes kappa*p/mu0 and kappa*p/mu1, as RCD does
+    mesh = build_sbl_mesh(RD, kappa=1.0, p=2, mu=MuPair(100.0, 400.0))
+    np.testing.assert_allclose(mesh.nodes, [0.0, 0.02, 0.995, 1.0], atol=1e-15)
+    # in the pure reaction-diffusion limit both widths are kappa*p*sqrt(eps1/r(0)),
+    # r = 1 + x being least at x = 0
+    mesh = build_sbl_mesh(RD, kappa=1.0, p=2, mu=compute_mu(model_problem(1e-8, 1e-8)))
+    np.testing.assert_allclose(mesh.widths[[0, 2]], 2 * np.sqrt(1e-8 / 1.0), rtol=1e-3)
 
 
 def test_cd_node_formula():
@@ -27,7 +32,7 @@ def test_cd_node_formula():
 
 
 CAPPED = [
-    (RD, dict(p=8, eps1=0.01), [0.0, 0.25, 0.75, 1.0]),  # both widths 0.8 > 1/4
+    (RD, dict(p=8, mu=MuPair(2.0, 30.0)), [0.0, 0.25, 0.75, 1.0]),  # widths 4, 0.27 > 1/4
     (RCD, dict(p=4, mu=MuPair(2.0, 1e4)), [0.0, 0.25, 0.9996, 1.0]),  # w0 = 2, w1 = 4e-4
     (CD, dict(p=4, eps1=0.2), [0.0, 0.5, 1.0]),  # kappa*p*eps1 = 0.8 > 1/2
 ]
@@ -44,7 +49,7 @@ def test_wide_layer_is_capped_and_the_other_kept(regime, params, nodes):
 
 
 DEGENERATE = [
-    pytest.param(RD, dict(p=1, eps1=1e-28), "1e-14", id=RD.value),
+    pytest.param(RD, dict(p=1, mu=MuPair(1e14, 1e14)), "1e-14", id=RD.value),
     pytest.param(RCD, dict(p=4, mu=MuPair(100.0, 1e14)), "4e-14", id=RCD.value),
     pytest.param(CD, dict(p=4, eps1=1e-14), "4e-14", id=CD.value),
     # w0 = 2 is capped at 1/4; the thin layer at x = 1 still raises

@@ -368,8 +368,8 @@ def test_study_sets_up_each_eps_pair_once(monkeypatch):
     assert failures == [] and len(records) == 6
     assert setups == grid
     assert validations == grid
-    # only the reaction-convection-diffusion pair's mesh reads mu
-    assert mu_calls == [(1e-5, 1e-2)]
+    # neither pair is convection-diffusion, so each pair's mesh reads mu
+    assert mu_calls == grid
 
 
 forks = pytest.mark.skipif(
@@ -628,7 +628,7 @@ def test_sweep_runs_in_one_process_while_a_second_thread_is_alive(monkeypatch):
     [
         (1e-6, 1.0, 0),  # convection-diffusion
         (1e-5, 1e-2, 1),  # reaction-convection-diffusion
-        (1e-4, 1e-4, 0),  # reaction-diffusion
+        (1e-4, 1e-4, 1),  # reaction-diffusion
     ],
 )
 def test_sbl_setup_computes_mu_only_where_the_mesh_reads_it(monkeypatch, eps1, eps2, mu_calls):
