@@ -66,6 +66,15 @@ class DofMap:
             return None
         return self.n_elements * (self.degree + 1) + node - 1
 
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(coeffs (..., N, p+1), vb (..., N+1)) of solution vectors x
+        (..., n) in this numbering, the boundary node values zero: the one
+        place that reads the layout of the unknowns."""
+        N, m = self.n_elements, self.n_elements * (self.degree + 1)
+        vb = np.zeros(x.shape[:-1] + (N + 1,))
+        vb[..., 1:N] = x[..., m:]
+        return x[..., :m].reshape(x.shape[:-1] + (N, self.degree + 1)), vb
+
 
 @dataclass(frozen=True)
 class AssembledSystem:
@@ -211,10 +220,7 @@ def assemble(
 def vector_to_weakfunction(system: AssembledSystem, vec: np.ndarray) -> WeakFunction:
     """The weak function of the system's degree on its mesh whose unknowns,
     numbered as in DofMap, are vec."""
-    N, p = system.mesh.n_elements, system.degree
-    vb = np.zeros(N + 1)
-    vb[1:N] = vec[N * (p + 1) :]
-    return WeakFunction(system.mesh, vec[: N * (p + 1)].reshape(N, p + 1), vb)
+    return WeakFunction(system.mesh, *system.dof_map.split(vec))
 
 
 def solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from wg_hp.assembly import assemble, bilinear_values, solve
+from wg_hp.assembly import DofMap, assemble, bilinear_values, solve
 from wg_hp.coeffexpr import evaluate
 from wg_hp.forking import run_shares, usable_cpus
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
@@ -117,11 +117,10 @@ def _cases(cases=None, u_text: str | None = None):
 
 def _basis(mesh, p) -> tuple:
     """The unit vectors of the N(p+1) coefficients and N-1 interior node
-    values, in DofMap order, stacked (n, N, p+1) and (n, N+1) as for energy_norms."""
-    N, m = mesh.n_elements, mesh.n_elements * (p + 1)
-    eye, vb = np.eye(m + N - 1), np.zeros((m + N - 1, N + 1))
-    vb[:, 1:N] = eye[:, m:]
-    return eye[:, :m].reshape(-1, N, p + 1), vb
+    values, the rows of np.eye(n) split by DofMap.split into (n, N, p+1)
+    and (n, N+1) as for energy_norms."""
+    dofs = DofMap(mesh.n_elements, p)
+    return dofs.split(np.eye(dofs.total))
 
 
 def _pencil(gram, mat) -> tuple:

@@ -6,9 +6,10 @@ option is declared once, in ``_OPTIONS``.  CSV output uses a fixed schema
 with 17-significant-digit floats and LF line endings; the wall-clock
 column is written as 0 so identical invocations produce byte-identical
 files.  Exit codes: 0 success, 1 check-suite failure, 2 usage or config
-error, 3 expression syntax error, 4 assumption or validation failure
-(including a layer too thin for the mesh to resolve and a solution that
-is not finite), 5 partial completion of a parameter sweep.
+error (including an output file that cannot be written), 3 expression
+syntax error, 4 assumption or validation failure (including a layer too
+thin for the mesh to resolve and a solution that is not finite), 5
+partial completion of a parameter sweep.
 """
 
 from __future__ import annotations
@@ -197,11 +198,20 @@ def _problem(args, eps1, eps2):
     return case, case.problem
 
 
+def _write(path: str, text: str):
+    """Write text to the file at path; an OSError from opening or writing
+    it is a ConfigError that names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_out(args, text: str):
     """Write text to --out if given, else to stdout."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -225,8 +235,7 @@ def run_solve(args) -> int:
     _write_out(args, "\n".join(lines) + "\n")
     if args.svg:
         title = f"regime {regime.value}, eps1={args.eps1:g}, eps2={args.eps2:g}, p={p}"
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svgplot.solution_plot(segments, nodes, title))
+        _write(args.svg, svgplot.solution_plot(segments, nodes, title))
     if case is not None:
         from wg_hp.verify import energy_error, exact_weakfunction
 
@@ -272,11 +281,8 @@ def run_convergence(args) -> int:
             if pts:
                 label = f"eps1={eps1:g} eps2={eps2:g}"
                 curves.append((label, [q for q, _ in pts], [e for _, e in pts]))
-        svg = svgplot.semilog_plot(
-            curves, "relative energy error vs degree", "p", "error (%)"
-        )
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+        title = "relative energy error vs degree"
+        _write(args.svg, svgplot.semilog_plot(curves, title, "p", "error (%)"))
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -1,22 +1,20 @@
-"""Manufactured solutions, reference solutions, energy-norm errors, the
-p-convergence study and the sweep that runs it over many problems.
+"""Manufactured solutions, reference solutions, energy-norm errors, and
+the p-convergence sweep, whose one-problem call is convergence_study.
 
 The reference solution is the weak Galerkin solve at degree 2p on the same
 mesh (penalties rescaled to the higher degree), so the difference lives in
-one discrete space.
+one discrete space; _error_stack stacks the pair (u_2p - u_p, u_2p) whose
+energy norms give the error, for energy_error and the sweep alike.
 
-convergence_sweep spreads its (problem, p) cases over the usable CPUs: when
-there are at least MIN_SHARE_CASES cases per share, it deals the degrees
-into shares and runs all but one share in forked workers (wg_hp.forking).
-Each share runs degree by degree: the problems whose meshes have the same
-number of elements are assembled and solved together, in stacks of at most
-STACK_MAX, by assembly.assemble_stack and solve_stack, whose systems are
-bit for bit those of one problem alone; then the stack's errors come from
-one weakspace.energy_norms call on its meshes, with each problem's
-difference and reference read straight from the solution vectors, bit for
-bit energy_error's.  Each case does the same arithmetic in whichever
-process and stack runs it, so the records are identical for any worker
-count and to convergence_study's.
+convergence_sweep sets up each problem once and deals the degrees into
+shares, one per usable CPU as long as each gets MIN_SHARE_CASES cases,
+and runs all but one in forked workers (wg_hp.forking).  A share runs
+degree by degree: the problems whose meshes have the same number of
+elements are assembled and solved together, in stacks of at most
+STACK_MAX, by assembly.assemble_stack and solve_stack, and their errors
+come from one weakspace.energy_norms call, each bit for bit what one
+problem gives alone.  So the records are identical for any worker count
+and any sweep.
 """
 
 from __future__ import annotations
@@ -180,18 +178,33 @@ def energy_error(
     if u_lo.degree > u_hi.degree:
         raise ValueError("u_lo must not have a higher degree than u_hi")
     check_same_mesh(u_hi, u_lo)
-    coeffs = np.array([u_hi.coeffs, u_hi.coeffs])
-    coeffs[0, :, : u_lo.degree + 1] -= u_lo.coeffs
-    vb = np.array([u_hi.vb - u_lo.vb, u_hi.vb])
-    sigmas = default_penalties(u_hi.mesh, u_hi.degree, problem.eps1)
-    absolute, scale = energy_norms(u_hi.mesh, coeffs, vb, problem, sigmas).tolist()
-    return absolute, _relative(absolute, scale)
+    hi, lo = (u_hi.coeffs, u_hi.vb), (u_lo.coeffs, u_lo.vb)
+    coeffs, vb, (sigmas,) = _error_stack([problem], [u_hi.mesh], hi, lo)
+    return _errors(energy_norms(u_hi.mesh, coeffs, vb, problem, sigmas))[0]
 
 
-def _relative(absolute: float, scale: float) -> float:
-    """absolute / scale, with 0/0 = 0 and a nonzero error on a zero scale
-    infinite."""
-    return absolute / scale if scale > 0 else (0.0 if absolute == 0 else np.inf)
+def _error_stack(problems, meshes, hi, lo) -> tuple:
+    """(coeffs (..., 2, N, q), vb (..., 2, N+1), sigmas) of the pairs
+    (u_hi - u_lo, u_hi), u_lo padded with zero coefficients, from the
+    (coeffs, vb) of u_hi and u_lo with a leading axis over the problems and
+    meshes or none, and each mesh's default penalties at u_hi's degree."""
+    (c_hi, vb_hi), (c_lo, vb_lo) = hi, lo
+    coeffs = c_hi[..., None, :, :].repeat(2, axis=-3)
+    coeffs[..., 0, :, : c_lo.shape[-1]] -= c_lo
+    vb = vb_hi[..., None, :].repeat(2, axis=-2)
+    vb[..., 0, :] -= vb_lo
+    degree = c_hi.shape[-1] - 1
+    sigmas = [default_penalties(mesh, degree, prob.eps1) for prob, mesh in zip(problems, meshes)]
+    return coeffs, vb, sigmas
+
+
+def _errors(norms: np.ndarray) -> list:
+    """[(absolute, absolute / scale)] of the norms (..., 2) of _error_stack's
+    pairs, with 0/0 = 0 and a nonzero error on a zero scale infinite."""
+    return [
+        (absolute, absolute / scale if scale > 0 else (0.0 if absolute == 0 else np.inf))
+        for absolute, scale in norms.reshape(-1, 2).tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -248,11 +261,12 @@ def convergence_study(
     record relative energy errors in p_range order; per-case failures are
     collected, not raised.  The problem is validated and set up once per
     instance (see ProblemSpec); quad_double uses 2*quad_order(p) Gauss
-    points in both solves at degree p.  The one-problem call of the
-    degree-by-degree loop that convergence_sweep runs, so a problem's
-    records are bit for bit the same alone or in a sweep.
+    points in both solves at degree p.  The one-problem call of
+    convergence_sweep, so a problem's records are bit for bit the same
+    alone or in a sweep, and it forks as the sweep does once p_range has
+    2 * MIN_SHARE_CASES degrees.
     """
-    return _study([problem], p_range, kappa, quad_double)[0]
+    return convergence_sweep([problem], p_range, kappa, quad_double)
 
 
 # The most problems of one degree and element count that are assembled and
@@ -265,44 +279,32 @@ def convergence_study(
 STACK_MAX = 4
 
 
-def _solve_stack(problems, meshes, p: int, nquad) -> np.ndarray:
-    """The solution vectors (k, n) at degree p of problems stacked on their
-    meshes, numbered as in DofMap.  A stack of one is solved by assemble
-    without the stack axis, whose overhead slowed a one-pair study by about
-    15%."""
+def _solve_stack(problems, meshes, p: int, nquad) -> tuple:
+    """The solutions at degree p of problems stacked on their meshes, split
+    (k, N, p+1) and (k, N+1) by DofMap.split.  A stack of one is solved by
+    assemble, without the stack axis: with assemble, energy_error and this
+    branch all on the stacked forms, the highp and check passes ran 6-11%
+    slower (8-19 us more per assemble at p <= 6, 8-11 us per energy_error;
+    medians of 6 alternating pairs of 100 warm passes, 2-vCPU Xeon)."""
     if len(problems) == 1:
         system = assemble(problems[0], meshes[0], p, nquad=nquad)
-        return solve_stack(system.matrix, system.rhs)[None]
-    return solve_stack(*assemble_stack(problems, meshes, p, nquad=nquad))
-
-
-def _energy_errors(problems, meshes, p: int, x_lo, x_hi) -> list:
-    """energy_error's (absolute, relative) of each problem of a stack, from
-    its solution vectors at p and at 2p: one energy_norms call on each
-    problem's difference u_2p - u_p (u_p padded with zero coefficients) and
-    its u_2p, read straight from the vectors, bit for bit energy_error's."""
-    k, N, q = len(meshes), meshes[0].n_elements, 2 * p + 1
-    coeffs = np.empty((k, 2, N, q))
-    coeffs[:] = x_hi[:, : N * q].reshape(k, 1, N, q)
-    coeffs[:, 0, :, : p + 1] -= x_lo[:, : N * (p + 1)].reshape(k, N, p + 1)
-    vb = np.zeros((k, 2, N + 1))
-    vb[:, 1, 1:N] = x_hi[:, N * q :]
-    vb[:, 0, 1:N] = vb[:, 1, 1:N] - x_lo[:, N * (p + 1) :]
-    sigmas = [default_penalties(mesh, 2 * p, prob.eps1) for prob, mesh in zip(problems, meshes)]
-    norms = energy_norms(meshes, coeffs, vb, problems, sigmas).tolist()
-    return [(absolute, _relative(absolute, scale)) for absolute, scale in norms]
+        x = solve_stack(system.matrix, system.rhs)[None]
+    else:
+        x = solve_stack(*assemble_stack(problems, meshes, p, nquad=nquad))
+    return DofMap(meshes[0].n_elements, p).split(x)
 
 
 def _stack_errors(problems, meshes, p: int, nquad) -> list:
-    """The (err_abs, err_rel) of each problem of a stack, from one stacked
-    solve at p, one at 2p and one _energy_errors call, or the exception
-    that its own steps raised.  When a stacked step raises, the stack runs
-    again one problem at a time, so each failure is its own problem's, with
-    the message of its own steps."""
+    """energy_error's (absolute, relative) of each problem of a stack, from
+    one stacked solve at p, one at 2p and one energy_norms call, or the
+    exception that its own steps raised.  When a stacked step raises, the
+    stack runs again one problem at a time, so each failure is its own
+    problem's, with the message of its own steps."""
     try:
-        x_lo = _solve_stack(problems, meshes, p, nquad)
-        x_hi = _solve_stack(problems, meshes, 2 * p, nquad)
-        return _energy_errors(problems, meshes, p, x_lo, x_hi)
+        lo = _solve_stack(problems, meshes, p, nquad)
+        hi = _solve_stack(problems, meshes, 2 * p, nquad)
+        coeffs, vb, sigmas = _error_stack(problems, meshes, hi, lo)
+        return _errors(energy_norms(meshes, coeffs, vb, problems, sigmas))
     except Exception as exc:  # noqa: BLE001 - sweep must not abort
         if len(problems) == 1:
             return [exc]
@@ -350,36 +352,21 @@ def _degree_outcomes(problems, p: int, kappa: float, quad_double: bool) -> list:
     return outcomes
 
 
-def _study(problems, p_range, kappa: float = 1.0, quad_double: bool = False) -> list:
-    """[(records, failures)] of each problem at the degrees of p_range, in
-    p_range order, from one _degree_outcomes call per degree.  A problem
-    that fails to validate or set up fails at every p, with that message."""
-    results = [([], []) for _ in problems]
-    ready = []
-    for i, problem in enumerate(problems):
-        try:
-            problem.gamma_hat, problem.mu
-        except Exception as exc:  # noqa: BLE001 - sweep must not abort
-            eps1, eps2, message = problem.eps1, problem.eps2, str(exc)
-            results[i][1].extend(CaseFailure(eps1, eps2, p, message) for p in p_range)
-        else:
-            ready.append(i)
-    for p in p_range:
-        outcomes = _degree_outcomes([problems[i] for i in ready], p, kappa, quad_double)
-        for i, outcome in zip(ready, outcomes):
-            results[i][isinstance(outcome, CaseFailure)].append(outcome)
-    return results
+def _study(problems, share, kappa: float, quad_double: bool) -> list:
+    """The outcomes of the set-up problems at each degree of a share, one
+    _degree_outcomes call per degree, in share order."""
+    return [_degree_outcomes(problems, p, kappa, quad_double) for p in share]
 
 
 # A fresh process forks its workers on its first call, at about 10 ms
 # (copying the page tables and the pages both processes then write).  On
 # the stacked path a low-p case costs about 0.29 ms (five pairs at
-# p = 1..8, one process, 2-vCPU Xeon; 0.51 ms before stacking), so a
-# sweep that forks cold breaks even at roughly 40 cases.  Later calls reuse
-# the workers at about 0.15 ms a call: warm, one pair at p = 1..8 took
-# 2.4 ms on 2 CPUs against 3.3 ms on one, five pairs at p = 1..4 (20
-# cases) 4.6 ms either way, and one pair at p = 1..2 lost 0.3 ms.  The
-# value stays until a small-sweep workload times both in one benchmark.
+# p = 1..8, one process, 2-vCPU Xeon), so a sweep that forks cold breaks
+# even at roughly 40 cases.  Later calls reuse the workers at about
+# 0.15 ms a call: warm, one pair at p = 1..8 took 2.4 ms on 2 CPUs against
+# 3.3 ms on one, five pairs at p = 1..4 (20 cases) 4.6 ms either way, and
+# one pair at p = 1..2 lost 0.3 ms.  The value stays until a small-sweep
+# workload times both in one benchmark.
 MIN_SHARE_CASES = 20
 
 
@@ -396,45 +383,45 @@ def convergence_sweep(
     kappa: float = 1.0,
     quad_double: bool = False,
 ) -> tuple[list[ConvergenceRecord], list[CaseFailure]]:
-    """convergence_study of every problem at every p of p_range, with the
-    cases spread over _workers(len(p_range), len(problems) * len(p_range))
-    processes.
+    """convergence_study of every problem, with the cases spread over
+    _workers(len(p_range), n) processes, n the cases of the problems that
+    set up.
 
-    The parent validates and sets up each problem, so that the workers
-    receive them set up and warn about none again.  It deals p_range
-    round-robin, from the highest p down, into the shares, and runs them
+    The parent validates and sets up each problem once; one that fails
+    there fails at every p with that message, and the workers receive the
+    others set up and warn about none again.  It deals p_range
+    round-robin, from the highest p down, into the shares and runs them
     through forking.run_shares: share 0 itself, each other share in a
-    persistent forked worker, which receives the problems pickled and
-    builds its own basis tables.  A share runs its degrees one by one: at
-    each, the problems whose meshes have the same number of elements are
-    assembled and solved as stacks of at most STACK_MAX, at p and at 2p,
-    and a stack whose step raises runs again one problem at a time, so
-    each failure is recorded for its own case.  A worker that fails raises
-    RuntimeError; its share is not rerun.  Records and failures come in
-    problem order, then p_range order, bit for bit the same as
-    convergence_study's of each problem, for any worker count.  p_range
-    must not repeat a degree.
+    persistent forked worker.  A stack whose step raises runs again one
+    problem at a time, so each failure is its own case's.  A worker that
+    fails raises RuntimeError; its share is not rerun.  Records and
+    failures come in problem order, then p_range order, the same for any
+    worker count.  p_range must not repeat a degree.
     """
-    problems = list(problems)
-    p_range = list(p_range)
+    problems, p_range = list(problems), list(p_range)
     if len(set(p_range)) != len(p_range):
         raise ValueError("p_range must not repeat a degree")
-    for problem in problems:
+    outcomes = [[] for _ in problems]  # each problem's, in p_range order
+    ready = []
+    for problem, own in zip(problems, outcomes):
         try:
             problem.gamma_hat, problem.mu
-        except Exception:  # noqa: BLE001 - _study records it for every p
-            pass
+        except Exception as exc:  # noqa: BLE001 - the sweep must not abort
+            own.extend(CaseFailure(problem.eps1, problem.eps2, p, str(exc)) for p in p_range)
+        else:
+            ready.append((problem, own))
 
-    n_shares = _workers(len(p_range), len(problems) * len(p_range))
+    n_shares = _workers(len(p_range), len(ready) * len(p_range))
     shares = [[] for _ in range(n_shares)]
     for i, p in enumerate(sorted(p_range, reverse=True)):
         shares[i % n_shares].append(p)
 
-    results = run_shares(partial(_study, problems, kappa=kappa, quad_double=quad_double), shares)
-
-    rank = {p: i for i, p in enumerate(p_range)}
-    records, failures = [], []
-    for outcomes in zip(*results):  # one problem's (records, failures) from every share
-        records += sorted((rec for recs, _ in outcomes for rec in recs), key=lambda r: rank[r.p])
-        failures += sorted((f for _, fails in outcomes for f in fails), key=lambda f: rank[f.p])
+    study = partial(_study, [problem for problem, _ in ready], kappa=kappa, quad_double=quad_double)
+    by_degree = {}
+    for share, results in zip(shares, run_shares(study, shares)):
+        by_degree.update(zip(share, results))
+    for j, (_, own) in enumerate(ready):
+        own.extend(by_degree[p][j] for p in p_range)
+    records = [o for own in outcomes for o in own if isinstance(o, ConvergenceRecord)]
+    failures = [o for own in outcomes for o in own if isinstance(o, CaseFailure)]
     return records, failures

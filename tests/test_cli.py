@@ -222,6 +222,18 @@ def test_usage_error_exit_code(capsys):
         assert "bad p range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "--p", "2"], ["convergence", "--p-range", "1..2"]])
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, command, flag):
+    # one stderr line and exit code 2, not a traceback and the check-failure code
+    path = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert main(command + [flag, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"wg-hp: cannot write {path}: No such file or directory\n"
+    assert main(command + [flag, str(tmp_path)]) == EXIT_USAGE  # a directory
+    assert capsys.readouterr().err == f"wg-hp: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_convergence_csv_schema_and_determinism(tmp_path):
     out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
     argv = ["convergence", "--eps-grid", "1e-5:1e-2,1e-4:1e-4", "--p-range", "1..3"]

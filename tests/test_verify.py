@@ -607,9 +607,9 @@ def test_sweep_runs_in_one_process_while_a_second_thread_is_alive(monkeypatch):
     def no_fork():
         raise AssertionError("forked with a second thread alive")
 
+    expected = convergence_study(model_problem(1e-6, 1e-2), range(1, 5))
     monkeypatch.setattr(os, "fork", no_fork)
     use_cpus(monkeypatch, 4)
-    expected = convergence_study(model_problem(1e-6, 1e-2), range(1, 5))
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
