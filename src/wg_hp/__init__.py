@@ -12,8 +12,14 @@ differently at other thread counts, and the CSV outputs are promised
 byte-identical across reruns.  OpenBLAS reads the variable once, when numpy
 is first imported, so if numpy was imported earlier this has no effect and
 the import warns.
+
+The public names load on first use (PEP 562): ``import wg_hp`` imports
+neither numpy nor any submodule, and ``wg_hp.solve`` imports
+``wg_hp.assembly`` and returns its ``solve``, looked up afresh on each
+access rather than stored in this namespace.
 """
 
+import importlib
 import os
 import sys
 import warnings
@@ -26,87 +32,36 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" in sys.modules:
     )
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.problem import (
-    MuPair,
-    ProblemSpec,
-    Regime,
-    classify_regime,
-    compute_mu,
-    model_problem,
-    validate,
-)
-from wg_hp.slmesh import Mesh, build_sbl_mesh, user_mesh
-from wg_hp.polybasis import ElementPoly, QuadRule, gauss_rule, interpolate, l2_project, legendre_eval
-from wg_hp.weakspace import (
-    BrokenPoly,
-    WeakFunction,
-    default_penalties,
-    jump_seminorm,
-    norm_broken,
-    norm_p,
-    stabilizer_S,
-    stabilizer_Sc,
-    weak_convection_derivative,
-    weak_derivative,
-)
-from wg_hp.assembly import AssembledSystem, DofMap, assemble, bilinear_apply, solve
-from wg_hp.verify import (
-    ConvergenceRecord,
-    ManufacturedCase,
-    convergence_study,
-    convergence_sweep,
-    energy_error,
-    manufacture,
-    reference_solution,
-)
-from wg_hp.checks import SuiteResult, run_check
-
-__all__ = [
-    "AssembledSystem",
-    "BrokenPoly",
-    "ConvergenceRecord",
-    "DofMap",
-    "ElementPoly",
-    "Expr",
-    "ManufacturedCase",
-    "Mesh",
-    "MuPair",
-    "ProblemSpec",
-    "QuadRule",
-    "Regime",
-    "WeakFunction",
-    "assemble",
-    "bilinear_apply",
-    "build_sbl_mesh",
-    "classify_regime",
-    "compute_mu",
-    "convergence_study",
-    "convergence_sweep",
-    "default_penalties",
-    "differentiate",
-    "energy_error",
-    "evaluate",
-    "gauss_rule",
-    "interpolate",
-    "jump_seminorm",
-    "l2_project",
-    "legendre_eval",
-    "manufacture",
-    "model_problem",
-    "norm_broken",
-    "norm_p",
-    "parse",
-    "reference_solution",
-    "run_check",
-    "solve",
-    "stabilizer_S",
-    "SuiteResult",
-    "stabilizer_Sc",
-    "user_mesh",
-    "validate",
-    "weak_convection_derivative",
-    "weak_derivative",
-]
-
 __version__ = "0.1.0"
+
+# the public names, by the submodule each is loaded from
+_HOMES = {
+    "coeffexpr": ("Expr", "differentiate", "evaluate", "parse"),
+    "problem": ("MuPair", "ProblemSpec", "Regime", "classify_regime", "compute_mu",
+                "model_problem", "validate"),
+    "slmesh": ("Mesh", "build_sbl_mesh", "user_mesh"),
+    "polybasis": ("ElementPoly", "QuadRule", "gauss_rule", "interpolate", "l2_project",
+                  "legendre_eval"),
+    "weakspace": ("BrokenPoly", "WeakFunction", "default_penalties", "jump_seminorm",
+                  "norm_broken", "norm_p", "stabilizer_S", "stabilizer_Sc",
+                  "weak_convection_derivative", "weak_derivative"),
+    "assembly": ("AssembledSystem", "DofMap", "assemble", "bilinear_apply", "solve"),
+    "verify": ("ConvergenceRecord", "ManufacturedCase", "convergence_study",
+               "convergence_sweep", "energy_error", "manufacture", "reference_solution"),
+    "checks": ("SuiteResult", "run_check"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    # not stored here: wg_hp.forking compares module namespaces to tell
+    # whether its forked workers still hold what the caller does
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -13,12 +13,12 @@ them with one LAPACK call.  assemble and solve are their one-problem calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from wg_hp._frozen import Frozen
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import basis_tables, quad_order
 from wg_hp.problem import ProblemSpec
@@ -44,13 +44,14 @@ class SingularSystemError(Exception):
     """The assembled matrix could not be factorized or solved accurately."""
 
 
-@dataclass(frozen=True)
-class DofMap:
+class DofMap(Frozen):
     """Global numbering: element coefficient blocks first, then interior
     node values."""
 
-    n_elements: int
-    degree: int
+    _fields = ("n_elements", "degree")
+
+    def __init__(self, n_elements: int, degree: int):
+        vars(self).update(n_elements=n_elements, degree=degree)
 
     @property
     def total(self) -> int:
@@ -76,12 +77,12 @@ class DofMap:
         return x[..., :m].reshape(x.shape[:-1] + (N, self.degree + 1)), vb
 
 
-@dataclass(frozen=True)
-class AssembledSystem:
-    matrix: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    mesh: Mesh
-    degree: int
+class AssembledSystem(Frozen):
+    _fields = ("matrix", "rhs", "mesh", "degree")
+    _hidden = ("matrix", "rhs")
+
+    def __init__(self, matrix: np.ndarray, rhs: np.ndarray, mesh: Mesh, degree: int):
+        vars(self).update(matrix=matrix, rhs=rhs, mesh=mesh, degree=degree)
 
     @property
     def dof_map(self) -> DofMap:

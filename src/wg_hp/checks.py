@@ -11,12 +11,12 @@ confirms integral values are quadrature-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from wg_hp._frozen import Frozen
 from wg_hp.assembly import DofMap, assemble, bilinear_values, solve
 from wg_hp.coeffexpr import evaluate
 from wg_hp.forking import run_shares, usable_cpus
@@ -44,13 +44,17 @@ EPS_PAIRS = ((1e-5, 1e-2), (1e-4, 1e-4), (1e-6, 1.0))
 DEGREES = (2, 4, 6)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    n_checks: int
-    n_failed: int
-    detail: str = ""
+class SuiteResult(Frozen):
+    """One suite's outcome; unlike the other values, mutable and unhashable."""
+
+    _fields = ("name", "passed", "n_checks", "n_failed", "detail")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, passed: bool, n_checks: int, n_failed: int, detail: str = ""):
+        vars(self).update(name=name, passed=passed, n_checks=n_checks, n_failed=n_failed,
+                          detail=detail)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -60,11 +64,11 @@ class SuiteResult:
         return msg
 
 
-@dataclass
 class _Tally:
-    n: int = 0
-    failed: int = 0
-    notes: list = field(default_factory=list)
+    def __init__(self):
+        self.n = 0
+        self.failed = 0
+        self.notes: list = []
 
     def check(self, ok, note: str = ""):
         ok = np.asarray(ok)

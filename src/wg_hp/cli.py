@@ -15,13 +15,13 @@ partial completion of a parameter sweep.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
 
-from wg_hp import svgplot
 from wg_hp.assembly import SingularSystemError
-from wg_hp.checks import run_check
 from wg_hp.coeffexpr import ExprSyntaxError, parse
 from wg_hp.problem import AssumptionError, ProblemSpec
 from wg_hp.slmesh import MeshDegeneracyError
@@ -208,6 +208,25 @@ def _write(path: str, text: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_outputs(args):
+    """Raise, before any solving, the ConfigError that writing --out or
+    --svg would: each path must be a writable file or a new name in a
+    writable directory.  Nothing is created or truncated."""
+    for path in (args.out, args.svg):
+        if not path:
+            continue
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(directory):
+            code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write_out(args, text: str):
     """Write text to --out if given, else to stdout."""
     if args.out:
@@ -220,6 +239,7 @@ def run_solve(args) -> int:
     p = args.p
     nquad = case_nquad(p, args.quad_double)
     case, prob = _problem(args, args.eps1, args.eps2)
+    _check_outputs(args)
     regime, mesh, u_p = solve_on_sbl_mesh(prob, p, args.kappa, nquad=nquad)
 
     lines = ["kind,x,value"]
@@ -234,6 +254,8 @@ def run_solve(args) -> int:
     lines.extend(f"node,{_g(x)},{_g(v)}" for x, v in nodes)
     _write_out(args, "\n".join(lines) + "\n")
     if args.svg:
+        from wg_hp import svgplot
+
         title = f"regime {regime.value}, eps1={args.eps1:g}, eps2={args.eps2:g}, p={p}"
         _write(args.svg, svgplot.solution_plot(segments, nodes, title))
     if case is not None:
@@ -254,6 +276,7 @@ def run_convergence(args) -> int:
 
     # the problem is built per pair: a manufactured f depends on eps
     problems = [_problem(args, eps1, eps2)[1] for eps1, eps2 in eps_grid]
+    _check_outputs(args)
     records, failures = convergence_sweep(
         problems, p_range, kappa=args.kappa, quad_double=args.quad_double
     )
@@ -281,12 +304,16 @@ def run_convergence(args) -> int:
             if pts:
                 label = f"eps1={eps1:g} eps2={eps2:g}"
                 curves.append((label, [q for q, _ in pts], [e for _, e in pts]))
+        from wg_hp import svgplot
+
         title = "relative energy error vs degree"
         _write(args.svg, svgplot.semilog_plot(curves, title, "p", "error (%)"))
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def run_checks(args) -> int:
+    from wg_hp.checks import run_check
+
     results = run_check(quad_double=args.quad_double, sigma_override=args.sigma)
     for res in results:
         print(res.line())

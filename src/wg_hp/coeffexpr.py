@@ -18,10 +18,11 @@ Grammar (EBNF):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from wg_hp._frozen import Frozen
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
@@ -54,40 +55,43 @@ class UnsupportedDerivativeError(ExprError):
 # AST
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Frozen):
     @cached_property
     def _program(self) -> tuple:
         """The straight-line program evaluate runs, compiled on first use."""
         return _compile(self)
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        vars(self)["value"] = value
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        vars(self)["arg"] = arg
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        vars(self).update(op=op, left=left, right=right)  # op is one of + - * / ^
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    _fields = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expr):
+        vars(self).update(func=func, arg=arg)
 
 
 X = Var()

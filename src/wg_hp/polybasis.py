@@ -8,11 +8,12 @@ matrix is diagonal with entries h/(2k+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+
+from wg_hp._frozen import Frozen
 
 DEFAULT_EXTRA_QUAD = 6  # n_q = p + 6 Gauss points for analytic integrands
 
@@ -36,12 +37,13 @@ def legendre_eval(k: int, t):
     return p_cur, d_cur
 
 
-@dataclass(frozen=True)
-class QuadRule:
+class QuadRule(Frozen):
     """Gauss-Legendre rule on the reference interval [-1,1]."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    _fields = ("nodes", "weights")
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        vars(self).update(nodes=nodes, weights=weights)
 
     def mapped(self, a: float, b: float):
         """Nodes and weights transported to (a,b)."""
@@ -93,20 +95,18 @@ def basis_tables(p: int, nq: int):
     return rule, vander, dvander
 
 
-@dataclass(frozen=True)
-class ElementPoly:
+class ElementPoly(Frozen):
     """Polynomial on (a,b) in mapped-Legendre coefficients."""
 
-    a: float
-    b: float
-    coeffs: np.ndarray = field(repr=False)
+    _fields = ("a", "b", "coeffs")
+    _hidden = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.a < self.b:
+    def __init__(self, a: float, b: float, coeffs: np.ndarray):
+        if not a < b:
             raise ValueError("interval must satisfy a < b")
-        c = np.array(self.coeffs, dtype=float)
+        c = np.array(coeffs, dtype=float)
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        vars(self).update(a=a, b=b, coeffs=c)
 
     @property
     def degree(self) -> int:

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from wg_hp._frozen import Frozen
 from wg_hp.coeffexpr import EvalDomainError, Expr, differentiate, evaluate, parse
 
 
@@ -140,17 +141,16 @@ def validate(spec: ProblemSpec) -> float:
     return gamma_hat
 
 
-@dataclass(frozen=True)
-class MuPair:
+class MuPair(Frozen):
     """Characteristic-root parameters; mu0 measures the layer at x=0 and
     mu1 the (stronger) layer at x=1."""
 
-    mu0: float
-    mu1: float
+    _fields = ("mu0", "mu1")
 
-    def __post_init__(self):
-        if not 0 < self.mu0 <= self.mu1 * (1 + 1e-12):
+    def __init__(self, mu0: float, mu1: float):
+        if not 0 < mu0 <= mu1 * (1 + 1e-12):
             raise ValueError("need 0 < mu0 <= mu1")
+        vars(self).update(mu0=mu0, mu1=mu1)
 
 
 def _mu_values(spec: ProblemSpec, x: np.ndarray):

@@ -12,23 +12,21 @@ would return an answer that silently ignores it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from wg_hp._frozen import Frozen
 from wg_hp.problem import MuPair, Regime
 
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(Frozen):
     """Ordered nodes x0 = 0 < ... < xN = 1."""
 
-    nodes: np.ndarray = field(repr=True)
+    _fields = ("nodes",)
 
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+    def __init__(self, nodes: np.ndarray):
+        nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("a mesh needs at least two nodes")
         # checked as Python floats: a few nodes, so numpy's per-call cost
@@ -41,9 +39,8 @@ class Mesh:
         widths = np.diff(nodes)
         nodes.setflags(write=False)
         widths.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        # computed once: assembly and the norms read the widths many times
-        object.__setattr__(self, "_widths", widths)
+        # the widths computed once: assembly and the norms read them many times
+        vars(self).update(nodes=nodes, _widths=widths)
 
     @property
     def n_elements(self) -> int:

@@ -19,16 +19,15 @@ and any sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp import coeffexpr as ce
+from wg_hp._frozen import Frozen
 from wg_hp.assembly import DofMap, assemble, assemble_stack, solve, solve_stack
 from wg_hp.coeffexpr import Expr, differentiate, evaluate, parse
-from wg_hp.forking import run_shares, usable_cpus
 from wg_hp.polybasis import interpolant_coefficients, l2_coefficients, quad_order
 from wg_hp.problem import ProblemSpec
 from wg_hp.slmesh import Mesh, build_sbl_mesh
@@ -47,13 +46,13 @@ class BoundaryValueError(Exception):
     an endpoint."""
 
 
-@dataclass(frozen=True)
-class ManufacturedCase:
+class ManufacturedCase(Frozen):
     """Exact solution with the right-hand side derived symbolically."""
 
-    u_exact: Expr
-    u_prime: Expr
-    problem: ProblemSpec
+    _fields = ("u_exact", "u_prime", "problem")
+
+    def __init__(self, u_exact: Expr, u_prime: Expr, problem: ProblemSpec):
+        vars(self).update(u_exact=u_exact, u_prime=u_prime, problem=problem)
 
 
 def manufacture(u_text: str | Expr, problem: ProblemSpec) -> ManufacturedCase:
@@ -207,25 +206,22 @@ def _errors(norms: np.ndarray) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    regime: str
-    eps1: float
-    eps2: float
-    p: int
-    n_elements: int
-    dof: int
-    err_rel: float  # fraction, not percent
-    err_abs: float
-    ref_degree: int
+class ConvergenceRecord(Frozen):
+    _fields = ("regime", "eps1", "eps2", "p", "n_elements", "dof", "err_rel", "err_abs",
+               "ref_degree")
+
+    def __init__(self, regime: str, eps1: float, eps2: float, p: int, n_elements: int,
+                 dof: int, err_rel: float, err_abs: float, ref_degree: int):
+        # err_rel is a fraction, not a percent
+        vars(self).update(regime=regime, eps1=eps1, eps2=eps2, p=p, n_elements=n_elements,
+                          dof=dof, err_rel=err_rel, err_abs=err_abs, ref_degree=ref_degree)
 
 
-@dataclass(frozen=True)
-class CaseFailure:
-    eps1: float
-    eps2: float
-    p: int
-    message: str
+class CaseFailure(Frozen):
+    _fields = ("eps1", "eps2", "p", "message")
+
+    def __init__(self, eps1: float, eps2: float, p: int, message: str):
+        vars(self).update(eps1=eps1, eps2=eps2, p=p, message=message)
 
 
 def sbl_mesh(problem: ProblemSpec, p: int, kappa: float = 1.0) -> Mesh:
@@ -374,6 +370,8 @@ def _workers(n_degrees: int, n_cases: int) -> int:
     """The number of shares convergence_sweep deals n_degrees degrees
     (n_cases cases over all problems) into: forking.usable_cpus(), capped
     at n_degrees and at one per MIN_SHARE_CASES cases."""
+    from wg_hp.forking import usable_cpus
+
     return max(1, min(usable_cpus(), n_degrees, n_cases // MIN_SHARE_CASES))
 
 
@@ -398,6 +396,8 @@ def convergence_sweep(
     failures come in problem order, then p_range order, the same for any
     worker count.  p_range must not repeat a degree.
     """
+    from wg_hp.forking import run_shares
+
     problems, p_range = list(problems), list(p_range)
     if len(set(p_range)) != len(p_range):
         raise ValueError("p_range must not repeat a degree")

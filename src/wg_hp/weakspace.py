@@ -15,11 +15,11 @@ all apply these matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from wg_hp._frozen import Frozen
 from wg_hp.coeffexpr import Expr, evaluate
 from wg_hp.polybasis import ElementPoly, basis_tables, gauss_rule, quad_order
 from wg_hp.slmesh import Mesh
@@ -72,19 +72,18 @@ def _jumps(coeffs, vb) -> tuple[np.ndarray, np.ndarray]:
     return coeffs @ alt - vb[..., :-1], coeffs @ ones - vb[..., 1:]
 
 
-@dataclass(frozen=True)
-class BrokenPoly:
+class BrokenPoly(Frozen):
     """Mesh-aligned per-element polynomials of one degree."""
 
-    mesh: Mesh
-    coeffs: np.ndarray = field(repr=False)  # shape (N, degree+1)
+    _fields = ("mesh", "coeffs")
+    _hidden = ("coeffs",)
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[0] != self.mesh.n_elements:
+    def __init__(self, mesh: Mesh, coeffs: np.ndarray):
+        c = np.array(coeffs, dtype=float)  # shape (N, degree+1)
+        if c.ndim != 2 or c.shape[0] != mesh.n_elements:
             raise ValueError("coefficient block count must equal element count")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        vars(self).update(mesh=mesh, coeffs=c)
 
     @property
     def degree(self) -> int:
@@ -99,25 +98,22 @@ class BrokenPoly:
         return float(np.sum(self.coeffs**2 * (self.mesh.widths[:, None] / odd)))
 
 
-@dataclass(frozen=True)
-class WeakFunction:
+class WeakFunction(Frozen):
     """Discrete unknown: interior coefficients (N, p+1) plus node values (N+1,)."""
 
-    mesh: Mesh
-    coeffs: np.ndarray = field(repr=False)
-    vb: np.ndarray = field(repr=False)
+    _fields = ("mesh", "coeffs", "vb")
+    _hidden = ("coeffs", "vb")
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        v = np.array(self.vb, dtype=float)
-        if c.ndim != 2 or c.shape[0] != self.mesh.n_elements:
+    def __init__(self, mesh: Mesh, coeffs: np.ndarray, vb: np.ndarray):
+        c = np.array(coeffs, dtype=float)
+        v = np.array(vb, dtype=float)
+        if c.ndim != 2 or c.shape[0] != mesh.n_elements:
             raise ValueError("coefficient block count must equal element count")
-        if v.shape != (self.mesh.n_elements + 1,):
+        if v.shape != (mesh.n_elements + 1,):
             raise ValueError("vb length must equal node count")
         c.setflags(write=False)
         v.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "vb", v)
+        vars(self).update(mesh=mesh, coeffs=c, vb=v)
 
     @property
     def degree(self) -> int:

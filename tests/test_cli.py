@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wg_hp import cli
 from wg_hp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -224,14 +225,28 @@ def test_usage_error_exit_code(capsys):
 
 @pytest.mark.parametrize("command", [["solve", "--p", "2"], ["convergence", "--p-range", "1..2"]])
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
-def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, command, flag):
-    # one stderr line and exit code 2, not a traceback and the check-failure code
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag):
+    # one stderr line and exit code 2, not a traceback and the check-failure code,
+    # before any solve, and with no output file created or truncated
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the output paths")
+
+    monkeypatch.setattr(cli, "convergence_sweep", no_solve)
+    monkeypatch.setattr(cli, "solve_on_sbl_mesh", no_solve)
     path = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(command + [flag, str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"wg-hp: cannot write {path}: No such file or directory\n"
     assert main(command + [flag, str(tmp_path)]) == EXIT_USAGE  # a directory
     assert capsys.readouterr().err == f"wg-hp: cannot write {tmp_path}: Is a directory\n"
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    other = "--svg" if flag == "--out" else "--out"
+    assert main(command + [other, str(kept), flag, str(path)]) == EXIT_USAGE
+    assert kept.read_text() == "earlier output\n"
+    assert main(command + [flag, str(kept / "x.csv")]) == EXIT_USAGE  # under a file
+    assert capsys.readouterr().err.endswith(": Not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
 
 
 def test_convergence_csv_schema_and_determinism(tmp_path):
