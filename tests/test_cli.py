@@ -243,6 +243,7 @@ def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, co
     kept.write_text("earlier output\n")
     other = "--svg" if flag == "--out" else "--out"
     assert main(command + [other, str(kept), flag, str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == err
     assert kept.read_text() == "earlier output\n"
     assert main(command + [flag, str(kept / "x.csv")]) == EXIT_USAGE  # under a file
     assert capsys.readouterr().err.endswith(": Not a directory\n")
