@@ -49,11 +49,11 @@ def test_solve_rejects_a_non_finite_solution():
 def test_dofmap_counts():
     dof = DofMap(3, 4)
     assert dof.total == 17
-    assert dof.coeff_index(2, 4) == 14
-    assert dof.node_index(0) is None
-    assert dof.node_index(3) is None
-    assert dof.node_index(1) == 15
-    assert dof.node_index(2) == 16
+    coeffs, vb = dof.split(np.arange(dof.total))
+    assert coeffs.shape == (3, 5) and coeffs[2, 4] == 14
+    # the interior node values follow the coefficients; the boundary node
+    # values are eliminated, and split gives them as zero
+    np.testing.assert_array_equal(vb, [0, 15, 16, 0])
 
 
 def test_matrix_dimensions_match_dofmap():

@@ -9,7 +9,7 @@ import pytest
 
 from wg_hp import DofMap, model_problem, parse, user_mesh
 from wg_hp.checks import SuiteResult
-from wg_hp.problem import MuPair
+from wg_hp.problem import MuPair, ProblemSpec
 from wg_hp.verify import CaseFailure, ConvergenceRecord
 
 
@@ -18,6 +18,10 @@ def _record(**changes):
                   err_rel=0.01, err_abs=0.001, ref_degree=6)
     fields.update(changes)
     return ConvergenceRecord(**fields)
+
+
+def _spec(eps1=1e-4):
+    return ProblemSpec(eps1, 1e-2, parse("1"), parse("2*x"), parse("exp(x)"))
 
 
 # (value, its repr, an equal value built afresh, an unequal value)
@@ -33,8 +37,13 @@ VALUES = [
      "ConvergenceRecord(regime='RCD', eps1=0.0001, eps2=0.01, p=3, n_elements=3, "
      "dof=14, err_rel=0.01, err_abs=0.001, ref_degree=6)",
      _record(), _record(err_abs=0.002)),
+    (_spec(),
+     "ProblemSpec(eps1=0.0001, eps2=0.01, b=Num(value=1.0), "
+     "r=BinOp(op='*', left=Num(value=2.0), right=Var()), f=Call(func='exp', arg=Var()), "
+     "b_prime=Num(value=0.0))",
+     _spec(), _spec(eps1=2e-4)),
 ]
-IDS = ["Expr", "MuPair", "DofMap", "CaseFailure", "ConvergenceRecord"]
+IDS = ["Expr", "MuPair", "DofMap", "CaseFailure", "ConvergenceRecord", "ProblemSpec"]
 
 
 @pytest.mark.parametrize("value, text, same, other", VALUES, ids=IDS)

@@ -388,6 +388,14 @@ def test_mesh_mismatch_raises():
         _ = u - w
 
 
+def test_a_weak_function_never_equals_a_broken_polynomial():
+    mesh = user_mesh([0.0, 0.5, 1.0])
+    coeffs = np.zeros((2, 3))
+    v, poly = WeakFunction(mesh, coeffs, np.zeros(3)), BrokenPoly(mesh, coeffs)
+    assert v != poly and poly != v
+    assert not v == poly and not poly == v
+
+
 def test_pad_to_degree():
     mesh = user_mesh([0.0, 1.0])
     v = WeakFunction(mesh, [[1.0, 2.0]], [0.0, 3.0])
