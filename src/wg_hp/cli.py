@@ -8,8 +8,9 @@ column is written as 0 so identical invocations produce byte-identical
 files.  Exit codes: 0 success, 1 check-suite failure, 2 usage or config
 error (including an output file that cannot be written), 3 expression
 syntax error, 4 assumption or validation failure (including a layer too
-thin for the mesh to resolve and a solution that is not finite), 5
-partial completion of a parameter sweep.
+thin for the mesh to resolve, a coefficient undefined at a point the
+solver samples and a solution that is not finite), 5 partial completion
+of a parameter sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from wg_hp.assembly import SingularSystemError
-from wg_hp.coeffexpr import ExprSyntaxError, parse
+from wg_hp.coeffexpr import EvalDomainError, ExprSyntaxError, parse
 from wg_hp.problem import AssumptionError, ProblemSpec
 from wg_hp.slmesh import MeshDegeneracyError
 from wg_hp.verify import (
@@ -336,7 +337,8 @@ def main(argv=None) -> int:
     except ExprSyntaxError as exc:
         print(f"wg-hp: expression error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (AssumptionError, BoundaryValueError, MeshDegeneracyError, SingularSystemError) as exc:
+    except (AssumptionError, BoundaryValueError, EvalDomainError, MeshDegeneracyError,
+            SingularSystemError) as exc:
         print(f"wg-hp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConfigError, ValueError) as exc:

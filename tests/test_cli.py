@@ -169,6 +169,21 @@ def test_manufactured_u_undefined_at_an_end_point_is_a_validation_error(command,
     )
 
 
+@pytest.mark.parametrize("option, expr, message", [
+    # undefined at a Gauss point of the last element, past the last
+    # interior validation sample
+    ("--f", "sqrt(0.999-x)", "sqrt of negative value in subexpression sqrt((0.999-x))"),
+    # undefined at a point of compute_mu's grid, not of validation's
+    ("--r", "1+0/(x-0.00048828125)",
+     "division by zero in subexpression (0.0/(x-0.00048828125))"),
+], ids=["f", "r"])
+def test_solve_rejects_a_coefficient_undefined_past_validation(option, expr, message, capsys):
+    assert main(["solve", option, expr, "--p", "4"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"wg-hp: {message}\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_solve_rejects_an_overflowing_coefficient_by_name(capsys):
     # r = exp(800*x) is inf from x = 0.888; validation names r, with no
