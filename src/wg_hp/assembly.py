@@ -57,16 +57,6 @@ class DofMap(Frozen):
     def total(self) -> int:
         return self.n_elements * (self.degree + 1) + self.n_elements - 1
 
-    def coeff_index(self, j: int, k: int) -> int:
-        return j * (self.degree + 1) + k
-
-    def node_index(self, node: int) -> int | None:
-        """Global index of v_b at the given mesh node; None for the
-        eliminated boundary nodes."""
-        if node == 0 or node == self.n_elements:
-            return None
-        return self.n_elements * (self.degree + 1) + node - 1
-
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(coeffs (..., N, p+1), vb (..., N+1)) of solution vectors x
         (..., n) in this numbering, the boundary node values zero: the one
@@ -91,29 +81,33 @@ class AssembledSystem(Frozen):
 
 @lru_cache(maxsize=None)
 def _local_dofs(N: int, p: int):
-    """(flat, jump_right, jump_both) for N elements of degree p, shared and
-    read-only.  flat (N, p+3, p+3) holds, for each entry of each element
-    matrix, its index in the row-major n x n global matrix (n the number of
-    unknowns); the local dofs are [c_0..c_p, vb_left, vb_right], and every
-    entry in a row or column of an eliminated boundary node value goes to
-    the one spare index n*n, which assemble drops.  jump_right and
+    """(coeff_index, flat, jump_right, jump_both) for N elements of degree
+    p, shared and read-only.  coeff_index (N*(p+1),) holds the global index
+    of every interior coefficient, element by element, and flat
+    (N, p+3, p+3), for each entry of each element matrix, its index in the
+    row-major n x n global matrix (n the number of unknowns); both are read
+    from DofMap.split.  The local dofs are [c_0..c_p, vb_left, vb_right],
+    and every entry in a row or column of an eliminated boundary node value
+    goes to the one spare index n*n, which assemble drops.  jump_right and
     jump_both are the jump blocks t_right t_right^T and that plus
     t_left t_left^T, with t the jump row vectors (v0 - vb) at each end of
-    an element and P_k(-1) = (-1)^k."""
-    n = DofMap(N, p).total
-    node_index = np.concatenate([[-1], N * (p + 1) + np.arange(N - 1), [-1]])
-    dof_index = np.column_stack(
-        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
-    )
-    rows, cols = dof_index[:, :, None], dof_index[:, None, :]
+    an element."""
+    dof = DofMap(N, p)
+    n = dof.total
+    # unknown i split as the value i + 1, so an eliminated node reads -1
+    coeffs, vb = dof.split(np.arange(1.0, n + 1))
+    index = np.column_stack([coeffs, vb[:-1], vb[1:]]).astype(int) - 1
+    rows, cols = index[:, :, None], index[:, None, :]
     flat = np.where((rows < 0) | (cols < 0), n * n, rows * n + cols)
-    t_left = np.concatenate([(-1.0) ** np.arange(p + 1), [-1.0, 0.0]])
-    t_right = np.concatenate([np.ones(p + 1), [0.0, -1.0]])
+    alt, ones, _ = _degree_tables(p + 1)
+    t_left = np.concatenate([alt, [-1.0, 0.0]])
+    t_right = np.concatenate([ones, [0.0, -1.0]])
     jump_right = t_right[:, None] * t_right
     jump_both = jump_right + t_left[:, None] * t_left
-    for table in (flat, jump_right, jump_both):
+    coeff_index = index[:, : p + 1].ravel()
+    for table in (coeff_index, flat, jump_right, jump_both):
         table.setflags(write=False)
-    return flat, jump_right, jump_both
+    return coeff_index, flat, jump_right, jump_both
 
 
 def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) -> tuple:
@@ -129,7 +123,7 @@ def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) ->
     nq = quad_order(p, nquad)
     _, vander, _ = basis_tables(p, nq)
     n = DofMap(N, p).total
-    flat, jump_right, jump_both = _local_dofs(N, p)
+    coeff_index, flat, jump_right, jump_both = _local_dofs(N, p)
 
     # the coefficients on every element's quadrature points, one row each,
     # evaluated once per call
@@ -163,7 +157,7 @@ def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) ->
     A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=k * (n * n + 1))
     # added to zeros, not assigned, so a -0.0 load entry becomes 0.0
     rhs = np.zeros(lead + (n,))
-    rhs[..., : N * (p + 1)] += load.reshape(lead + (-1,))
+    rhs[..., coeff_index] += load.reshape(lead + (-1,))
     return A.reshape(k, -1)[:, : n * n].reshape(lead + (n, n)), rhs
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,31 +29,28 @@ class Regime(enum.Enum):
     REACTION_DIFFUSION = "reaction-diffusion"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Coefficients and parameters of the continuous problem on (0,1)."""
+class ProblemSpec(Frozen):
+    """Coefficients and parameters of the continuous problem on (0,1);
+    b_prime is derived from b when omitted."""
 
-    eps1: float
-    eps2: float
-    b: Expr
-    r: Expr
-    f: Expr
-    b_prime: Expr = field(default=None)  # derived from b when omitted
+    _fields = ("eps1", "eps2", "b", "r", "f", "b_prime")
 
-    def __post_init__(self):
-        if not 0 < self.eps1 <= 1:
-            raise ValueError(f"eps1 must lie in (0,1], got {self.eps1!r}")
-        if not 0 < self.eps2 <= 1:
-            raise ValueError(f"eps2 must lie in (0,1], got {self.eps2!r}")
-        if self.b_prime is None:
-            object.__setattr__(self, "b_prime", differentiate(self.b))
+    def __init__(self, eps1: float, eps2: float, b: Expr, r: Expr, f: Expr,
+                 b_prime: Expr | None = None):
+        if not 0 < eps1 <= 1:
+            raise ValueError(f"eps1 must lie in (0,1], got {eps1!r}")
+        if not 0 < eps2 <= 1:
+            raise ValueError(f"eps2 must lie in (0,1], got {eps2!r}")
+        if b_prime is None:
+            b_prime = differentiate(b)
+        vars(self).update(eps1=eps1, eps2=eps2, b=b, r=r, f=f, b_prime=b_prime)
 
     @classmethod
     def from_strings(cls, eps1: float, eps2: float, b: str, r: str, f: str) -> "ProblemSpec":
         return cls(eps1, eps2, parse(b), parse(r), parse(f))
 
     # The set-up depends only on the problem, so each instance computes it
-    # once; dataclasses.replace gives a fresh instance with a fresh set-up.
+    # once; the constructor gives a fresh instance with a fresh set-up.
     # cached_property caches no exception: a failing validate raises on
     # every access.
 

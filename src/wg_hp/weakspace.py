@@ -98,34 +98,23 @@ class BrokenPoly(Frozen):
         return float(np.sum(self.coeffs**2 * (self.mesh.widths[:, None] / odd)))
 
 
-class WeakFunction(Frozen):
+class WeakFunction(BrokenPoly):
     """Discrete unknown: interior coefficients (N, p+1) plus node values (N+1,)."""
 
     _fields = ("mesh", "coeffs", "vb")
     _hidden = ("coeffs", "vb")
 
     def __init__(self, mesh: Mesh, coeffs: np.ndarray, vb: np.ndarray):
-        c = np.array(coeffs, dtype=float)
+        super().__init__(mesh, coeffs)
         v = np.array(vb, dtype=float)
-        if c.ndim != 2 or c.shape[0] != mesh.n_elements:
-            raise ValueError("coefficient block count must equal element count")
         if v.shape != (mesh.n_elements + 1,):
             raise ValueError("vb length must equal node count")
-        c.setflags(write=False)
         v.setflags(write=False)
-        vars(self).update(mesh=mesh, coeffs=c, vb=v)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
+        vars(self)["vb"] = v
 
     @classmethod
     def zeros(cls, mesh: Mesh, p: int) -> "WeakFunction":
         return cls(mesh, np.zeros((mesh.n_elements, p + 1)), np.zeros(mesh.n_elements + 1))
-
-    def element_poly(self, j: int) -> ElementPoly:
-        a, b = self.mesh.element(j)
-        return ElementPoly(a, b, self.coeffs[j])
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """(v0 - vb) at the left and right endpoint of every element."""

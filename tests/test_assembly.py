@@ -132,7 +132,8 @@ def test_stabilizer_block_scales_with_eps1():
     s2 = assemble(prob2, mesh, p)
     # with eps2 negligible the interior-node diagonal is pure penalty,
     # sigma_j = eps1 p^2 / h, so doubling eps1 doubles it
-    i = s1.dof_map.node_index(1)
+    _, vb = s1.dof_map.split(np.arange(s1.dof_map.total))
+    i = int(vb[1])  # the first interior node value
     assert s2.matrix[i, i] == pytest.approx(2 * s1.matrix[i, i], rel=1e-5)
 
 
@@ -222,13 +223,15 @@ def test_local_dof_tables_are_shared_and_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
-    flat, jump_right, jump_both = tables
+    coeff_index, flat, jump_right, jump_both = tables
     dof = DofMap(3, 4)
     n = dof.total
+    coeffs, vb = dof.split(np.arange(n))
+    np.testing.assert_array_equal(coeff_index, coeffs.ravel())
     assert flat.shape == (3, 7, 7)
     # element 1: its coefficients, then the two interior node values, each
     # pair of them at its row-major index of the n x n matrix
-    dofs = np.array(list(range(5, 10)) + [dof.node_index(1), dof.node_index(2)])
+    dofs = np.concatenate([coeffs[1], vb[1:3]])
     np.testing.assert_array_equal(flat[1], dofs[:, None] * n + dofs)
     # the eliminated boundary node values' rows and columns go to the spare bin
     assert (flat[0, 5] == n * n).all() and (flat[0, :, 5] == n * n).all()
