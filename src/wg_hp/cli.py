@@ -189,14 +189,23 @@ def _build_parser():
     return top, subs, actions
 
 
-def _problem(args, eps1, eps2):
-    """(case, spec) for one eps pair; case is the manufactured case, or None
-    without --manufactured-u."""
-    spec = ProblemSpec(eps1, eps2, parse(args.b), parse(args.r), parse(args.f))
-    if args.manufactured_u is None:
-        return None, spec
-    case = manufacture(args.manufactured_u, spec)
-    return case, case.problem
+def _problems(args, eps_pairs) -> list:
+    """(case, spec) for each eps pair; case is the manufactured case, or
+    None without --manufactured-u.  The pairs share one parse of each
+    expression and one b', so a stack sees the same objects."""
+    b, r, f, u = parse(args.b), parse(args.r), parse(args.f), args.manufactured_u
+    b_prime, out = None, []
+    for eps1, eps2 in eps_pairs:
+        spec = ProblemSpec(eps1, eps2, b, r, f, b_prime)
+        b_prime = spec.b_prime
+        if u is None:
+            out.append((None, spec))
+        else:
+            # a manufactured f depends on eps, so it is built per pair
+            case = manufacture(u, spec)
+            u = case.u_exact
+            out.append((case, case.problem))
+    return out
 
 
 def _write(path: str, text: str):
@@ -239,7 +248,7 @@ def _write_out(args, text: str):
 def run_solve(args) -> int:
     p = args.p
     nquad = case_nquad(p, args.quad_double)
-    case, prob = _problem(args, args.eps1, args.eps2)
+    ((case, prob),) = _problems(args, [(args.eps1, args.eps2)])
     _check_outputs(args)
     regime, mesh, u_p = solve_on_sbl_mesh(prob, p, args.kappa, nquad=nquad)
 
@@ -275,8 +284,7 @@ def run_convergence(args) -> int:
         eps_grid = [(args.eps1, args.eps2)]
     p_range = parse_p_range(args.p_range if args.p_range is not None else str(args.p))
 
-    # the problem is built per pair: a manufactured f depends on eps
-    problems = [_problem(args, eps1, eps2)[1] for eps1, eps2 in eps_grid]
+    problems = [spec for _, spec in _problems(args, eps_grid)]
     _check_outputs(args)
     records, failures = convergence_sweep(
         problems, p_range, kappa=args.kappa, quad_double=args.quad_double

@@ -55,12 +55,12 @@ def element_quadrature(nodes, nq: int, *exprs) -> tuple:
 def _evaluate_stack(expr, x) -> np.ndarray:
     """expr at the points x.  expr may instead be a sequence of k
     expressions, one per row of x's leading axis: they are evaluated once
-    on all of x when they are all equal (==), else each on its own row.
-    Each point's value is the same either way."""
+    on all of x when they are all the same object or equal (==), else each
+    on its own row.  Each point's value is the same either way."""
     if isinstance(expr, Expr):
         return evaluate(expr, x)
     first, *rest = expr
-    if all(e == first for e in rest):
+    if all(e is first or e == first for e in rest):
         return evaluate(first, x)
     return np.stack([evaluate(e, row) for e, row in zip(expr, x)])
 

@@ -668,6 +668,24 @@ def test_stacked_assembly_evaluates_an_equal_coefficient_once(monkeypatch):
         (probs[0].b, pts), (probs[0].b_prime, pts), (probs[0].r, pts), (probs[0].b, nodes)]
 
 
+def test_stacked_assembly_compares_no_tree_of_a_shared_coefficient(monkeypatch):
+    from wg_hp._frozen import Frozen
+
+    # the problems share one object per coefficient, as the CLI's eps pairs do
+    first = model_problem(1e-6, 1e-2)
+    shared = [first] + [ProblemSpec(eps1, 1e-2, first.b, first.r, first.f, first.b_prime)
+                        for eps1 in (1e-5, 1e-4)]
+    meshes = [user_mesh(nodes) for nodes in STACK_NODES[3][:3]]
+    expected = assemble_stack([model_problem(prob.eps1, prob.eps2) for prob in shared], meshes, 4)
+    compared = []
+    real_eq = Frozen.__eq__
+    monkeypatch.setattr(Frozen, "__eq__", lambda a, b: compared.append(a) or real_eq(a, b))
+    got = assemble_stack(shared, meshes, 4)
+    assert compared == []
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_stacked_assembly_rejects_meshes_of_different_sizes():
     meshes = [user_mesh(STACK_NODES[2][0]), user_mesh(STACK_NODES[3][0])]
     with pytest.raises(ValueError, match="same number of elements"):

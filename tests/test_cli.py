@@ -169,6 +169,18 @@ def test_manufactured_u_undefined_at_an_end_point_is_a_validation_error(command,
     )
 
 
+def test_the_eps_pairs_share_one_parse_of_each_expression():
+    parser, _, _ = cli._build_parser()
+    pairs = [(1e-6, 1e-2), (1e-4, 1e-2)]
+    (_, one), (_, two) = cli._problems(parser.parse_args(["convergence"]), pairs)
+    assert all(getattr(one, k) is getattr(two, k) for k in ("b", "r", "f", "b_prime"))
+    args = parser.parse_args(["convergence", "--manufactured-u", "x*(1-x)"])
+    (case1, one), (case2, two) = cli._problems(args, pairs)
+    assert case1.u_exact is case2.u_exact
+    assert all(getattr(one, k) is getattr(two, k) for k in ("b", "r", "b_prime"))
+    assert one.f != two.f  # a manufactured f depends on eps
+
+
 @pytest.mark.parametrize("option, expr, message", [
     # undefined at a Gauss point of the last element, past the last
     # interior validation sample
