@@ -60,7 +60,8 @@ class DofMap(Frozen):
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(coeffs (..., N, p+1), vb (..., N+1)) of solution vectors x
         (..., n) in this numbering, the boundary node values zero: the one
-        place that reads the layout of the unknowns."""
+        place that reads the layout of the unknowns, assembly's index
+        tables included."""
         N, m = self.n_elements, self.n_elements * (self.degree + 1)
         vb = np.zeros(x.shape[:-1] + (N + 1,))
         vb[..., 1:N] = x[..., m:]
@@ -82,16 +83,16 @@ class AssembledSystem(Frozen):
 @lru_cache(maxsize=None)
 def _local_dofs(N: int, p: int):
     """(coeff_index, flat, jump_right, jump_both) for N elements of degree
-    p, shared and read-only.  coeff_index (N*(p+1),) holds the global index
-    of every interior coefficient, element by element, and flat
-    (N, p+3, p+3), for each entry of each element matrix, its index in the
-    row-major n x n global matrix (n the number of unknowns); both are read
-    from DofMap.split.  The local dofs are [c_0..c_p, vb_left, vb_right],
-    and every entry in a row or column of an eliminated boundary node value
-    goes to the one spare index n*n, which assemble drops.  jump_right and
-    jump_both are the jump blocks t_right t_right^T and that plus
-    t_left t_left^T, with t the jump row vectors (v0 - vb) at each end of
-    an element."""
+    p, shared and read-only, with the global indices read from
+    DofMap.split.  coeff_index holds the index of every interior
+    coefficient, element by element, and flat (N, p+3, p+3) that of each
+    entry of each element matrix in the row-major n x n global matrix (n
+    the number of unknowns).  The local dofs are [c_0..c_p, vb_left,
+    vb_right]; every entry in a row or column of an eliminated boundary
+    node value goes to the one spare index n*n, which assemble drops.
+    jump_right and jump_both are the jump blocks t_right t_right^T and
+    that plus t_left t_left^T, with t the jump row vectors (v0 - vb) at
+    each end of an element."""
     dof = DofMap(N, p)
     n = dof.total
     # unknown i split as the value i + 1, so an eliminated node reads -1

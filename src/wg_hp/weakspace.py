@@ -99,7 +99,8 @@ class BrokenPoly(Frozen):
 
 
 class WeakFunction(BrokenPoly):
-    """Discrete unknown: interior coefficients (N, p+1) plus node values (N+1,)."""
+    """Discrete unknown: the broken polynomial v0, interior coefficients
+    (N, p+1), plus node values vb (N+1,)."""
 
     _fields = ("mesh", "coeffs", "vb")
     _hidden = ("coeffs", "vb")
