@@ -82,33 +82,45 @@ class AssembledSystem(Frozen):
 
 @lru_cache(maxsize=None)
 def _local_dofs(N: int, p: int):
-    """(coeff_index, flat, jump_right, jump_both) for N elements of degree
-    p, shared and read-only, with the global indices read from
-    DofMap.split.  coeff_index holds the index of every interior
-    coefficient, element by element, and flat (N, p+3, p+3) that of each
-    entry of each element matrix in the row-major n x n global matrix (n
-    the number of unknowns).  The local dofs are [c_0..c_p, vb_left,
-    vb_right]; every entry in a row or column of an eliminated boundary
-    node value goes to the one spare index n*n, which assemble drops.
-    jump_right and jump_both are the jump blocks t_right t_right^T and
-    that plus t_left t_left^T, with t the jump row vectors (v0 - vb) at
-    each end of an element."""
+    """(coeff_index, runs) for N elements of degree p, shared and read-only,
+    both read from DofMap.split.  coeff_index holds the index of every
+    interior coefficient, element by element.  runs holds, per element,
+    a (local, global) pair of slices for each of its two runs of unknowns:
+    its coefficients c_0..c_p and its interior node values, each contiguous
+    in the local dofs [c_0..c_p, vb_left, vb_right] and in the global
+    numbering; an eliminated boundary node value is in neither."""
     dof = DofMap(N, p)
-    n = dof.total
     # unknown i split as the value i + 1, so an eliminated node reads -1
-    coeffs, vb = dof.split(np.arange(1.0, n + 1))
+    coeffs, vb = dof.split(np.arange(1.0, dof.total + 1))
     index = np.column_stack([coeffs, vb[:-1], vb[1:]]).astype(int) - 1
-    rows, cols = index[:, :, None], index[:, None, :]
-    flat = np.where((rows < 0) | (cols < 0), n * n, rows * n + cols)
+    runs = []
+    for row in index.tolist():
+        own = []
+        for lo, hi in ((0, p + 1), (p + 1, p + 3)):
+            kept = [i for i in range(lo, hi) if row[i] >= 0]
+            if kept:
+                own.append((slice(kept[0], kept[-1] + 1), slice(row[kept[0]], row[kept[-1]] + 1)))
+        runs.append(tuple(own))
+    coeff_index = index[:, : p + 1].ravel()
+    coeff_index.setflags(write=False)
+    return coeff_index, tuple(runs)
+
+
+@lru_cache(maxsize=None)
+def _jump_blocks(p: int):
+    """(jump_right, jump_both) of degree p, shared and read-only: the
+    (p+3, p+3) blocks t_right t_right^T and that plus t_left t_left^T, with
+    t the jump row vectors (v0 - vb) at each end of an element acting on its
+    local dofs.  They do not depend on the element, so one pair serves every
+    mesh."""
     alt, ones, _ = _degree_tables(p + 1)
     t_left = np.concatenate([alt, [-1.0, 0.0]])
     t_right = np.concatenate([ones, [0.0, -1.0]])
     jump_right = t_right[:, None] * t_right
     jump_both = jump_right + t_left[:, None] * t_left
-    coeff_index = index[:, : p + 1].ravel()
-    for table in (coeff_index, flat, jump_right, jump_both):
-        table.setflags(write=False)
-    return coeff_index, flat, jump_right, jump_both
+    for block in (jump_right, jump_both):
+        block.setflags(write=False)
+    return jump_right, jump_both
 
 
 def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) -> tuple:
@@ -117,14 +129,13 @@ def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) ->
     coefficients (b, b', r, f), each one Expr or one per mesh (see
     weakspace._evaluate_stack), and penalties (..., N).  The leading axis,
     if any, stacks k systems; each numpy operation runs once on all of
-    them, with the per-element shapes and operand orders of one system."""
+    them, with the per-element shapes and operand orders of one system,
+    and _scatter adds the element blocks into the global matrices."""
     if p < 1:
         raise ValueError("polynomial degree must be >= 1")
-    lead, k, N = eps1.shape, eps1.size, widths.shape[-1]
     nq = quad_order(p, nquad)
     _, vander, _ = basis_tables(p, nq)
-    n = DofMap(N, p).total
-    coeff_index, flat, jump_right, jump_both = _local_dofs(N, p)
+    jump_right, jump_both = _jump_blocks(p)
 
     # the coefficients on every element's quadrature points, one row each,
     # evaluated once per call
@@ -148,18 +159,26 @@ def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) ->
     Aloc += sigmas[..., None, None] * jump_both
     Aloc += (eps2 * b_nodes[..., 1:])[..., None, None] * jump_right
     load = (vander.T * w[..., None, :]) @ fv[..., None]
+    return _scatter(Aloc, load, widths.shape[-1], p)
 
-    # one scatter: bincount adds the blocks in element order, so an entry
-    # shared by two elements is summed as an element-by-element scatter
-    # sums it; system i of a stack takes the n*n + 1 bins from i*(n*n + 1),
-    # the last its spare, so the matrices are views and no index collides
-    if lead:
-        flat = flat + (n * n + 1) * np.arange(k)[:, None, None, None]
-    A = np.bincount(flat.ravel(), weights=Aloc.ravel(), minlength=k * (n * n + 1))
-    # added to zeros, not assigned, so a -0.0 load entry becomes 0.0
+
+def _scatter(blocks, loads, N: int, p: int) -> tuple:
+    """(matrices (..., n, n), loads (..., n)) of the element blocks
+    (..., N, p+3, p+3) and loads (..., N, p+1, 1) of N elements of degree p.
+    Each block is added into zeros in element order, as one slice-add per
+    pair of its runs (see _local_dofs), so a -0.0 becomes 0.0 and no array
+    larger than the matrices is made."""
+    lead, n = blocks.shape[:-3], DofMap(N, p).total
+    coeff_index, runs = _local_dofs(N, p)
+    A = np.zeros(lead + (n, n))
+    for j, own in enumerate(runs):
+        for rows, grows in own:
+            for cols, gcols in own:
+                part = A[..., grows, gcols]  # A[...] += would copy it back too
+                part += blocks[..., j, rows, cols]
     rhs = np.zeros(lead + (n,))
-    rhs[..., coeff_index] += load.reshape(lead + (-1,))
-    return A.reshape(k, -1)[:, : n * n].reshape(lead + (n, n)), rhs
+    rhs[..., coeff_index] += loads.reshape(lead + (-1,))
+    return A, rhs
 
 
 def assemble_stack(problems, meshes, p: int, sigmas=None, nquad: int | None = None) -> tuple:
@@ -170,7 +189,9 @@ def assemble_stack(problems, meshes, p: int, sigmas=None, nquad: int | None = No
     (k, N, ...) arrays, so system i is bit for bit what assemble gives for
     its problem alone: the same kernel without the stack axis.  A
     coefficient that is equal (==) across the problems is evaluated once on
-    all their points."""
+    all their points.  The matrices take k*n*n*8 bytes, and the temporaries
+    of the kernel grow with them; verify.STACK_BYTES bounds the stacks of
+    the sweep."""
     if len({mesh.n_elements for mesh in meshes}) > 1:
         raise ValueError("the meshes of a stack must have the same number of elements")
     if sigmas is None:

@@ -9,8 +9,9 @@ files.  Exit codes: 0 success, 1 check-suite failure, 2 usage or config
 error (including an output file that cannot be written), 3 expression
 syntax error, 4 assumption or validation failure (including a layer too
 thin for the mesh to resolve, a coefficient undefined at a point the
-solver samples and a solution that is not finite), 5 partial completion
-of a parameter sweep.
+solver samples, a b or manufactured u that cannot be differentiated and
+a solution that is not finite), 5 partial completion of a parameter
+sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from wg_hp.assembly import SingularSystemError
-from wg_hp.coeffexpr import EvalDomainError, ExprSyntaxError, parse
+from wg_hp.coeffexpr import EvalDomainError, ExprSyntaxError, UnsupportedDerivativeError, parse
 from wg_hp.problem import AssumptionError, ProblemSpec
 from wg_hp.slmesh import MeshDegeneracyError
 from wg_hp.verify import (
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
         print(f"wg-hp: expression error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except (AssumptionError, BoundaryValueError, EvalDomainError, MeshDegeneracyError,
-            SingularSystemError) as exc:
+            SingularSystemError, UnsupportedDerivativeError) as exc:
         print(f"wg-hp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConfigError, ValueError) as exc:

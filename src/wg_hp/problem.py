@@ -16,7 +16,14 @@ from functools import cached_property
 import numpy as np
 
 from wg_hp._frozen import Frozen
-from wg_hp.coeffexpr import EvalDomainError, Expr, differentiate, evaluate, parse
+from wg_hp.coeffexpr import (
+    EvalDomainError,
+    Expr,
+    UnsupportedDerivativeError,
+    differentiate,
+    evaluate,
+    parse,
+)
 
 
 class AssumptionError(Exception):
@@ -42,7 +49,12 @@ class ProblemSpec(Frozen):
         if not 0 < eps2 <= 1:
             raise ValueError(f"eps2 must lie in (0,1], got {eps2!r}")
         if b_prime is None:
-            b_prime = differentiate(b)
+            try:
+                b_prime = differentiate(b)
+            except UnsupportedDerivativeError as exc:
+                raise UnsupportedDerivativeError(
+                    f"coefficient b(x) cannot be differentiated: {exc}"
+                ) from exc
         vars(self).update(eps1=eps1, eps2=eps2, b=b, r=r, f=f, b_prime=b_prime)
 
     @classmethod

@@ -10,11 +10,12 @@ convergence_sweep sets up each problem once and deals the degrees into
 shares, one per usable CPU as long as each gets MIN_SHARE_CASES cases,
 and runs all but one in forked workers (wg_hp.forking).  A share runs
 degree by degree: the problems whose meshes have the same number of
-elements are assembled and solved together, in stacks of at most
-STACK_MAX, by assembly.assemble_stack and solve_stack, and their errors
-come from one weakspace.energy_norms call, each bit for bit what one
-problem gives alone.  So the records are identical for any worker count
-and any sweep.
+elements are assembled and solved together, by assembly.assemble_stack
+and solve_stack, in stacks whose matrices fit STACK_BYTES (cut apart for
+the p and the 2p solves), and their errors come from one
+weakspace.energy_norms call, each bit for bit what one problem gives
+alone.  So the records are identical for any worker count and any
+sweep.
 """
 
 from __future__ import annotations
@@ -69,8 +70,13 @@ def manufacture(u_text: str | Expr, problem: ProblemSpec) -> ManufacturedCase:
             raise BoundaryValueError(
                 f"manufactured solution must vanish at x={endpoint:g}, got {val:.3g}"
             )
-    du = differentiate(u)
-    ddu = differentiate(du)
+    try:
+        du = differentiate(u)
+        ddu = differentiate(du)
+    except ce.UnsupportedDerivativeError as exc:
+        raise ce.UnsupportedDerivativeError(
+            f"manufactured solution u cannot be differentiated: {exc}"
+        ) from exc
     f = ce.add(
         ce.add(
             ce.neg(ce.mul(ce.Num(problem.eps1), ddu)),
@@ -265,37 +271,44 @@ def convergence_study(
     return convergence_sweep([problem], p_range, kappa, quad_double)
 
 
-# The most problems of one degree and element count that are assembled and
-# solved as one stack.  Stacking saves the fixed cost of each numpy call,
-# but a large stack's arrays outgrow the caches.  Per problem, one degree
-# (p and 2p) of a three-element stack cost, against k = 1 (2-vCPU Xeon):
-# k = 4 saved 56-60% at p = 4, 21-25% at p = 20 and 0-6% at p = 40,
-# while k = 6 or 8 lost from p = 20 on; at p = 64, k = 4 read from 3%
-# faster to 20% slower across runs.  BENCH_25.json holds the curves.
-STACK_MAX = 4
+# The most bytes, k*n*n*8, that the matrices of one stack of k problems
+# may take, for the p and the 2p solves apart.  Stacking saves the fixed
+# cost of each numpy call, but past about 200 KB the heap hands a stack's
+# temporaries back and faults them in again on every call (a warm serial
+# criterion-6 sweep at p = 1..20 took about 85 minor faults a pass with
+# 135-180 KB, 642 with 220 KB and 1,596 with stacks of four; 2-vCPU Xeon),
+# and from p = 20 on stacking saves little (BENCH_25.json's k-curves).
+STACK_BYTES = 140_000
 
 
 def _solve_stack(problems, meshes, p: int, nquad) -> tuple:
-    """The solutions at degree p of problems stacked on their meshes, split
-    (k, N, p+1) and (k, N+1) by DofMap.split.  A stack of one is solved by
-    assemble, without the stack axis: with assemble, energy_error and this
-    branch all on the stacked forms, the highp and check passes ran 6-11%
-    slower (8-19 us more per assemble at p <= 6, 8-11 us per energy_error;
-    medians of 6 alternating pairs of 100 warm passes, 2-vCPU Xeon)."""
-    if len(problems) == 1:
-        system = assemble(problems[0], meshes[0], p, nquad=nquad)
-        x = solve_stack(system.matrix, system.rhs)[None]
-    else:
-        x = solve_stack(*assemble_stack(problems, meshes, p, nquad=nquad))
-    return DofMap(meshes[0].n_elements, p).split(x)
+    """The solutions at degree p of problems on their meshes, split
+    (k, N, p+1) and (k, N+1) by DofMap.split, from stacks of as many
+    problems as STACK_BYTES holds, at least one.  A stack of one is solved
+    by assemble, without the stack axis: with assemble, energy_error and
+    this branch all on the stacked forms, the highp and check passes ran
+    6-11% slower (medians of 6 alternating pairs of 100 warm passes,
+    2-vCPU Xeon)."""
+    dof = DofMap(meshes[0].n_elements, p)
+    size = max(1, STACK_BYTES // (8 * dof.total**2))
+    parts = []
+    for start in range(0, len(problems), size):
+        probs, grids = problems[start : start + size], meshes[start : start + size]
+        if len(probs) == 1:
+            system = assemble(probs[0], grids[0], p, nquad=nquad)
+            parts.append(solve_stack(system.matrix, system.rhs)[None])
+        else:
+            parts.append(solve_stack(*assemble_stack(probs, grids, p, nquad=nquad)))
+    return dof.split(np.concatenate(parts))
 
 
 def _stack_errors(problems, meshes, p: int, nquad) -> list:
-    """energy_error's (absolute, relative) of each problem of a stack, from
-    one stacked solve at p, one at 2p and one energy_norms call, or the
-    exception that its own steps raised.  When a stacked step raises, the
-    stack runs again one problem at a time, so each failure is its own
-    problem's, with the message of its own steps."""
+    """energy_error's (absolute, relative) of each problem, all on meshes
+    with the same number of elements, from the stacked solves at p and at
+    2p and one energy_norms call, or the exception that its own steps
+    raised.  When a stacked step raises, the problems run again one at a
+    time, so each failure is its own problem's, with the message of its
+    own steps."""
     try:
         lo = _solve_stack(problems, meshes, p, nquad)
         hi = _solve_stack(problems, meshes, 2 * p, nquad)
@@ -309,9 +322,8 @@ def _stack_errors(problems, meshes, p: int, nquad) -> list:
 
 def _degree_outcomes(problems, p: int, kappa: float, quad_double: bool) -> list:
     """The ConvergenceRecord, or the CaseFailure, of each set-up problem at
-    degree p: every problem's mesh, then one _stack_errors call per stack
-    of at most STACK_MAX problems with the same element count, in problem
-    order."""
+    degree p: every problem's mesh, then one _stack_errors call for the
+    problems of each element count, in problem order."""
     nquad = case_nquad(p, quad_double)
     errors, meshes, stacks = [None] * len(problems), [None] * len(problems), {}
     for i, problem in enumerate(problems):
@@ -322,11 +334,9 @@ def _degree_outcomes(problems, p: int, kappa: float, quad_double: bool) -> list:
             continue
         stacks.setdefault(meshes[i].n_elements, []).append(i)
     for members in stacks.values():
-        for start in range(0, len(members), STACK_MAX):
-            stack = members[start : start + STACK_MAX]
-            stacked = [problems[i] for i in stack], [meshes[i] for i in stack]
-            for i, error in zip(stack, _stack_errors(*stacked, p, nquad)):
-                errors[i] = error
+        stacked = [problems[i] for i in members], [meshes[i] for i in members]
+        for i, error in zip(members, _stack_errors(*stacked, p, nquad)):
+            errors[i] = error
     outcomes = []
     for problem, mesh, error in zip(problems, meshes, errors):
         if isinstance(error, Exception):

@@ -10,7 +10,9 @@ from wg_hp.assembly import (
     AssembledSystem,
     DofMap,
     SingularSystemError,
+    _jump_blocks,
     _local_dofs,
+    _scatter,
     assemble,
     assemble_stack,
     bilinear_apply,
@@ -217,30 +219,37 @@ def test_vector_round_trip():
 
 
 def test_local_dof_tables_are_shared_and_read_only():
-    tables = _local_dofs(3, 4)
-    assert all(a is b for a, b in zip(tables, _local_dofs(3, 4)))
-    for table in tables:
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 0
-    coeff_index, flat, jump_right, jump_both = tables
+    coeff_index, runs = _local_dofs(3, 4)
+    assert _local_dofs(3, 4)[0] is coeff_index and _local_dofs(3, 4)[1] is runs
+    assert not coeff_index.flags.writeable and isinstance(runs, tuple)
+    with pytest.raises(ValueError):
+        coeff_index[0] = 0
+    # O(N*p): one index per coefficient and two pairs of slices per element
     dof = DofMap(3, 4)
-    n = dof.total
-    coeffs, vb = dof.split(np.arange(n))
+    coeffs, vb = dof.split(np.arange(dof.total))
     np.testing.assert_array_equal(coeff_index, coeffs.ravel())
-    assert flat.shape == (3, 7, 7)
-    # element 1: its coefficients, then the two interior node values, each
-    # pair of them at its row-major index of the n x n matrix
-    dofs = np.concatenate([coeffs[1], vb[1:3]])
-    np.testing.assert_array_equal(flat[1], dofs[:, None] * n + dofs)
-    # the eliminated boundary node values' rows and columns go to the spare bin
-    assert (flat[0, 5] == n * n).all() and (flat[0, :, 5] == n * n).all()
-    assert (flat[2, 6] == n * n).all() and (flat[2, :, 6] == n * n).all()
-    assert np.count_nonzero(flat == n * n) == 2 * (2 * 7 - 1)
+    # each run maps local dofs [c_0..c_4, vb_left, vb_right] onto the global
+    # indices that DofMap.split reads; the boundary node values are in none
+    for j, own in enumerate(runs):
+        local = np.concatenate([coeffs[j], vb[j : j + 2]])
+        assert [rows.start for rows, _ in own] == [0, 5 + (j == 0)]
+        assert sum(rows.stop - rows.start for rows, _ in own) == 5 + 2 - (j == 0) - (j == 2)
+        for rows, grows in own:
+            np.testing.assert_array_equal(local[rows], np.arange(dof.total)[grows])
+    assert [len(own) for own in _local_dofs(1, 4)[1]] == [1]
+    # the jump blocks depend on the degree only: one read-only pair per p
+    jump_right, jump_both = _jump_blocks(4)
+    assert _jump_blocks(4)[0] is jump_right and _jump_blocks(4)[1] is jump_both
+    for block in (jump_right, jump_both):
+        assert not block.flags.writeable
     t_left = np.array([1, -1, 1, -1, 1, -1, 0.0])
     t_right = np.array([1, 1, 1, 1, 1, 0, -1.0])
     np.testing.assert_array_equal(jump_right, np.outer(t_right, t_right))
     np.testing.assert_array_equal(jump_both, np.outer(t_right, t_right) + np.outer(t_left, t_left))
+    _jump_blocks.cache_clear()
+    for N in (2, 3):
+        assemble(UNIT, user_mesh(np.linspace(0.0, 1.0, N + 1)), 4)
+    assert _jump_blocks.cache_info().currsize == 1
 
 
 def _padded_scatter(blocks, N, p):
@@ -257,28 +266,54 @@ def _padded_scatter(blocks, N, p):
     return A.reshape(n + 2, n + 2)[:n, :n]
 
 
+SCATTER_NODES = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0],
+                 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
+
+
 @pytest.mark.parametrize("p", [1, 2, 40, 64])
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_assemble_scatters_as_the_padded_scatter_bit_for_bit(monkeypatch, N, p):
-    # the element blocks assemble hands to bincount, scattered by the oracle
+    import wg_hp.assembly as assembly
+
+    # the element blocks that assemble and assemble_stack hand to their
+    # scatter, scattered by the oracle
     blocks = []
-    real_bincount = np.bincount
-
-    def recording_bincount(x, weights=None, minlength=0):
-        blocks.append(weights.reshape(N, p + 3, p + 3))
-        return real_bincount(x, weights=weights, minlength=minlength)
-
-    monkeypatch.setattr(np, "bincount", recording_bincount)
-    nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
-    mesh = user_mesh(nodes[N])
-    for prob in (UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)):
-        for sigmas in (None, np.zeros(N)):
+    real_scatter = assembly._scatter
+    monkeypatch.setattr(
+        assembly, "_scatter", lambda b, *rest: blocks.append(b) or real_scatter(b, *rest)
+    )
+    mesh = user_mesh(SCATTER_NODES[N])
+    probs = [UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)]
+    for sigmas in (None, np.zeros(N)):
+        for prob in probs:
             blocks.clear()
             system = assemble(prob, mesh, p, sigmas=sigmas)
             (element_blocks,) = blocks
+            assert element_blocks.shape == (N, p + 3, p + 3)
             expect = _padded_scatter(element_blocks, N, p)
             assert system.matrix.shape == expect.shape
             assert system.matrix.tobytes() == expect.tobytes(), (N, p, prob.eps1, sigmas)
+        # the three as one stack
+        blocks.clear()
+        matrices, _ = assemble_stack(probs, [mesh] * 3, p, None if sigmas is None else [sigmas] * 3)
+        (stacked,) = blocks
+        assert stacked.shape == (3, N, p + 3, p + 3)
+        for i in range(3):
+            assert matrices[i].tobytes() == _padded_scatter(stacked[i], N, p).tobytes(), (i, sigmas)
+
+
+def test_scatter_adds_negative_zeros_to_zeros():
+    N, p = 3, 2
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((2, N, p + 3, p + 3)) * 10.0 ** rng.integers(-8, 8, (2, N, 1, 1))
+    blocks[:, :, 1, 1] = -0.0  # an entry of one element only
+    blocks[:, :, -1, -1] = -0.0  # a node value shared by two elements, and the boundary's
+    blocks[:, :, 0, -2] = -0.0
+    loads = np.full((2, N, p + 1, 1), -0.0)
+    matrices, rhs = _scatter(blocks, loads, N, p)
+    for i in range(2):
+        assert matrices[i].tobytes() == _padded_scatter(blocks[i], N, p).tobytes()
+    assert not np.signbit(matrices[matrices == 0.0]).any() and not np.signbit(rhs).any()
 
 
 def test_oracle_paths_evaluate_coefficients_once(monkeypatch):

@@ -169,6 +169,20 @@ def test_manufactured_u_undefined_at_an_end_point_is_a_validation_error(command,
     )
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize("option, expr, name", [
+    ("--b", "abs(x)+1", "coefficient b(x)"),
+    ("--manufactured-u", "x*(1-x)*abs(x-0.5)", "manufactured solution u"),
+], ids=["b", "u"])
+def test_an_expression_that_cannot_be_differentiated_is_a_validation_error(
+    command, option, expr, name, capsys
+):
+    assert main([command, option, expr, "--p", "4"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"wg-hp: {name} cannot be differentiated: abs is not differentiable\n"
+
+
 def test_the_eps_pairs_share_one_parse_of_each_expression():
     parser, _, _ = cli._build_parser()
     pairs = [(1e-6, 1e-2), (1e-4, 1e-2)]

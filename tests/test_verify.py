@@ -512,31 +512,46 @@ def test_sweep_of_a_mixed_grid_matches_per_problem_studies(monkeypatch):
         assert records == expected_records and failures == expected_failures
 
 
-# six three-element pairs (a stack of STACK_MAX and one of two) and two
-# two-element ones, interleaved
+# six three-element pairs and two two-element ones, interleaved
 STACKED_GRID = [(1e-8, 1e-3), (1e-8, 1.0), (1e-6, 1e-2), (1e-6, 1e-6), (1e-4, 1e-5),
                 (1e-6, 1.0), (1e-5, 1e-2), (1e-4, 1e-4)]
 
 
-def test_degree_stacks_problems_by_element_count_up_to_stack_max(monkeypatch):
+def test_degree_stacks_problems_by_element_count_within_the_byte_budget(monkeypatch):
     stacks = []
-    real = verify.assemble_stack
+    real_stack, real_one = verify.assemble_stack, verify.assemble
 
     def recording_assemble_stack(problems, meshes, p, sigmas=None, nquad=None):
         stacks.append((p, [(prob.eps1, prob.eps2) for prob in problems]))
-        return real(problems, meshes, p, sigmas, nquad)
+        return real_stack(problems, meshes, p, sigmas, nquad)
+
+    def recording_assemble(problem, mesh, p, sigmas=None, nquad=None):
+        stacks.append((p, [(problem.eps1, problem.eps2)]))
+        return real_one(problem, mesh, p, sigmas, nquad)
 
     monkeypatch.setattr(verify, "assemble_stack", recording_assemble_stack)
+    monkeypatch.setattr(verify, "assemble", recording_assemble)
     grid = STACKED_GRID
-    assert verify.STACK_MAX == 4
     problems = [model_problem(eps1, eps2) for eps1, eps2 in grid]
-    outcomes = verify._degree_outcomes(problems, 3, 1.0, False)
     three = [grid[i] for i in (0, 2, 3, 4, 6, 7)]
     two = [grid[i] for i in (1, 5)]
-    assert stacks == [(3, three[:4]), (6, three[:4]), (3, three[4:]), (6, three[4:]),
-                      (3, two), (6, two)]
-    # each outcome is the one-problem study's
-    assert outcomes == [convergence_study(prob, [3])[0][0] for prob in problems]
+    # three-element systems: n = 3p + 5 unknowns, n*n*8 bytes each
+    assert [verify.STACK_BYTES // (8 * (3 * p + 5) ** 2) for p in (6, 12, 24, 30)] == [
+        33, 10, 2, 1]
+    for p, expected in [
+        # every stack within the budget
+        (3, [(3, three), (6, three), (3, two), (6, two)]),
+        # the 2p stack cut in pairs
+        (12, [(12, three), (24, three[:2]), (24, three[2:4]), (24, three[4:]),
+              (12, two), (24, two)]),
+        # the 2p stack over the budget for two: one problem at a time
+        (15, [(15, three)] + [(30, [pair]) for pair in three] + [(15, two), (30, two)]),
+    ]:
+        stacks.clear()
+        outcomes = verify._degree_outcomes(problems, p, 1.0, False)
+        assert stacks == expected, p
+        # each outcome is the one-problem study's
+        assert outcomes == [convergence_study(prob, [p])[0][0] for prob in problems]
 
 
 @forks
@@ -556,7 +571,8 @@ def test_sweep_errors_are_energy_error_of_one_problem_solves(monkeypatch, quad_d
             u_lo = solve(assemble(prob, mesh, p, nquad=nquad))
             err_abs, err_rel = energy_error(u_hi, u_lo, prob)
             expected.append((prob.eps1, prob.eps2, p, mesh.n_elements, err_abs, err_rel))
-    assert verify.STACK_MAX == 4
+    # the six three-element pairs are one stack at every p and 2p
+    assert verify.STACK_BYTES >= 6 * 8 * assembly.DofMap(3, 14).total ** 2
     assert sorted(n for _, _, p, n, _, _ in expected if p == 4) == [2, 2] + [3] * 6
 
     def per_case(*args, **kwargs):
