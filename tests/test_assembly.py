@@ -266,10 +266,6 @@ def _padded_scatter(blocks, N, p):
     return A.reshape(n + 2, n + 2)[:n, :n]
 
 
-SCATTER_NODES = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0],
-                 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
-
-
 @pytest.mark.parametrize("p", [1, 2, 40, 64])
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_assemble_scatters_as_the_padded_scatter_bit_for_bit(monkeypatch, N, p):
@@ -282,7 +278,8 @@ def test_assemble_scatters_as_the_padded_scatter_bit_for_bit(monkeypatch, N, p):
     monkeypatch.setattr(
         assembly, "_scatter", lambda b, *rest: blocks.append(b) or real_scatter(b, *rest)
     )
-    mesh = user_mesh(SCATTER_NODES[N])
+    nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
+    mesh = user_mesh(nodes[N])
     probs = [UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)]
     for sigmas in (None, np.zeros(N)):
         for prob in probs:
