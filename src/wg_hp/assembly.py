@@ -13,6 +13,7 @@ them with one LAPACK call.  assemble and solve are their one-problem calls.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -81,29 +82,17 @@ class AssembledSystem(Frozen):
 
 
 @lru_cache(maxsize=None)
-def _local_dofs(N: int, p: int):
-    """(coeff_index, runs) for N elements of degree p, shared and read-only,
-    both read from DofMap.split.  coeff_index holds the index of every
-    interior coefficient, element by element.  runs holds, per element,
-    a (local, global) pair of slices for each of its two runs of unknowns:
-    its coefficients c_0..c_p and its interior node values, each contiguous
-    in the local dofs [c_0..c_p, vb_left, vb_right] and in the global
-    numbering; an eliminated boundary node value is in neither."""
+def _local_dofs(N: int, p: int) -> np.ndarray:
+    """The (N, p+3) global indices of each element's local dofs [c_0..c_p,
+    vb_left, vb_right] for N elements of degree p, shared and read-only,
+    read from DofMap.split; an eliminated boundary node value reads n, a
+    spare index just past the n unknowns."""
     dof = DofMap(N, p)
-    # unknown i split as the value i + 1, so an eliminated node reads -1
-    coeffs, vb = dof.split(np.arange(1.0, dof.total + 1))
-    index = np.column_stack([coeffs, vb[:-1], vb[1:]]).astype(int) - 1
-    runs = []
-    for row in index.tolist():
-        own = []
-        for lo, hi in ((0, p + 1), (p + 1, p + 3)):
-            kept = [i for i in range(lo, hi) if row[i] >= 0]
-            if kept:
-                own.append((slice(kept[0], kept[-1] + 1), slice(row[kept[0]], row[kept[-1]] + 1)))
-        runs.append(tuple(own))
-    coeff_index = index[:, : p + 1].ravel()
-    coeff_index.setflags(write=False)
-    return coeff_index, tuple(runs)
+    # unknown i split as i - n, so an eliminated node, split as 0, reads n
+    coeffs, vb = dof.split(np.arange(-dof.total, 0.0))
+    index = np.column_stack([coeffs, vb[:-1], vb[1:]]).astype(int) + dof.total
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=None)
@@ -165,20 +154,21 @@ def _assemble(nodes, widths, eps1, eps2, coefficients, sigmas, p: int, nquad) ->
 def _scatter(blocks, loads, N: int, p: int) -> tuple:
     """(matrices (..., n, n), loads (..., n)) of the element blocks
     (..., N, p+3, p+3) and loads (..., N, p+1, 1) of N elements of degree p.
-    Each block is added into zeros in element order, as one slice-add per
-    pair of its runs (see _local_dofs), so a -0.0 becomes 0.0 and no array
-    larger than the matrices is made."""
+    One bincount adds every block entry into its bin row*(n+1) + col of an
+    (n+1) x (n+1) matrix, with row and col from _local_dofs; system i of a
+    stack takes the bins from i*(n+1)**2.  The bins sum in element order
+    from 0.0, so a -0.0 becomes 0.0, and the matrices are views of them
+    without the spare row and column of the eliminated node values.  The
+    flat index is built on each call, N*(p+3)**2 entries per system: for
+    three elements, about a third of the matrices' bytes."""
     lead, n = blocks.shape[:-3], DofMap(N, p).total
-    coeff_index, runs = _local_dofs(N, p)
-    A = np.zeros(lead + (n, n))
-    for j, own in enumerate(runs):
-        for rows, grows in own:
-            for cols, gcols in own:
-                part = A[..., grows, gcols]  # A[...] += would copy it back too
-                part += blocks[..., j, rows, cols]
+    index = _local_dofs(N, p)
+    systems = np.arange(math.prod(lead)).reshape(lead + (1, 1, 1))
+    flat = (systems * (n + 1) + index[:, :, None]) * (n + 1) + index[:, None, :]
+    bins = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=systems.size * (n + 1) ** 2)
     rhs = np.zeros(lead + (n,))
-    rhs[..., coeff_index] += loads.reshape(lead + (-1,))
-    return A, rhs
+    rhs[..., index[:, : p + 1]] += loads[..., 0]
+    return bins.reshape(lead + (n + 1, n + 1))[..., :n, :n], rhs
 
 
 def assemble_stack(problems, meshes, p: int, sigmas=None, nquad: int | None = None) -> tuple:
@@ -189,9 +179,10 @@ def assemble_stack(problems, meshes, p: int, sigmas=None, nquad: int | None = No
     (k, N, ...) arrays, so system i is bit for bit what assemble gives for
     its problem alone: the same kernel without the stack axis.  A
     coefficient that is equal (==) across the problems is evaluated once on
-    all their points.  The matrices take k*n*n*8 bytes, and the temporaries
-    of the kernel grow with them; verify.STACK_BYTES bounds the stacks of
-    the sweep."""
+    all their points.  The matrices are views of k*(n+1)**2*8 bytes of
+    bins, and the temporaries of the kernel, the scatter's index among
+    them, grow with them; verify.STACK_BYTES bounds the stacks of the
+    sweep."""
     if len({mesh.n_elements for mesh in meshes}) > 1:
         raise ValueError("the meshes of a stack must have the same number of elements")
     if sigmas is None:

@@ -159,15 +159,11 @@ def default_penalties(mesh: Mesh, p: int, eps1: float) -> np.ndarray:
     return eps1 * p**2 / mesh.widths
 
 
-@lru_cache(maxsize=None)
 def deriv_pairing_matrix(n_test: int, n_trial: int) -> np.ndarray:
-    """B[k,m] = int_{-1}^{1} P_m(t) P_k'(t) dt = 2 for m < k with k-m odd.
-    The array is shared and read-only."""
+    """B[k,m] = int_{-1}^{1} P_m(t) P_k'(t) dt = 2 for m < k with k-m odd."""
     k = np.arange(n_test)[:, None]
     m = np.arange(n_trial)[None, :]
-    B = np.where((m < k) & ((k - m) % 2 == 1), 2.0, 0.0)
-    B.setflags(write=False)
-    return B
+    return np.where((m < k) & ((k - m) % 2 == 1), 2.0, 0.0)
 
 
 @lru_cache(maxsize=None)

@@ -219,24 +219,21 @@ def test_vector_round_trip():
 
 
 def test_local_dof_tables_are_shared_and_read_only():
-    coeff_index, runs = _local_dofs(3, 4)
-    assert _local_dofs(3, 4)[0] is coeff_index and _local_dofs(3, 4)[1] is runs
-    assert not coeff_index.flags.writeable and isinstance(runs, tuple)
+    index = _local_dofs(3, 4)
+    assert _local_dofs(3, 4) is index and index.shape == (3, 7)
+    assert not index.flags.writeable
     with pytest.raises(ValueError):
-        coeff_index[0] = 0
-    # O(N*p): one index per coefficient and two pairs of slices per element
+        index[0, 0] = 0
+    # O(N*p): the global index of each local dof [c_0..c_4, vb_left,
+    # vb_right], as DofMap.split reads them; the eliminated boundary node
+    # values read n, one past the unknowns
     dof = DofMap(3, 4)
     coeffs, vb = dof.split(np.arange(dof.total))
-    np.testing.assert_array_equal(coeff_index, coeffs.ravel())
-    # each run maps local dofs [c_0..c_4, vb_left, vb_right] onto the global
-    # indices that DofMap.split reads; the boundary node values are in none
-    for j, own in enumerate(runs):
-        local = np.concatenate([coeffs[j], vb[j : j + 2]])
-        assert [rows.start for rows, _ in own] == [0, 5 + (j == 0)]
-        assert sum(rows.stop - rows.start for rows, _ in own) == 5 + 2 - (j == 0) - (j == 2)
-        for rows, grows in own:
-            np.testing.assert_array_equal(local[rows], np.arange(dof.total)[grows])
-    assert [len(own) for own in _local_dofs(1, 4)[1]] == [1]
+    np.testing.assert_array_equal(index[:, :5], coeffs)
+    np.testing.assert_array_equal(index[:, 5], [dof.total, *vb[1:3]])
+    np.testing.assert_array_equal(index[:, 6], [*vb[1:3], dof.total])
+    n = DofMap(1, 4).total
+    np.testing.assert_array_equal(_local_dofs(1, 4), [[0, 1, 2, 3, 4, n, n]])
     # the jump blocks depend on the degree only: one read-only pair per p
     jump_right, jump_both = _jump_blocks(4)
     assert _jump_blocks(4)[0] is jump_right and _jump_blocks(4)[1] is jump_both
@@ -311,6 +308,49 @@ def test_scatter_adds_negative_zeros_to_zeros():
     for i in range(2):
         assert matrices[i].tobytes() == _padded_scatter(blocks[i], N, p).tobytes()
     assert not np.signbit(matrices[matrices == 0.0]).any() and not np.signbit(rhs).any()
+
+
+def _element_loop_scatter(blocks, N, p):
+    # A[g, g] += A_j element by element over the local dofs that are
+    # unknowns, numbered coefficients first, then the interior node values:
+    # no index table shared with the scatter under test
+    A = np.zeros((N * (p + 2) - 1,) * 2)
+    for j in range(N):
+        sides = [side for side in (0, 1) if 0 < j + side < N]
+        local = [*range(p + 1), *(p + 1 + side for side in sides)]
+        g = [*range(j * (p + 1), (j + 1) * (p + 1)), *(N * (p + 1) + j + side - 1 for side in sides)]
+        A[np.ix_(g, g)] += blocks[j][np.ix_(local, local)]
+    return A
+
+
+@pytest.mark.parametrize("p", [1, 2, 40, 64])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_assemble_scatters_as_an_element_loop_bit_for_bit(monkeypatch, N, p):
+    import wg_hp.assembly as assembly
+
+    blocks = []
+    real_scatter = assembly._scatter
+    monkeypatch.setattr(
+        assembly, "_scatter", lambda b, *rest: blocks.append(b) or real_scatter(b, *rest)
+    )
+    nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
+    mesh = user_mesh(nodes[N])
+    probs = [UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)]
+    for sigmas in (None, np.zeros(N)):
+        for prob in probs:
+            blocks.clear()
+            system = assemble(prob, mesh, p, sigmas=sigmas)
+            expect = _element_loop_scatter(blocks[0], N, p)
+            assert system.matrix.tobytes() == expect.tobytes(), (N, p, prob.eps1, sigmas)
+        blocks.clear()
+        matrices, _ = assemble_stack(probs, [mesh] * 3, p, None if sigmas is None else [sigmas] * 3)
+        for i in range(3):
+            assert matrices[i].tobytes() == _element_loop_scatter(blocks[0][i], N, p).tobytes(), i
+    # -0.0 in a coefficient entry and in the node values, shared or eliminated
+    signed = np.random.default_rng(N * p).standard_normal((N, p + 3, p + 3))
+    signed[:, 0, 0] = signed[:, -1, -1] = signed[:, -2, -1] = -0.0
+    matrix, _ = _scatter(signed, np.zeros((N, p + 1, 1)), N, p)
+    assert matrix.tobytes() == _element_loop_scatter(signed, N, p).tobytes()
 
 
 def test_oracle_paths_evaluate_coefficients_once(monkeypatch):

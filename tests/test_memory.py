@@ -15,7 +15,7 @@ SET_UP = (
 )
 
 
-def test_a_sweep_to_p_40_leaves_at_most_6_mb_of_numpy_arrays():
+def test_a_sweep_to_p_40_leaves_at_most_5_mb_of_numpy_arrays():
     # the per-degree caches stay: basis and jump tables, no per-(N, p) index
     code = SET_UP + (
         "tracemalloc.start()\n"
@@ -25,7 +25,7 @@ def test_a_sweep_to_p_40_leaves_at_most_6_mb_of_numpy_arrays():
         "print(sum(stat.size for stat in snapshot.statistics('filename')))\n"
     )
     held = int(_python(code).stdout.split()[-1])
-    assert held <= 6_000_000, f"{held / 1e6:.2f} MB held"
+    assert held <= 5_000_000, f"{held / 1e6:.2f} MB held"
 
 
 def test_one_degree_of_the_criterion_6_grid_at_p_20_peaks_below_0_6_mb():
