@@ -39,7 +39,7 @@ _HOMES = {
     "coeffexpr": ("Expr", "differentiate", "evaluate", "parse"),
     "problem": ("MuPair", "ProblemSpec", "Regime", "classify_regime", "compute_mu",
                 "model_problem", "validate"),
-    "slmesh": ("Mesh", "build_sbl_mesh", "user_mesh"),
+    "slmesh": ("Mesh", "build_sbl_mesh"),
     "polybasis": ("ElementPoly", "QuadRule", "gauss_rule", "interpolate", "l2_project",
                   "legendre_eval"),
     "weakspace": ("BrokenPoly", "WeakFunction", "default_penalties", "jump_seminorm",

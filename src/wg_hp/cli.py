@@ -95,7 +95,7 @@ def parse_p_range(text: str) -> list[int]:
 
 
 def parse_eps_grid(text: str) -> list[tuple[float, float]]:
-    """Comma-separated 'eps1:eps2' pairs."""
+    """Comma-separated 'eps1:eps2' pairs, each at most once."""
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -104,7 +104,10 @@ def parse_eps_grid(text: str) -> list[tuple[float, float]]:
         e1_s, sep, e2_s = chunk.partition(":")
         if not sep:
             raise ConfigError(f"bad eps pair {chunk!r}, expected eps1:eps2")
-        pairs.append((float(e1_s), float(e2_s)))
+        pair = (float(e1_s), float(e2_s))
+        if pair in pairs:
+            raise ConfigError(f"repeated eps pair {chunk!r}")
+        pairs.append(pair)
     if not pairs:
         raise ConfigError("empty eps grid")
     return pairs

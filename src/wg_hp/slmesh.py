@@ -21,7 +21,7 @@ DEGENERACY_TOL = 1e-12
 
 
 class Mesh(Frozen):
-    """Ordered nodes x0 = 0 < ... < xN = 1."""
+    """Ordered nodes x0 = 0 < ... < xN = 1 and the element widths, read-only."""
 
     _fields = ("nodes",)
 
@@ -40,25 +40,15 @@ class Mesh(Frozen):
         nodes.setflags(write=False)
         widths.setflags(write=False)
         # the widths computed once: assembly and the norms read them many times
-        vars(self).update(nodes=nodes, _widths=widths)
+        vars(self).update(nodes=nodes, widths=widths)
 
     @property
     def n_elements(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def widths(self) -> np.ndarray:
-        """Element widths, shared and read-only."""
-        return self._widths
-
     def element(self, j: int) -> tuple[float, float]:
         """Endpoints of element j (0-based)."""
         return float(self.nodes[j]), float(self.nodes[j + 1])
-
-
-def user_mesh(nodes) -> Mesh:
-    """Wrap an arbitrary node list, validating it."""
-    return Mesh(np.asarray(nodes, dtype=float))
 
 
 class MeshDegeneracyError(Exception):

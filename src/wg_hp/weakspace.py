@@ -113,33 +113,9 @@ class WeakFunction(BrokenPoly):
         v.setflags(write=False)
         vars(self)["vb"] = v
 
-    @classmethod
-    def zeros(cls, mesh: Mesh, p: int) -> "WeakFunction":
-        return cls(mesh, np.zeros((mesh.n_elements, p + 1)), np.zeros(mesh.n_elements + 1))
-
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """(v0 - vb) at the left and right endpoint of every element."""
         return _jumps(self.coeffs, self.vb)
-
-    def pad_to_degree(self, p: int) -> "WeakFunction":
-        """Embed into the degree-p space by zero-padding coefficients."""
-        if p < self.degree:
-            raise ValueError("cannot pad to a lower degree")
-        extra = np.zeros((self.mesh.n_elements, p - self.degree))
-        return WeakFunction(self.mesh, np.hstack([self.coeffs, extra]), self.vb)
-
-    def __add__(self, other: "WeakFunction") -> "WeakFunction":
-        _check_compatible(self, other)
-        return WeakFunction(self.mesh, self.coeffs + other.coeffs, self.vb + other.vb)
-
-    def __sub__(self, other: "WeakFunction") -> "WeakFunction":
-        _check_compatible(self, other)
-        return WeakFunction(self.mesh, self.coeffs - other.coeffs, self.vb - other.vb)
-
-    def __mul__(self, c: float) -> "WeakFunction":
-        return WeakFunction(self.mesh, c * self.coeffs, c * self.vb)
-
-    __rmul__ = __mul__
 
 
 def check_same_mesh(u: WeakFunction, v: WeakFunction):

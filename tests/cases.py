@@ -1,6 +1,7 @@
 """The named test cases that more than one test reads: the unit problem,
 the criterion-6 eps pairs, the manufactured layer and oscillation cases,
-and the closed-form two-layer case with the true error against it.
+and the closed-form two-layer case with the true error against it; and
+the zero, padded and combined weak functions the tests build.
 
 A closed-form case's solution is a function of points held as (x, 1 - x)
 pairs, so a layer at x = 1 is evaluated in its distance to x = 1 and not
@@ -17,6 +18,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from wg_hp.problem import ProblemSpec
+from wg_hp.weakspace import WeakFunction
 
 # eps1 = eps2 = 1 with b = r = f = 1
 UNIT = ProblemSpec.from_strings(1.0, 1.0, "1", "1", "1")
@@ -136,3 +138,20 @@ def true_energy_error(case: TwoLayerCase, mesh, coeffs) -> float:
         err_sq += float(np.sum(scale * (eps1 * (du - du0) ** 2 + (u - u0) ** 2)))
         norm_sq += float(np.sum(scale * (eps1 * du**2 + u**2)))
     return math.sqrt(err_sq / norm_sq)
+
+
+def weak_zeros(mesh, p: int) -> WeakFunction:
+    """The zero weak function of degree p on mesh."""
+    return WeakFunction(mesh, np.zeros((mesh.n_elements, p + 1)), np.zeros(mesh.n_elements + 1))
+
+
+def weak_padded(v: WeakFunction, p: int) -> WeakFunction:
+    """v in the degree-p space, p >= v.degree, its coefficients zero-padded."""
+    extra = np.zeros((v.mesh.n_elements, p - v.degree))
+    return WeakFunction(v.mesh, np.hstack([v.coeffs, extra]), v.vb)
+
+
+def weak_map(op, *fs: WeakFunction) -> WeakFunction:
+    """op applied to the coefficients, and to the node values, of weak
+    functions of one mesh and degree: weak_map(np.subtract, u, v) is u - v."""
+    return WeakFunction(fs[0].mesh, op(*(f.coeffs for f in fs)), op(*(f.vb for f in fs)))

@@ -25,7 +25,7 @@ from wg_hp.assembly import (
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, quad_order
 from wg_hp.problem import ProblemSpec, classify_regime, compute_mu, model_problem
-from wg_hp.slmesh import build_sbl_mesh, user_mesh
+from wg_hp.slmesh import Mesh, build_sbl_mesh
 from wg_hp.problem import Regime
 from wg_hp.verify import manufacture, sbl_mesh
 from wg_hp.weakspace import (
@@ -37,11 +37,11 @@ from wg_hp.weakspace import (
     weak_derivative,
 )
 
-from cases import UNIT
+from cases import UNIT, weak_map, weak_zeros
 
 
 def test_solve_rejects_a_non_finite_solution():
-    system = assemble(UNIT, user_mesh([0.0, 0.5, 1.0]), 2)
+    system = assemble(UNIT, Mesh([0.0, 0.5, 1.0]), 2)
     rhs = system.rhs.copy()
     rhs[0] = np.inf
     with pytest.raises(SingularSystemError, match="not finite"):
@@ -59,7 +59,7 @@ def test_dofmap_counts():
 
 
 def test_matrix_dimensions_match_dofmap():
-    mesh = user_mesh([0.0, 0.3, 0.7, 1.0])
+    mesh = Mesh([0.0, 0.3, 0.7, 1.0])
     system = assemble(model_problem(1e-4, 1e-3), mesh, 4)
     assert system.matrix.shape == (17, 17)
     assert system.rhs.shape == (17,)
@@ -67,7 +67,7 @@ def test_matrix_dimensions_match_dofmap():
 
 def test_single_element_p1_galerkin_residual():
     # smallest possible system: one element, p=1, all coefficients 1
-    mesh = user_mesh([0.0, 1.0])
+    mesh = Mesh([0.0, 1.0])
     system = assemble(UNIT, mesh, 1)
     assert system.matrix.shape == (2, 2)
     u_p = solve(system)
@@ -96,7 +96,7 @@ def test_matrix_path_matches_direct_path():
     for (eps1, eps2, nodes), p in itertools.product(cases, (1, 3, 5, 16, 40, 64)):
         prob = model_problem(eps1, eps2)
         if nodes is not None:
-            mesh = user_mesh(nodes)
+            mesh = Mesh(nodes)
         else:
             regime = classify_regime(eps1, eps2)
             mesh = build_sbl_mesh(regime, 1.0, p, mu=compute_mu(prob), eps1=eps1)
@@ -112,21 +112,21 @@ def test_matrix_path_matches_direct_path():
 
 
 def test_bilinear_form_linear_in_first_argument():
-    mesh = user_mesh([0.0, 0.5, 1.0])
+    mesh = Mesh([0.0, 0.5, 1.0])
     rng = np.random.default_rng(29)
     p = 3
     u1 = WeakFunction(mesh, rng.standard_normal((2, 4)), np.r_[0.0, rng.standard_normal(1), 0.0])
     u2 = WeakFunction(mesh, rng.standard_normal((2, 4)), np.r_[0.0, rng.standard_normal(1), 0.0])
     v = WeakFunction(mesh, rng.standard_normal((2, 4)), np.r_[0.0, rng.standard_normal(1), 0.0])
-    lhs = bilinear_apply(u1 + u2, v, UNIT)
+    lhs = bilinear_apply(weak_map(np.add, u1, u2), v, UNIT)
     rhs = bilinear_apply(u1, v, UNIT) + bilinear_apply(u2, v, UNIT)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    z = WeakFunction.zeros(mesh, p)
+    z = weak_zeros(mesh, p)
     assert bilinear_apply(z, v, UNIT) == 0.0
 
 
 def test_stabilizer_block_scales_with_eps1():
-    mesh = user_mesh([0.0, 0.5, 1.0])
+    mesh = Mesh([0.0, 0.5, 1.0])
     prob1 = ProblemSpec.from_strings(1e-4, 1e-8, "1", "1", "1")
     prob2 = ProblemSpec.from_strings(2e-4, 1e-8, "1", "1", "1")
     p = 2
@@ -170,7 +170,7 @@ def test_coercivity_quadratic_form_identity():
     #          + sum_{j internal} eps2 b(x_j)/2 * (left jump at j)^2
     #          + eps2 b(0)/2 * (left jump at 0)^2
     prob = model_problem(1e-4, 1e-2)
-    mesh = user_mesh([0.0, 0.15, 0.85, 1.0])
+    mesh = Mesh([0.0, 0.15, 0.85, 1.0])
     rng = np.random.default_rng(37)
     for p in (1, 2, 4):
         sig = default_penalties(mesh, p, prob.eps1)
@@ -207,7 +207,7 @@ def weakfunction_to_vector(system: AssembledSystem, v: WeakFunction) -> np.ndarr
 
 
 def test_vector_round_trip():
-    mesh = user_mesh([0.0, 0.4, 1.0])
+    mesh = Mesh([0.0, 0.4, 1.0])
     system = assemble(UNIT, mesh, 2)
     rng = np.random.default_rng(43)
     x = rng.standard_normal(system.dof_map.total)
@@ -245,69 +245,8 @@ def test_local_dof_tables_are_shared_and_read_only():
     np.testing.assert_array_equal(jump_both, np.outer(t_right, t_right) + np.outer(t_left, t_left))
     _jump_blocks.cache_clear()
     for N in (2, 3):
-        assemble(UNIT, user_mesh(np.linspace(0.0, 1.0, N + 1)), 4)
+        assemble(UNIT, Mesh(np.linspace(0.0, 1.0, N + 1)), 4)
     assert _jump_blocks.cache_info().currsize == 1
-
-
-def _padded_scatter(blocks, N, p):
-    # the scatter into an (n+2) x (n+2) matrix that assemble used before it
-    # indexed the n x n matrix directly: the eliminated boundary node values
-    # get indices n and n+1, whose rows and columns are dropped
-    n = DofMap(N, p).total
-    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
-    dof_index = np.column_stack(
-        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
-    )
-    flat = dof_index[:, :, None] * (n + 2) + dof_index[:, None, :]
-    A = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=(n + 2) ** 2)
-    return A.reshape(n + 2, n + 2)[:n, :n]
-
-
-@pytest.mark.parametrize("p", [1, 2, 40, 64])
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_assemble_scatters_as_the_padded_scatter_bit_for_bit(monkeypatch, N, p):
-    import wg_hp.assembly as assembly
-
-    # the element blocks that assemble and assemble_stack hand to their
-    # scatter, scattered by the oracle
-    blocks = []
-    real_scatter = assembly._scatter
-    monkeypatch.setattr(
-        assembly, "_scatter", lambda b, *rest: blocks.append(b) or real_scatter(b, *rest)
-    )
-    nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
-    mesh = user_mesh(nodes[N])
-    probs = [UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)]
-    for sigmas in (None, np.zeros(N)):
-        for prob in probs:
-            blocks.clear()
-            system = assemble(prob, mesh, p, sigmas=sigmas)
-            (element_blocks,) = blocks
-            assert element_blocks.shape == (N, p + 3, p + 3)
-            expect = _padded_scatter(element_blocks, N, p)
-            assert system.matrix.shape == expect.shape
-            assert system.matrix.tobytes() == expect.tobytes(), (N, p, prob.eps1, sigmas)
-        # the three as one stack
-        blocks.clear()
-        matrices, _ = assemble_stack(probs, [mesh] * 3, p, None if sigmas is None else [sigmas] * 3)
-        (stacked,) = blocks
-        assert stacked.shape == (3, N, p + 3, p + 3)
-        for i in range(3):
-            assert matrices[i].tobytes() == _padded_scatter(stacked[i], N, p).tobytes(), (i, sigmas)
-
-
-def test_scatter_adds_negative_zeros_to_zeros():
-    N, p = 3, 2
-    rng = np.random.default_rng(5)
-    blocks = rng.standard_normal((2, N, p + 3, p + 3)) * 10.0 ** rng.integers(-8, 8, (2, N, 1, 1))
-    blocks[:, :, 1, 1] = -0.0  # an entry of one element only
-    blocks[:, :, -1, -1] = -0.0  # a node value shared by two elements, and the boundary's
-    blocks[:, :, 0, -2] = -0.0
-    loads = np.full((2, N, p + 1, 1), -0.0)
-    matrices, rhs = _scatter(blocks, loads, N, p)
-    for i in range(2):
-        assert matrices[i].tobytes() == _padded_scatter(blocks[i], N, p).tobytes()
-    assert not np.signbit(matrices[matrices == 0.0]).any() and not np.signbit(rhs).any()
 
 
 def _element_loop_scatter(blocks, N, p):
@@ -334,16 +273,21 @@ def test_assemble_scatters_as_an_element_loop_bit_for_bit(monkeypatch, N, p):
         assembly, "_scatter", lambda b, *rest: blocks.append(b) or real_scatter(b, *rest)
     )
     nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
-    mesh = user_mesh(nodes[N])
+    mesh = Mesh(nodes[N])
     probs = [UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)]
     for sigmas in (None, np.zeros(N)):
         for prob in probs:
             blocks.clear()
             system = assemble(prob, mesh, p, sigmas=sigmas)
-            expect = _element_loop_scatter(blocks[0], N, p)
+            (element_blocks,) = blocks
+            assert element_blocks.shape == (N, p + 3, p + 3)
+            expect = _element_loop_scatter(element_blocks, N, p)
+            assert system.matrix.shape == expect.shape
             assert system.matrix.tobytes() == expect.tobytes(), (N, p, prob.eps1, sigmas)
+        # the three as one stack
         blocks.clear()
         matrices, _ = assemble_stack(probs, [mesh] * 3, p, None if sigmas is None else [sigmas] * 3)
+        assert blocks[0].shape == (3, N, p + 3, p + 3)
         for i in range(3):
             assert matrices[i].tobytes() == _element_loop_scatter(blocks[0][i], N, p).tobytes(), i
     # -0.0 in a coefficient entry and in the node values, shared or eliminated
@@ -351,6 +295,20 @@ def test_assemble_scatters_as_an_element_loop_bit_for_bit(monkeypatch, N, p):
     signed[:, 0, 0] = signed[:, -1, -1] = signed[:, -2, -1] = -0.0
     matrix, _ = _scatter(signed, np.zeros((N, p + 1, 1)), N, p)
     assert matrix.tobytes() == _element_loop_scatter(signed, N, p).tobytes()
+
+
+def test_scatter_adds_negative_zeros_to_zeros():
+    N, p = 3, 2
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((2, N, p + 3, p + 3)) * 10.0 ** rng.integers(-8, 8, (2, N, 1, 1))
+    blocks[:, :, 1, 1] = -0.0  # an entry of one element only
+    blocks[:, :, -1, -1] = -0.0  # a node value shared by two elements, and the boundary's
+    blocks[:, :, 0, -2] = -0.0
+    loads = np.full((2, N, p + 1, 1), -0.0)
+    matrices, rhs = _scatter(blocks, loads, N, p)
+    for i in range(2):
+        assert matrices[i].tobytes() == _element_loop_scatter(blocks[i], N, p).tobytes()
+    assert not np.signbit(matrices[matrices == 0.0]).any() and not np.signbit(rhs).any()
 
 
 def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
@@ -369,7 +327,7 @@ def test_oracle_paths_evaluate_coefficients_once(monkeypatch):
     for module in (assembly, checks, verify, weakspace):
         monkeypatch.setattr(module, "evaluate", counting_evaluate)
     prob = model_problem(1e-4, 1e-2)
-    mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
+    mesh = Mesh([0.0, 0.2, 0.75, 1.0])
     rng = np.random.default_rng(5)
     u = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, 0.3, -0.2, 0.0])
     v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
@@ -457,10 +415,10 @@ def _load_apply_per_element(v, problem, nquad=None):
 
 
 ORACLE_MESHES = (
-    user_mesh([0.0, 1.0]),
-    user_mesh([0.0, 0.35, 1.0]),
-    user_mesh([0.0, 1e-3, 0.9, 1.0]),
-    user_mesh([0.0, 0.3, 0.65, 1.0]),
+    Mesh([0.0, 1.0]),
+    Mesh([0.0, 0.35, 1.0]),
+    Mesh([0.0, 1e-3, 0.9, 1.0]),
+    Mesh([0.0, 0.3, 0.65, 1.0]),
 )
 
 
@@ -523,7 +481,7 @@ def test_bilinear_apply_of_v_with_itself_takes_one_weak_derivative(monkeypatch):
 
     monkeypatch.setattr(assembly, "_apply", counting_apply)
     prob = model_problem(1e-4, 1e-2)
-    mesh = user_mesh([0.0, 0.2, 0.75, 1.0])
+    mesh = Mesh([0.0, 0.2, 0.75, 1.0])
     rng = np.random.default_rng(9)
     u = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, 0.3, -0.2, 0.0])
     v = WeakFunction(mesh, rng.standard_normal((3, 5)), [0.0, -0.1, 0.4, 0.0])
@@ -558,7 +516,7 @@ def test_bilinear_apply_evaluates_b_at_the_nodes_once_and_takes_no_jumps(monkeyp
     monkeypatch.setattr(weakspace, "evaluate", counting_evaluate)
     monkeypatch.setattr(WeakFunction, "jumps", forbidden)
     prob = model_problem(1e-6, 1.0)
-    mesh = user_mesh([0.0, 0.4, 1.0])
+    mesh = Mesh([0.0, 0.4, 1.0])
     rng = np.random.default_rng(13)
     u, v = (WeakFunction(mesh, rng.standard_normal((2, 4)), [0.0, 0.7, 0.0]) for _ in range(2))
     for a, b in ((u, v), (v, v)):
@@ -570,7 +528,7 @@ def test_bilinear_apply_evaluates_b_at_the_nodes_once_and_takes_no_jumps(monkeyp
 
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
-        assemble(UNIT, user_mesh([0.0, 1.0]), 0)
+        assemble(UNIT, Mesh([0.0, 1.0]), 0)
 
 
 # the two-sided reaction-diffusion layer of width 1e-4 as a manufactured f
@@ -638,7 +596,7 @@ def test_assemble_matches_pinned_baseline(key, p, nodes):
     if nodes is None:
         mesh, expected = sbl_mesh(prob, p), ASSEMBLED_BASELINE[key, p]
     else:
-        mesh, expected = user_mesh(nodes), USER_MESH_BASELINE[key, nodes, p]
+        mesh, expected = Mesh(nodes), USER_MESH_BASELINE[key, nodes, p]
     system = assemble(prob, mesh, p)
     ones = np.ones(system.dof_map.total)
     got = (
@@ -674,7 +632,7 @@ def test_stacked_assembly_and_solve_match_one_system_at_a_time_bit_for_bit():
         for N in (2, 3):
             k = 1 + (p + N) % 5
             probs = STACK_PROBLEMS[:k]
-            meshes = [user_mesh(nodes) for nodes in STACK_NODES[N][:k]]
+            meshes = [Mesh(nodes) for nodes in STACK_NODES[N][:k]]
             nquad = None if p % 2 else 2 * quad_order(p)
             sigmas = None if p % 3 else np.linspace(0.5, 2.0, k * N).reshape(k, N)
             matrices, rhs = assemble_stack(probs, meshes, p, sigmas, nquad)
@@ -695,7 +653,7 @@ def test_stacked_assembly_and_solve_match_one_system_at_a_time_bit_for_bit():
 
 def test_stacked_solve_raises_as_the_first_failing_system_would():
     probs = STACK_PROBLEMS[:3]
-    meshes = [user_mesh(nodes) for nodes in STACK_NODES[3][:3]]
+    meshes = [Mesh(nodes) for nodes in STACK_NODES[3][:3]]
     matrices, rhs = assemble_stack(probs, meshes, 4)
     bad = rhs.copy()
     bad[1, 0] = np.inf
@@ -725,7 +683,7 @@ def test_stacked_assembly_evaluates_an_equal_coefficient_once(monkeypatch):
     # equal, not identical, coefficients: each problem parsed on its own
     probs = [model_problem(eps1, 1e-2) for eps1 in (1e-6, 1e-5, 1e-4)]
     assert probs[0].b is not probs[1].b and probs[0].b == probs[1].b
-    meshes = [user_mesh(nodes) for nodes in STACK_NODES[3][:3]]
+    meshes = [Mesh(nodes) for nodes in STACK_NODES[3][:3]]
     pts, nodes = (3, 3, 10), (3, 4)
     assemble_stack(probs, meshes, 4)
     assert calls == [(probs[0].b, pts), (probs[0].b_prime, pts), (probs[0].r, pts),
@@ -747,7 +705,7 @@ def test_stacked_assembly_compares_no_tree_of_a_shared_coefficient(monkeypatch):
     first = model_problem(1e-6, 1e-2)
     shared = [first] + [ProblemSpec(eps1, 1e-2, first.b, first.r, first.f, first.b_prime)
                         for eps1 in (1e-5, 1e-4)]
-    meshes = [user_mesh(nodes) for nodes in STACK_NODES[3][:3]]
+    meshes = [Mesh(nodes) for nodes in STACK_NODES[3][:3]]
     expected = assemble_stack([model_problem(prob.eps1, prob.eps2) for prob in shared], meshes, 4)
     compared = []
     real_eq = Frozen.__eq__
@@ -759,6 +717,6 @@ def test_stacked_assembly_compares_no_tree_of_a_shared_coefficient(monkeypatch):
 
 
 def test_stacked_assembly_rejects_meshes_of_different_sizes():
-    meshes = [user_mesh(STACK_NODES[2][0]), user_mesh(STACK_NODES[3][0])]
+    meshes = [Mesh(STACK_NODES[2][0]), Mesh(STACK_NODES[3][0])]
     with pytest.raises(ValueError, match="same number of elements"):
         assemble_stack(STACK_PROBLEMS[:2], meshes, 3)

@@ -14,7 +14,7 @@ import wg_hp.problem as problem
 from wg_hp.checks import run_check
 from wg_hp.coeffexpr import evaluate
 from wg_hp.polybasis import gauss_rule, legendre_eval, quad_order
-from wg_hp.slmesh import user_mesh
+from wg_hp.slmesh import Mesh
 from wg_hp.weakspace import (
     WeakFunction,
     default_penalties,
@@ -26,7 +26,7 @@ from wg_hp.weakspace import (
 )
 
 MESHES = [
-    user_mesh(nodes)
+    Mesh(nodes)
     for nodes in ([0.0, 1.0], [0.0, 0.35, 1.0], [0.0, 1e-3, 0.9, 1.0], [0.0, 0.3, 0.65, 1.0])
 ]
 

@@ -264,6 +264,24 @@ def test_usage_error_exit_code(capsys):
         assert "bad p range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["1e-6:1e-2,1e-6:1e-2", "1e-6:1e-2,1e-4:1e-5,0.000001:0.01"])
+def test_a_repeated_eps_pair_is_a_usage_error(tmp_path, capsys, monkeypatch, grid):
+    # as a flag and as a config line: one stderr line naming the pair,
+    # before any solve, and no CSV written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a grid with a repeated pair")
+
+    monkeypatch.setattr(cli, "convergence_sweep", no_solve)
+    out, cfg = tmp_path / "c.csv", tmp_path / "run.cfg"
+    cfg.write_text(f"eps-grid={grid}\n")
+    repeated = grid.rsplit(",", 1)[1]
+    for source in (["--eps-grid", grid], ["--config", str(cfg)]):
+        argv = ["convergence", *source, "--p-range", "1..2", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"wg-hp: repeated eps pair {repeated!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["solve", "--p", "2"], ["convergence", "--p-range", "1..2"]])
 @pytest.mark.parametrize("flag", ["--out", "--svg"])
 def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag):

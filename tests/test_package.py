@@ -54,6 +54,26 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert _loaded_after("import wg_hp") == set()
 
 
+# the public names, pinned so that one only the tests call cannot be
+# exported unnoticed
+PUBLIC = {
+    "AssembledSystem", "BrokenPoly", "ConvergenceRecord", "DofMap", "ElementPoly", "Expr",
+    "ManufacturedCase", "Mesh", "MuPair", "ProblemSpec", "QuadRule", "Regime", "SuiteResult",
+    "WeakFunction", "assemble", "bilinear_apply", "build_sbl_mesh", "classify_regime",
+    "compute_mu", "convergence_study", "convergence_sweep", "default_penalties",
+    "differentiate", "energy_error", "evaluate", "gauss_rule", "interpolate", "jump_seminorm",
+    "l2_project", "legendre_eval", "manufacture", "model_problem", "norm_broken", "norm_p",
+    "parse", "reference_solution", "run_check", "solve", "stabilizer_S", "stabilizer_Sc",
+    "validate", "weak_convection_derivative", "weak_derivative",
+}
+
+
+def test_the_public_names_are_pinned():
+    import wg_hp
+
+    assert sorted(wg_hp.__all__) == sorted(PUBLIC)
+
+
 def test_every_public_name_resolves_on_first_use_and_is_not_stored():
     code = (
         "import wg_hp\n"

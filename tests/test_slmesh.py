@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wg_hp.problem import MuPair, Regime, compute_mu, model_problem
-from wg_hp.slmesh import Mesh, MeshDegeneracyError, _guarded, build_sbl_mesh, user_mesh
+from wg_hp.slmesh import Mesh, MeshDegeneracyError, _guarded, build_sbl_mesh
 
 RCD = Regime.REACTION_CONVECTION_DIFFUSION
 RD = Regime.REACTION_DIFFUSION
@@ -85,21 +85,21 @@ def test_bad_kappa_and_degree(kappa):
 
 
 def test_user_mesh_valid():
-    mesh = user_mesh([0.0, 0.5, 1.0])
+    mesh = Mesh([0.0, 0.5, 1.0])
     assert mesh.n_elements == 2
     np.testing.assert_allclose(mesh.widths, [0.5, 0.5])
     assert mesh.element(1) == (0.5, 1.0)
 
-    assert user_mesh([0.0, 1.0]).n_elements == 1
+    assert Mesh([0.0, 1.0]).n_elements == 1
 
 
 def test_user_mesh_invalid():
     with pytest.raises(ValueError):
-        user_mesh([0.0, 0.5, 0.5, 1.0])  # repeated node
+        Mesh([0.0, 0.5, 0.5, 1.0])  # repeated node
     with pytest.raises(ValueError):
-        user_mesh([0.1, 0.5, 1.0])  # does not start at 0
+        Mesh([0.1, 0.5, 1.0])  # does not start at 0
     with pytest.raises(ValueError):
-        user_mesh([0.0])
+        Mesh([0.0])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -119,7 +119,7 @@ NAN, INF = float("nan"), float("inf")
 ])
 def test_user_mesh_rejects_nan_inf_and_disorder(nodes, message):
     with pytest.raises(ValueError, match=message):
-        user_mesh(nodes)
+        Mesh(nodes)
 
 
 @pytest.mark.parametrize("nodes, error", [
