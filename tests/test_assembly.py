@@ -249,6 +249,53 @@ def test_local_dof_tables_are_shared_and_read_only():
     assert _jump_blocks.cache_info().currsize == 1
 
 
+def _padded_scatter(blocks, N, p):
+    # the scatter into an (n+2) x (n+2) matrix that assemble used before it
+    # indexed the n x n matrix directly: the eliminated boundary node values
+    # get indices n and n+1, whose rows and columns are dropped
+    n = DofMap(N, p).total
+    node_index = np.concatenate([[n], N * (p + 1) + np.arange(N - 1), [n + 1]])
+    dof_index = np.column_stack(
+        [np.arange(N * (p + 1)).reshape(N, p + 1), node_index[:-1], node_index[1:]]
+    )
+    flat = dof_index[:, :, None] * (n + 2) + dof_index[:, None, :]
+    A = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=(n + 2) ** 2)
+    return A.reshape(n + 2, n + 2)[:n, :n]
+
+
+@pytest.mark.parametrize("p", [1, 2, 40, 64])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_assemble_scatters_as_the_padded_scatter_bit_for_bit(monkeypatch, N, p):
+    import wg_hp.assembly as assembly
+
+    # the element blocks that assemble and assemble_stack hand to their
+    # scatter, scattered by the oracle
+    blocks = []
+    real_scatter = assembly._scatter
+    monkeypatch.setattr(
+        assembly, "_scatter", lambda b, *rest: blocks.append(b) or real_scatter(b, *rest)
+    )
+    nodes = {1: [0.0, 1.0], 2: [0.0, 0.35, 1.0], 3: [0.0, 1e-3, 0.9, 1.0], 4: [0.0, 0.3, 0.65, 0.99, 1.0]}
+    mesh = Mesh(nodes[N])
+    probs = [UNIT, model_problem(1e-6, 1e-2), model_problem(1e-4, 1e-5)]
+    for sigmas in (None, np.zeros(N)):
+        for prob in probs:
+            blocks.clear()
+            system = assemble(prob, mesh, p, sigmas=sigmas)
+            (element_blocks,) = blocks
+            assert element_blocks.shape == (N, p + 3, p + 3)
+            expect = _padded_scatter(element_blocks, N, p)
+            assert system.matrix.shape == expect.shape
+            assert system.matrix.tobytes() == expect.tobytes(), (N, p, prob.eps1, sigmas)
+        # the three as one stack
+        blocks.clear()
+        matrices, _ = assemble_stack(probs, [mesh] * 3, p, None if sigmas is None else [sigmas] * 3)
+        (stacked,) = blocks
+        assert stacked.shape == (3, N, p + 3, p + 3)
+        for i in range(3):
+            assert matrices[i].tobytes() == _padded_scatter(stacked[i], N, p).tobytes(), (i, sigmas)
+
+
 def _element_loop_scatter(blocks, N, p):
     # A[g, g] += A_j element by element over the local dofs that are
     # unknowns, numbered coefficients first, then the interior node values:
